@@ -228,10 +228,10 @@ def expm_unitary(hermitian: np.ndarray) -> np.ndarray:
 
 
 def evolve(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Conjugate a state by a propagator: rho -> U rho U+."""
+    """Conjugate a state, or a stack of states, by a propagator: rho -> U rho U+."""
     rho = np.asarray(rho, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    if rho.shape != U.shape or rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or rho.shape[-2:] != U.shape:
         raise InputError(f"shape mismatch: state {rho.shape} vs propagator {U.shape}")
     return U @ rho @ U.conj().T
 

@@ -29,6 +29,8 @@ from .errors import InputError, NoSolutionError, NotPseudoPureError
 
 JACOBIAN_STEP_RAD = 1e-6
 DEDUP_TOL_DEG = 0.01
+#: Largest number of grid starts solve_angles will build.
+MAX_GRID_STARTS = 10**5
 
 #: Known angle vectors for common systems, used only as extra solver starts.
 _SEED_STARTS = {
@@ -140,13 +142,25 @@ def validate_cascade(spec: CascadeSpec) -> ValidationReport:
     return ValidationReport(True, None)
 
 
-def _populations(angles_rad: np.ndarray, d_eq: np.ndarray, spec: CascadeSpec) -> np.ndarray:
+def _angles_deg(angles_deg, spec: CascadeSpec) -> np.ndarray:
+    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    if angles.shape != (len(spec.steps),):
+        raise InputError(f"expected {len(spec.steps)} angles, got shape {angles.shape}")
+    if not np.all(np.isfinite(angles)):
+        raise InputError(f"angles must be finite, got {angles.tolist()}")
+    return angles
+
+
+def _propagator(angles_rad: np.ndarray, spec: CascadeSpec) -> np.ndarray:
     H = generator(
         [((s.m, s.k), "x", a) for s, a in zip(spec.steps, angles_rad)], spec.n_spins
     )
-    U = expm_unitary(H)
+    return expm_unitary(H)
+
+
+def _populations(angles_rad: np.ndarray, d_eq: np.ndarray, spec: CascadeSpec) -> np.ndarray:
     # diag(U rho U+) for diagonal rho needs only |U|^2
-    return (np.abs(U) ** 2) @ d_eq
+    return (np.abs(_propagator(angles_rad, spec)) ** 2) @ d_eq
 
 
 def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
@@ -156,11 +170,7 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     every non-target population is equal, which is the preparation
     condition.  Angles are degrees, one per cascade step.
     """
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    if angles.shape != (len(spec.steps),):
-        raise InputError(
-            f"expected {len(spec.steps)} angles, got shape {angles.shape}"
-        )
+    angles = _angles_deg(angles_deg, spec)
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
     d_eq = np.real(np.diagonal(thermal_deviation(system)))
@@ -220,9 +230,10 @@ def solve_angles(
 
     Multi-start damped Newton on :func:`residual`.  Starts are a uniform
     grid interior to (0, 360) degrees per dimension (5 points per dimension
-    up to 2 steps, 3 up to 6, then 1) plus known reference vectors when the
-    step count matches.  Converged roots are deduplicated at 0.01 degrees
-    componentwise and sorted; each satisfies max |residual| < newton_tol.
+    up to 2 steps, 3 up to 6, then 1; at most MAX_GRID_STARTS in all) plus
+    known reference vectors when the step count matches.  Converged roots
+    are deduplicated at 0.01 degrees componentwise and sorted; each
+    satisfies max |residual| < newton_tol.
     Roots are reported wherever Newton lands them, so components slightly
     outside the start box are kept.
     """
@@ -231,9 +242,17 @@ def solve_angles(
         raise InputError(f"invalid cascade: {report.problem}")
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
+    if not math.isfinite(newton_tol) or newton_tol < 0:
+        raise InputError(f"newton_tol must be finite and nonnegative, got {newton_tol}")
     k = len(spec.steps)
     if grid_per_dim is None:
         grid_per_dim = 5 if k <= 2 else (3 if k <= 6 else 1)
+    if grid_per_dim < 1:
+        raise InputError(f"grid_per_dim must be at least 1, got {grid_per_dim}")
+    if grid_per_dim**k > MAX_GRID_STARTS:
+        raise InputError(
+            f"grid of {grid_per_dim}**{k} starts exceeds the cap of {MAX_GRID_STARTS}"
+        )
     starts = _grid_starts(k, grid_per_dim)
     starts.extend(v for v in _SEED_STARTS.get(k, ()) if len(v) == k)
 
@@ -273,14 +292,7 @@ def solve_angles(
 
 def preparation_unitary(spec: CascadeSpec, angles_deg) -> np.ndarray:
     """Propagator of the simultaneous selective pulses at the given angles."""
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    if angles.shape != (len(spec.steps),):
-        raise InputError(f"expected {len(spec.steps)} angles, got shape {angles.shape}")
-    H = generator(
-        [((s.m, s.k), "x", a) for s, a in zip(spec.steps, np.radians(angles))],
-        spec.n_spins,
-    )
-    return expm_unitary(H)
+    return _propagator(np.radians(_angles_deg(angles_deg, spec)), spec)
 
 
 def prepare_pseudo_pure(

@@ -6,9 +6,10 @@ the pulse; for a two-spin weakly coupled system each spin shows a doublet
 at +-J/2 around its carrier, with the +J/2 line belonging to the partner
 spin in state 0 (a labeling convention, nothing downstream depends on it).
 
-Tomography runs every per-spin combination of {none, x90, y90} readout
-pulses, records all line amplitudes, and inverts the resulting real linear
-system over the traceless product-operator basis.
+Every amplitude comes from one forward model, :func:`_line_amplitudes`.
+Spectra and measurements apply it to the state; tomography applies it to
+the product-operator basis and inverts the resulting real linear map by
+least squares over every per-spin combination of {none, x90, y90} pulses.
 """
 
 import itertools
@@ -89,6 +90,27 @@ def setting_unitary(setting, n_spins: int) -> np.ndarray:
     return expm_unitary(H)
 
 
+def _line_amplitudes(states, keys, n_spins: int) -> np.ndarray:
+    """Line amplitudes 2 (U rho U+)[k-1, m-1], one per (setting, (m, k)) key.
+
+    states is one density matrix or a stack of them; the key axis is
+    appended last.  Each distinct setting's propagator U is built once.
+    """
+    dim = 2**n_spins
+    m, k = np.array([t for _, t in keys], dtype=int).reshape(-1, 2).T
+    if np.any((m < 1) | (m > dim) | (k < 1) | (k > dim)):
+        raise InputError(f"transition levels must lie in 1..{dim}")
+    index: dict[tuple[str, ...], int] = {}
+    which = np.array([index.setdefault(tuple(s), len(index)) for s, _ in keys], dtype=int)
+    states = np.asarray(states, dtype=complex)
+    out = np.empty(states.shape[:-2] + (len(keys),), dtype=complex)
+    for setting, j in index.items():
+        idx = which == j
+        after = evolve(states, setting_unitary(setting, n_spins))
+        out[..., idx] = 2 * after[..., k[idx] - 1, m[idx] - 1]
+    return out
+
+
 def _line_freqs(spin: int, system: SpinSystem) -> dict[tuple[int, int], float] | None:
     # doublet positions exist only for the weakly coupled two-spin case
     if system.n_spins != 2 or system.j_hz is None:
@@ -110,19 +132,17 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
     J coupling; otherwise they are None.
     """
     n = system.n_spins
-    if pulse not in READOUT_PULSES:
-        raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
-    rho_after = evolve(rho, setting_unitary(setting, n))
+    transitions = transitions_of_spin(spin, n)
+    amps = _line_amplitudes(rho, [(setting, t) for t in transitions], n)
     freqs = _line_freqs(spin, system)
-    lines = []
-    for m, k in transitions_of_spin(spin, n):
-        amp = 2 * rho_after[k - 1, m - 1]
-        lines.append(SpectralLine(freqs[(m, k)] if freqs else None, complex(amp), (m, k)))
-    return StickSpectrum(spin=spin, lines=tuple(lines))
+    lines = tuple(
+        SpectralLine(freqs[t] if freqs else None, complex(a), t) for t, a in zip(transitions, amps)
+    )
+    return StickSpectrum(spin=spin, lines=lines)
 
 
 def tomography_settings(n_spins: int) -> list[tuple[str, ...]]:
@@ -147,31 +167,31 @@ def simulate_measurements(
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.
     """
-    if noise_sigma < 0:
-        raise InputError(f"noise_sigma must be nonnegative, got {noise_sigma}")
+    if not np.isfinite(noise_sigma) or noise_sigma < 0:
+        raise InputError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     n = system.n_spins
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
     if settings is None:
         settings = tomography_settings(n)
-    rng = None
+    lines = [
+        (tuple(setting), spin, t)
+        for setting in settings
+        for spin in range(1, n + 1)
+        for t in transitions_of_spin(spin, n)
+    ]
+    amps = _line_amplitudes(rho, [(setting, t) for setting, _, t in lines], n)
     if noise_sigma > 0:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % 2**32
-        rng = np.random.default_rng(seed)
-    scale = noise_sigma * 2 * max(abs(g) for g in system.gamma)
-    records = []
-    for setting in settings:
-        setting = tuple(setting)
-        rho_after = evolve(rho, setting_unitary(setting, n))
-        for spin in range(1, n + 1):
-            for m, k in transitions_of_spin(spin, n):
-                amp = 2 * rho_after[k - 1, m - 1]
-                if rng is not None:
-                    amp += scale * (rng.standard_normal() + 1j * rng.standard_normal())
-                records.append(Measurement(setting, spin, (m, k), complex(amp)))
-    return MeasurementSet(tuple(records), float(noise_sigma), seed)
+        # one (real, imag) pair per line, drawn in record order
+        z = np.random.default_rng(seed).standard_normal((len(lines), 2))
+        amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
+    records = tuple(
+        Measurement(setting, spin, t, complex(a)) for (setting, spin, t), a in zip(lines, amps)
+    )
+    return MeasurementSet(records, float(noise_sigma), seed)
 
 
 def basis_operators(n_spins: int) -> list[np.ndarray]:
@@ -196,41 +216,24 @@ def basis_operators(n_spins: int) -> list[np.ndarray]:
 def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None) -> TomographyResult:
     """Least-squares inversion of recorded line amplitudes.
 
-    Each amplitude is a known real-linear functional of the deviation
-    matrix's coordinates in the product-operator basis; real and imaginary
-    parts give two equations per line.  Solved by normal equations after a
-    rank check, so an incomplete protocol fails loudly instead of silently
-    projecting.
+    The forward model applied to the product-operator basis gives each
+    amplitude as a real-linear functional of the deviation matrix's
+    coordinates; real parts and imaginary parts give two equations per
+    line.  Solved with lstsq, whose rank is checked so an incomplete
+    protocol fails loudly instead of silently projecting.
     """
-    if not measurements.records:
+    records = measurements.records
+    if not records:
         raise InputError("no measurements to reconstruct from")
-    n = system.n_spins
-    basis = basis_operators(n)
-    unitaries: dict[tuple[str, ...], np.ndarray] = {}
-    rows = []
-    targets = []
-    for rec in measurements.records:
-        U = unitaries.get(rec.setting)
-        if U is None:
-            U = unitaries[rec.setting] = setting_unitary(rec.setting, n)
-        m, k = rec.transition
-        probe = np.zeros((system.dim, system.dim), dtype=complex)
-        probe[m - 1, k - 1] = 2.0
-        M = U.conj().T @ probe @ U
-        coeffs = np.array([np.trace(B @ M) for B in basis])
-        rows.append(np.real(coeffs))
-        targets.append(rec.amplitude.real)
-        rows.append(np.imag(coeffs))
-        targets.append(rec.amplitude.imag)
-    design = np.array(rows)
-    y = np.array(targets)
-    n_params = 4**n - 1
-    if np.linalg.matrix_rank(design) < n_params:
-        raise ContractError(
-            f"measurement protocol incomplete: design rank "
-            f"{np.linalg.matrix_rank(design)} < {n_params}"
-        )
-    x = np.linalg.solve(design.T @ design, design.T @ y)
+    basis = basis_operators(system.n_spins)
+    keys = [(rec.setting, rec.transition) for rec in records]
+    A = _line_amplitudes(np.array(basis), keys, system.n_spins)
+    design = np.concatenate((A.real, A.imag), axis=1).T
+    amps = np.array([rec.amplitude for rec in records], dtype=complex)
+    y = np.concatenate((amps.real, amps.imag))
+    x, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < len(basis):
+        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
     rho = sum(c * B for c, B in zip(x, basis))
     misfit = float(np.linalg.norm(design @ x - y))
     err = None
@@ -239,7 +242,7 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     return TomographyResult(
         reconstructed=rho,
         residual_norm=misfit,
-        settings_used=len(unitaries),
+        settings_used=len({tuple(rec.setting) for rec in records}),
         max_rel_error=err,
     )
 

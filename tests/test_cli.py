@@ -220,14 +220,25 @@ def error_payload(err):
     return payload
 
 
-def test_exit_code_for_bad_inputs(capsys, tmp_path):
+def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
     cases = [
         ("run", "--system", "chloroform", "--program", str(tmp_path / "missing.pp")),
         ("solve", "--system", "chloroform", "--target", "001"),
         ("solve", "--system", "chloroform", "--target", "0x"),
         ("solve", "--system", "no-such-preset", "--target", "00"),
         ("prepare", "--system", "chloroform", "--target", "00", "--angles", "1,bad"),
+        ("prepare", "--system", "chloroform", "--target", "00", "--angles", "nan,10"),
+        ("prepare", "--system", "chloroform", "--target", "00", "--angles", "10,inf"),
         ("solve", "--system", "chloroform"),
+        ("solve", "--system", "chloroform", "--target", "00", "--tol", "nan"),
+        ("solve", "--system", "chloroform", "--target", "00", "--tol", "inf"),
+        ("solve", "--system", "chloroform", "--target", "00", "--tol", "-1"),
+        ("solve", "--system", "chloroform", "--target", "00", "--grid", "0"),
+        ("solve", "--system", "chloroform", "--target", "00", "--grid", "-3"),
+        # 400**2 starts is over the cap; rejected before any start is built
+        ("solve", "--system", "chloroform", "--target", "00", "--grid", "400"),
+        ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "nan"),
+        ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "inf"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -115,6 +115,8 @@ def test_residual_input_checks():
         pp.residual((1.0,), pp.get_preset("homonuclear-2"), spec)
     with pytest.raises(InputError):
         pp.residual((1.0, 2.0), pp.get_preset("homonuclear-3"), spec)
+    with pytest.raises(InputError):
+        pp.residual((float("nan"), 2.0), pp.get_preset("homonuclear-2"), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ppsim as pp
 from ppsim.errors import ContractError, InputError
@@ -149,19 +152,39 @@ def test_measurement_noise_is_reproducible():
     assert c.seed is not None
     d = pp.simulate_measurements(rho, system, noise_sigma=0.01, seed=c.seed)
     assert c.records == d.records
-    with pytest.raises(InputError):
-        pp.simulate_measurements(rho, system, noise_sigma=-0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            pp.simulate_measurements(rho, system, noise_sigma=bad)
+
+
+def test_seeded_noise_is_pinned():
+    # exact seeded amplitudes; a change in noise draw order or scaling moves them
+    system = pp.get_preset("chloroform")
+    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    records = pp.simulate_measurements(rho, system, noise_sigma=0.01, seed=31).records
+    pinned = {
+        0: (-0.044160688153160085 + 0.029482987464647215j),
+        1: (0.06782472742022805 - 0.1086038598667247j),
+        17: (0.10463692243223713 - 4.658316911604157j),
+        35: (4.887079037698047 + 0.049497680886872834j),
+    }
+    for i, amp in pinned.items():
+        assert records[i].amplitude == pytest.approx(amp, rel=1e-12, abs=1e-15)
 
 
 def test_measurements_are_linear_in_the_state():
-    system = pp.get_preset("chloroform")
-    rng = np.random.default_rng(21)
-    rho1, rho2 = random_deviation(rng, 2), random_deviation(rng, 2)
-    mixed = pp.simulate_measurements(0.3 * rho1 + 1.7 * rho2, system)
-    m1 = pp.simulate_measurements(rho1, system)
-    m2 = pp.simulate_measurements(rho2, system)
-    for rec, r1, r2 in zip(mixed.records, m1.records, m2.records):
-        assert rec.amplitude == pytest.approx(0.3 * r1.amplitude + 1.7 * r2.amplitude, abs=1e-10)
+    for preset in ("chloroform", "hetero-3"):
+        system = pp.get_preset(preset)
+        rng = np.random.default_rng(21)
+        rho1, rho2 = random_deviation(rng, system.n_spins), random_deviation(rng, system.n_spins)
+        mixed = pp.simulate_measurements(0.3 * rho1 + 1.7 * rho2, system)
+        m1 = pp.simulate_measurements(rho1, system)
+        m2 = pp.simulate_measurements(rho2, system)
+        assert len(mixed.records) == 3**system.n_spins * system.n_spins * system.dim // 2
+        for rec, r1, r2 in zip(mixed.records, m1.records, m2.records):
+            assert rec.amplitude == pytest.approx(
+                0.3 * r1.amplitude + 1.7 * r2.amplitude, abs=1e-10
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +221,46 @@ def test_reconstruct_rejects_incomplete_protocols():
         pp.reconstruct(only_plain, system)
     with pytest.raises(InputError):
         pp.reconstruct(pp.MeasurementSet((), 0.0, None), system)
+
+
+def test_reconstruct_rejects_levels_out_of_range():
+    system = pp.get_preset("chloroform")
+    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    measured = pp.simulate_measurements(rho, system)
+    for bad in ((0, 3), (2, 5)):
+        records = (measured.records[0]._replace(transition=bad),) + measured.records[1:]
+        with pytest.raises(InputError):
+            pp.reconstruct(pp.MeasurementSet(records, 0.0, None), system)
+
+
+SYSTEMS_BY_SIZE = {
+    1: pp.SpinSystem(gamma=(1.0,)),
+    2: pp.get_preset("chloroform"),
+    3: pp.get_preset("hetero-3"),
+}
+
+
+@st.composite
+def deviations(draw):
+    n = draw(st.integers(1, 3))
+    dim = 2**n
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = draw(arrays(float, (dim, dim), elements=parts))
+    b = draw(arrays(float, (dim, dim), elements=parts))
+    h = (a + 1j * b + (a + 1j * b).conj().T) / 2
+    h -= np.trace(h) / dim * np.eye(dim)
+    return n, h
+
+
+@settings(max_examples=40, deadline=None)
+@given(deviations())
+def test_reconstruct_inverts_simulate(case):
+    n, rho = case
+    assume(np.max(np.abs(rho)) > 1e-3)  # the relative error needs a nonzero reference
+    system = SYSTEMS_BY_SIZE[n]
+    result = pp.reconstruct(pp.simulate_measurements(rho, system), system, reference=rho)
+    assert result.max_rel_error < 1e-10
+    assert result.settings_used == 3**n
 
 
 def test_reconstruction_error_grows_with_noise():
