@@ -268,6 +268,8 @@ def _cmd_tomo(args) -> int:
 
 def _cmd_hogg(args) -> int:
     system = load_system(args.system)
+    if system.n_spins != hogg.N_VARS:
+        raise InputError(f"the search runs on {hogg.N_VARS} spins, system has {system.n_spins}")
     formula = hogg.parse_formula(args.formula)
     if args.state:
         rho = load_state(args.state, system)

@@ -38,7 +38,8 @@ class SpinSystem:
     """A static description of the spin ensemble.
 
     gamma: relative gyromagnetic ratio per spin (dimensionless, nonzero).
-    larmor_mhz: carrier frequency per spin, used only to label readout.
+    larmor_mhz: carrier frequency per spin, kept for the file format only
+        (no computation reads it).
     j_hz: symmetric scalar-coupling matrix with zero diagonal.
     labels: optional per-spin names ("C", "H", ...).
     """
@@ -59,6 +60,8 @@ class SpinSystem:
             object.__setattr__(self, "larmor_mhz", tuple(float(v) for v in self.larmor_mhz))
             if len(self.larmor_mhz) != n:
                 raise InputError("larmor_mhz length does not match gamma")
+            if not np.all(np.isfinite(self.larmor_mhz)):
+                raise InputError(f"larmor_mhz must be finite, got {self.larmor_mhz}")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
             if len(self.labels) != n:
@@ -68,6 +71,8 @@ class SpinSystem:
             object.__setattr__(self, "j_hz", j)
             if len(j) != n or any(len(row) != n for row in j):
                 raise InputError("j_hz must be an n x n matrix")
+            if not np.all(np.isfinite(j)):
+                raise InputError(f"j_hz must be finite, got {j}")
             for a in range(n):
                 if j[a][a] != 0:
                     raise InputError("j_hz diagonal must be zero")
@@ -300,19 +305,13 @@ def pure_part(rho: np.ndarray, tol: float = 1e-6) -> PurePart:
     return PurePart(uniform, pure, target_idx + 1)
 
 
-def max_rel_error(a: np.ndarray, b: np.ndarray, symmetric: bool = False) -> float:
-    """max |a - b| over entries, normalized by the largest magnitude in b.
-
-    With symmetric=True the normalization is the larger of the two maxima,
-    making the metric independent of argument order.
-    """
+def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| over entries, normalized by the largest magnitude in b."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
     scale = float(np.max(np.abs(b)))
-    if symmetric:
-        scale = max(scale, float(np.max(np.abs(a))))
     if scale == 0.0:
         raise ContractError("relative error undefined: reference matrix is zero")
     return float(np.max(np.abs(a - b))) / scale

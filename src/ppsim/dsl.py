@@ -14,20 +14,14 @@ A block applies its selective pulses simultaneously: one generator, one
 exponential.  A bare sel statement is shorthand for a one-pulse block.
 Sequential statements are separate unitaries, which is a physically
 different program from putting the pulses in one block.
-
-Programs may also hold UnitaryRef statements naming a registered operator
-("walsh" is built in).  Those are created programmatically; the textual
-grammar has no production for them, so pretty() rejects such programs.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .core import SpinSystem, crush, evolve, expm_unitary, generator, is_unitary, spin_op
+from .core import SpinSystem, crush, evolve, expm_unitary, generator, spin_op
 from .errors import CompileError, InputError, ParseError
-from .hogg import walsh
 
 CRUSH_KEYWORDS = {"ideal": "all_off_diagonal", "order": "coherence_order"}
 _CRUSH_WORDS = {v: k for k, v in CRUSH_KEYWORDS.items()}
@@ -58,12 +52,7 @@ class Crush:
     mode: str = "all_off_diagonal"
 
 
-@dataclass(frozen=True)
-class UnitaryRef:
-    name: str
-
-
-Statement = Block | HardPulse | Crush | UnitaryRef
+Statement = Block | HardPulse | Crush
 
 
 @dataclass(frozen=True)
@@ -255,8 +244,6 @@ def pretty(program: PulseProgram) -> str:
         elif isinstance(stmt, Crush):
             word = _CRUSH_WORDS[stmt.mode]
             out.append("crush" if word == "ideal" else f"crush {word}")
-        elif isinstance(stmt, UnitaryRef):
-            raise InputError(f"unitary reference {stmt.name!r} has no textual form")
         else:
             raise InputError(f"unknown statement type {type(stmt).__name__}")
     return "\n".join(out) + ("\n" if out else "")
@@ -264,15 +251,6 @@ def pretty(program: PulseProgram) -> str:
 
 # ---------------------------------------------------------------------------
 # compilation
-
-UNITARY_REGISTRY: dict[str, Callable[[SpinSystem], np.ndarray]] = {
-    "walsh": lambda system: walsh(system.n_spins),
-}
-
-
-def register_unitary(name: str, factory: Callable[[SpinSystem], np.ndarray]) -> None:
-    UNITARY_REGISTRY[str(name)] = factory
-
 
 def _compile_block(stmt: Block, system: SpinSystem, where: str) -> np.ndarray:
     dim = system.dim
@@ -311,14 +289,6 @@ def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
             events.append(Unitary(_compile_hard(stmt, system, where)))
         elif isinstance(stmt, Crush):
             events.append(CrushEvent(stmt.mode))
-        elif isinstance(stmt, UnitaryRef):
-            factory = UNITARY_REGISTRY.get(stmt.name)
-            if factory is None:
-                raise CompileError(f"{where}: unknown unitary {stmt.name!r}")
-            op = np.asarray(factory(system), dtype=complex)
-            if op.shape != (system.dim, system.dim) or not is_unitary(op):
-                raise CompileError(f"{where}: registered operator {stmt.name!r} is not unitary")
-            events.append(Unitary(op))
         else:
             raise CompileError(f"{where}: unknown statement type {type(stmt).__name__}")
     return ChannelSequence(tuple(events), system.dim)

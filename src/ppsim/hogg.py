@@ -24,21 +24,21 @@ from .errors import ContractError, InputError
 
 _LITERAL = re.compile(r"^(!?)[Vv](\d+)$")
 
+#: Number of variables; the mixing phases are specific to two.
+N_VARS = 2
+
 
 @dataclass(frozen=True)
 class OneSatFormula:
     """Clauses are (variable index 1-based, negated flag); one literal each."""
 
     clauses: tuple[tuple[int, bool], ...]
-    n_vars: int = 2
 
     def __post_init__(self):
-        if self.n_vars != 2:
-            raise InputError("only two-variable formulas are supported")
         seen = set()
         for var, negated in self.clauses:
-            if not 1 <= var <= self.n_vars:
-                raise InputError(f"variable V{var} out of range 1..{self.n_vars}")
+            if not 1 <= var <= N_VARS:
+                raise InputError(f"variable V{var} out of range 1..{N_VARS}")
             if var in seen:
                 raise InputError(f"variable V{var} appears in more than one clause")
             if not isinstance(negated, bool):
@@ -47,7 +47,7 @@ class OneSatFormula:
 
     @property
     def maximally_constrained(self) -> bool:
-        return len(self.clauses) == self.n_vars
+        return len(self.clauses) == N_VARS
 
 
 def parse_formula(text: str) -> OneSatFormula:
@@ -70,10 +70,8 @@ def formula_text(formula: OneSatFormula) -> str:
 
 def conflicts(assignment: str, formula: OneSatFormula) -> int:
     """Number of clauses violated by a bitstring assignment (1 = true)."""
-    if len(assignment) != formula.n_vars or any(c not in "01" for c in assignment):
-        raise InputError(
-            f"assignment must be {formula.n_vars} bits, got {assignment!r}"
-        )
+    if len(assignment) != N_VARS or any(c not in "01" for c in assignment):
+        raise InputError(f"assignment must be {N_VARS} bits, got {assignment!r}")
     count = 0
     for var, negated in formula.clauses:
         value = assignment[var - 1] == "1"
@@ -86,7 +84,7 @@ def satisfying_assignment(formula: OneSatFormula) -> str:
     if not formula.maximally_constrained:
         raise InputError("formula is not maximally constrained; no unique solution")
     bits = {var: "0" if negated else "1" for var, negated in formula.clauses}
-    return "".join(bits[v] for v in range(1, formula.n_vars + 1))
+    return "".join(bits[v] for v in range(1, N_VARS + 1))
 
 
 def walsh(n_spins: int) -> np.ndarray:
@@ -98,24 +96,20 @@ def walsh(n_spins: int) -> np.ndarray:
 
 
 def phase_oracle(formula: OneSatFormula) -> np.ndarray:
-    dim = 2**formula.n_vars
-    phases = [1j ** conflicts(bits_of(lev, formula.n_vars), formula) for lev in range(1, dim + 1)]
+    phases = [1j ** conflicts(bits_of(lev, N_VARS), formula) for lev in range(1, 2**N_VARS + 1)]
     return np.diag(np.array(phases, dtype=complex))
 
 
-def mixing(n_vars: int = 2) -> np.ndarray:
-    if n_vars != 2:
-        raise InputError("the mixing phases are specific to two variables")
-    w = walsh(n_vars)
-    weight = np.array([lev.bit_count() for lev in range(2**n_vars)])
+def mixing() -> np.ndarray:
+    w = walsh(N_VARS)
+    weight = np.array([lev.bit_count() for lev in range(2**N_VARS)])
     d = np.diag(1j ** (weight - 1)).astype(complex)
     return w @ d @ w
 
 
 def search_unitary(formula: OneSatFormula) -> np.ndarray:
     """The full one-step circuit: superpose, phase, mix."""
-    w = walsh(formula.n_vars)
-    return mixing(formula.n_vars) @ phase_oracle(formula) @ w
+    return mixing() @ phase_oracle(formula) @ walsh(N_VARS)
 
 
 def hogg_run(rho_pp: np.ndarray, formula: OneSatFormula) -> tuple[np.ndarray, np.ndarray]:

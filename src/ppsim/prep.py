@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     SpinSystem,
-    bits_of,
     crush,
     evolve,
     expm_unitary,
@@ -29,6 +28,8 @@ from .errors import InputError, NoSolutionError, NotPseudoPureError
 
 JACOBIAN_STEP_RAD = 1e-6
 DEDUP_TOL_DEG = 0.01
+#: Newton iterations per start.
+MAX_ITER = 60
 #: Largest number of grid starts solve_angles will build.
 MAX_GRID_STARTS = 10**5
 
@@ -184,11 +185,11 @@ def _residual_from_rad(angles_rad: np.ndarray, d_eq: np.ndarray, spec: CascadeSp
     return np.array([p[lev - 1] - p[ref - 1] for lev in others[1:]])
 
 
-def _newton(fun, x0: np.ndarray, tol: float, max_iter: int):
+def _newton(fun, x0: np.ndarray, tol: float):
     """Damped Newton with a forward-difference Jacobian. Returns (x, r, ok)."""
     x = np.array(x0, dtype=float)
     r = fun(x)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if np.max(np.abs(r)) < tol:
             return x, r, True
         J = np.empty((r.size, x.size))
@@ -224,7 +225,6 @@ def solve_angles(
     spec: CascadeSpec,
     grid_per_dim: int | None = None,
     newton_tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> SolverResult:
     """Find pulse-angle vectors equalizing the non-target populations.
 
@@ -254,7 +254,7 @@ def solve_angles(
             f"grid of {grid_per_dim}**{k} starts exceeds the cap of {MAX_GRID_STARTS}"
         )
     starts = _grid_starts(k, grid_per_dim)
-    starts.extend(v for v in _SEED_STARTS.get(k, ()) if len(v) == k)
+    starts.extend(_SEED_STARTS.get(k, ()))
 
     d_eq = np.real(np.diagonal(thermal_deviation(system)))
     fun = lambda x: _residual_from_rad(x, d_eq, spec)
@@ -264,7 +264,7 @@ def solve_angles(
     converged: list[bool] = []
     best = math.inf
     for start in starts:
-        x, r, ok = _newton(fun, np.radians(start), newton_tol, max_iter)
+        x, r, ok = _newton(fun, np.radians(start), newton_tol)
         converged.append(ok)
         if not ok:
             best = min(best, float(np.max(np.abs(r))))
@@ -299,7 +299,6 @@ def prepare_pseudo_pure(
     system: SpinSystem,
     target: int,
     angles_deg=None,
-    newton_tol: float = 1e-10,
 ) -> tuple[np.ndarray, SolverResult | None]:
     """Thermal state -> simultaneous selective pulses -> ideal crusher.
 
@@ -311,12 +310,12 @@ def prepare_pseudo_pure(
     spec = default_cascade(system.n_spins, target)
     solution = None
     if angles_deg is None:
-        solution = solve_angles(system, spec, newton_tol=newton_tol)
+        solution = solve_angles(system, spec)
         angles_deg = solution.roots[0]
     U = preparation_unitary(spec, angles_deg)
     rho = crush(evolve(thermal_deviation(system), U), "all_off_diagonal")
     if solution is not None:
-        part = pure_part(rho, tol=max(1e-6, newton_tol * 10))
+        part = pure_part(rho)
         if part.target != target:
             raise NotPseudoPureError(
                 f"prepared state is pseudo-pure at level {part.target}, not {target}"

@@ -155,11 +155,10 @@ def tomography_settings(n_spins: int) -> list[tuple[str, ...]]:
 def simulate_measurements(
     rho: np.ndarray,
     system: SpinSystem,
-    settings=None,
     noise_sigma: float = 0.0,
     seed: int | None = None,
 ) -> MeasurementSet:
-    """Record every line amplitude of every spin under each readout setting.
+    """Record every line amplitude of every spin under each tomography setting.
 
     With noise_sigma > 0, independent Gaussian noise of standard deviation
     noise_sigma times the largest thermal line amplitude (2 max |gamma|) is
@@ -173,11 +172,9 @@ def simulate_measurements(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
-    if settings is None:
-        settings = tomography_settings(n)
     lines = [
-        (tuple(setting), spin, t)
-        for setting in settings
+        (setting, spin, t)
+        for setting in tomography_settings(n)
         for spin in range(1, n + 1)
         for t in transitions_of_spin(spin, n)
     ]
@@ -247,12 +244,12 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     )
 
 
-def render_stick_svg(spectra, width: int = 640, panel_height: int = 160) -> str:
+def render_stick_svg(spectra) -> str:
     """A minimal SVG stick plot, one panel per spectrum."""
     spectra = list(spectra)
     if not spectra:
         raise InputError("nothing to plot")
-    pad = 40.0
+    width, panel_height, pad = 640, 160, 40.0
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{panel_height * len(spectra)}" font-family="sans-serif" font-size="11">'

@@ -188,6 +188,16 @@ def test_hogg_prepares_when_no_state_given(capsys):
     assert json.loads(out)["probabilities"]["11"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_hogg_rejects_other_spin_counts_before_solving(capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_angles called")
+
+    monkeypatch.setattr(pp.prep, "solve_angles", no_solve)
+    code, _, err = run_cli(capsys, "hogg", "--system", "homonuclear-3", "--formula", "V1&V2")
+    assert code == 1
+    assert "has 3" in error_payload(err)["message"]
+
+
 def test_plot_emits_svg(capsys, chloroform_state, tmp_path):
     out_file = tmp_path / "sticks.svg"
     code, out, _ = run_cli(
@@ -221,6 +231,8 @@ def error_payload(err):
 
 
 def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
+    inf_j = tmp_path / "inf_j.json"
+    inf_j.write_text('{"gamma": [1, 2], "j_hz": [[0, Infinity], [Infinity, 0]]}')
     cases = [
         ("run", "--system", "chloroform", "--program", str(tmp_path / "missing.pp")),
         ("solve", "--system", "chloroform", "--target", "001"),
@@ -239,6 +251,7 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         ("solve", "--system", "chloroform", "--target", "00", "--grid", "400"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "nan"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "inf"),
+        ("spectrum", "--system", str(inf_j), "--state", chloroform_state, "--spin", "1"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

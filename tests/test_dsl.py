@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ppsim as pp
 from ppsim import dsl
@@ -117,12 +120,6 @@ def test_pretty_round_trip_generated_programs():
         assert dsl.parse(dsl.pretty(program)) == program
 
 
-def test_pretty_rejects_unitary_refs():
-    program = dsl.PulseProgram((dsl.UnitaryRef("walsh"),))
-    with pytest.raises(InputError):
-        dsl.pretty(program)
-
-
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -177,27 +174,6 @@ def test_compile_is_deterministic():
             assert ea == eb
 
 
-def test_unitary_refs_resolve_from_registry():
-    system = pp.get_preset("homonuclear-2")
-    program = dsl.PulseProgram((dsl.UnitaryRef("walsh"),))
-    seq = dsl.compile(program, system)
-    np.testing.assert_allclose(seq.events[0].op, pp.walsh(2), atol=1e-15)
-
-    with pytest.raises(CompileError):
-        dsl.compile(dsl.PulseProgram((dsl.UnitaryRef("nope"),)), system)
-
-    dsl.register_unitary("flip-all", lambda s: pp.walsh(s.n_spins))
-    try:
-        seq = dsl.compile(dsl.PulseProgram((dsl.UnitaryRef("flip-all"),)), system)
-        np.testing.assert_allclose(seq.events[0].op, pp.walsh(2), atol=1e-15)
-        dsl.register_unitary("broken", lambda s: np.ones((s.dim, s.dim)))
-        with pytest.raises(CompileError):
-            dsl.compile(dsl.PulseProgram((dsl.UnitaryRef("broken"),)), system)
-    finally:
-        dsl.UNITARY_REGISTRY.pop("flip-all", None)
-        dsl.UNITARY_REGISTRY.pop("broken", None)
-
-
 # ---------------------------------------------------------------------------
 # execution
 
@@ -245,6 +221,48 @@ def test_run_concatenation_matches_sequential_runs():
             dsl.compile(p2, system), dsl.run(dsl.compile(p1, system), rho0)
         )
         np.testing.assert_allclose(once, twice, atol=1e-12)
+
+
+# the four single-flip lines of a two-spin register
+LINES_2SPIN = ((1, 2), (3, 4), (1, 3), (2, 4))
+axes = st.sampled_from("xyz")
+angles = st.floats(-720.0, 720.0, allow_subnormal=False)
+
+
+@st.composite
+def blocks(draw):
+    pairs = draw(st.lists(st.sampled_from(LINES_2SPIN), min_size=1, max_size=4, unique=True))
+    pulses = []
+    for m, k in pairs:
+        if draw(st.booleans()):
+            m, k = k, m
+        pulses.append(dsl.SelPulse(m, k, draw(axes), draw(angles)))
+    return dsl.Block(tuple(pulses))
+
+
+statements = st.one_of(
+    blocks(),
+    st.builds(dsl.HardPulse, st.sampled_from((None, 1, 2)), axes, angles),
+    st.builds(dsl.Crush, st.sampled_from(pp.core.CRUSH_MODES)),
+)
+
+
+@st.composite
+def traceless_hermitian_2spin(draw):
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a = draw(arrays(float, (4, 4), elements=parts))
+    b = draw(arrays(float, (4, 4), elements=parts))
+    h = (a + 1j * b + (a + 1j * b).conj().T) / 2
+    return h - np.trace(h) / 4 * np.eye(4)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(statements, min_size=1, max_size=6), traceless_hermitian_2spin())
+def test_run_preserves_hermiticity_and_trace(stmts, rho):
+    system = pp.get_preset("homonuclear-2")
+    out = dsl.run(dsl.compile(dsl.PulseProgram(tuple(stmts)), system), rho)
+    assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+    assert abs(np.trace(out) - np.trace(rho)) <= 1e-12
 
 
 def test_run_dimension_check():

@@ -55,14 +55,12 @@ def test_phase_oracle_diagonals():
 
 
 def test_mixing_operator():
-    m = pp.mixing(2)
+    m = pp.mixing()
     assert is_unitary(m, tol=1e-12)
     w = pp.walsh(2)
     np.testing.assert_allclose(w @ w, np.eye(4), atol=1e-12)
     d = np.diag([-1j, 1, 1, 1j])
     np.testing.assert_allclose(m, w @ d @ w, atol=1e-12)
-    with pytest.raises(InputError):
-        pp.mixing(3)
 
 
 @pytest.mark.parametrize("text", ALL_PATTERNS)
@@ -106,7 +104,7 @@ def test_run_is_insensitive_to_oracle_global_phase():
     rho = pseudo_pure_00()
     base, _ = pp.hogg_run(rho, formula)
     phased = np.exp(1j * 0.8371) * pp.phase_oracle(formula)
-    U = pp.mixing(2) @ phased @ pp.walsh(2)
+    U = pp.mixing() @ phased @ pp.walsh(2)
     np.testing.assert_allclose(pp.evolve(rho, U), base, atol=1e-12)
 
 

@@ -216,7 +216,9 @@ def test_reconstruct_rejects_incomplete_protocols():
     system = pp.get_preset("chloroform")
     rho, _ = pp.prepare_pseudo_pure(system, 1)
     # populations alone cannot pin down coherences
-    only_plain = pp.simulate_measurements(rho, system, settings=[("none", "none")])
+    full = pp.simulate_measurements(rho, system)
+    plain = tuple(rec for rec in full.records if rec.setting == ("none", "none"))
+    only_plain = pp.MeasurementSet(plain, full.noise_sigma, full.seed)
     with pytest.raises(ContractError):
         pp.reconstruct(only_plain, system)
     with pytest.raises(InputError):
