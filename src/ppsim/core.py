@@ -56,6 +56,9 @@ class SpinSystem:
             raise InputError("a spin system needs at least one spin")
         if not all(np.isfinite(g) and g != 0 for g in self.gamma):
             raise InputError(f"gamma must be finite and nonzero, got {self.gamma}")
+        # thermal_deviation builds 2 * gamma_i * sigma_z(i)/2 and sums them
+        if not np.isfinite(2 * sum(abs(g) for g in self.gamma)):
+            raise InputError(f"gamma too large, the thermal deviation overflows: {self.gamma}")
         if self.larmor_mhz is not None:
             object.__setattr__(self, "larmor_mhz", tuple(float(v) for v in self.larmor_mhz))
             if len(self.larmor_mhz) != n:

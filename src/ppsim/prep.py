@@ -26,10 +26,13 @@ from .core import (
 )
 from .errors import InputError, NoSolutionError, NotPseudoPureError
 
-JACOBIAN_STEP_RAD = 1e-6
 DEDUP_TOL_DEG = 0.01
 #: Newton iterations per start.
 MAX_ITER = 60
+#: Starts that one lockstep Newton block advances together; bounds its memory.
+NEWTON_BLOCK = 64
+#: Line-search scales of a Newton step: 1, 1/2, ..., the last one above 1e-6.
+_STEP_SCALES = 0.5 ** np.arange(20)
 #: Largest number of grid starts solve_angles will build.
 MAX_GRID_STARTS = 10**5
 
@@ -159,11 +162,6 @@ def _propagator(angles_rad: np.ndarray, spec: CascadeSpec) -> np.ndarray:
     return expm_unitary(H)
 
 
-def _populations(angles_rad: np.ndarray, d_eq: np.ndarray, spec: CascadeSpec) -> np.ndarray:
-    # diag(U rho U+) for diagonal rho needs only |U|^2
-    return (np.abs(_propagator(angles_rad, spec)) ** 2) @ d_eq
-
-
 def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     """Population differences p_l - p_l0 over non-target levels l != l0.
 
@@ -175,44 +173,130 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
     d_eq = np.real(np.diagonal(thermal_deviation(system)))
-    return _residual_from_rad(np.radians(angles), d_eq, spec)
-
-
-def _residual_from_rad(angles_rad: np.ndarray, d_eq: np.ndarray, spec: CascadeSpec) -> np.ndarray:
-    p = _populations(angles_rad, d_eq, spec)
+    # diag(U rho U+) for diagonal rho needs only |U|^2
+    p = (np.abs(_propagator(np.radians(angles), spec)) ** 2) @ d_eq
     others = [lev for lev in range(1, len(d_eq) + 1) if lev != spec.target]
-    ref = others[0]
-    return np.array([p[lev - 1] - p[ref - 1] for lev in others[1:]])
+    return np.array([p[lev - 1] - p[others[0] - 1] for lev in others[1:]])
 
 
-def _newton(fun, x0: np.ndarray, tol: float):
-    """Damped Newton with a forward-difference Jacobian. Returns (x, r, ok)."""
+class _BatchedResidual:
+    """Residuals of one cascade at a stack of angle vectors, with exact Jacobians.
+
+    Only the non-target levels take part; the target keeps its population.
+    On them the x-pulse generator H = sum_j theta_j E_j is real symmetric,
+    with E_j the sigma_x/2 block of step j, so one batched real eigh
+    H = V diag(w) V^T gives every propagator.  The same (w, V) give the exact
+    derivative dU/dtheta_j = V (G o V^T E_j V) V^T, where G holds the divided
+    differences of exp(-i w) (Najfeld & Havel, Adv. Appl. Math. 16 (1995)
+    321), written as G_pq = -i exp(-i (w_p + w_q)/2) sinc((w_p - w_q)/2) so
+    that it stays exact at degenerate eigenvalues.  Rows whose angles are not
+    finite come back as NaN.  This path is the solver's own; :func:`residual`
+    stays on ``core.generator`` and ``core.expm_unitary`` to check its roots.
+    """
+
+    def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
+        # non-target levels in index order, so the residual's reference is row 0
+        others = [lev for lev in range(1, len(d_eq) + 1) if lev != spec.target]
+        row = {lev: i for i, lev in enumerate(others)}
+        self.m = np.array([row[s.m] for s in spec.steps])
+        self.k = np.array([row[s.k] for s in spec.steps])
+        self.d = d_eq[np.array(others) - 1]
+
+    def __call__(self, theta: np.ndarray, jacobian: bool = False):
+        """(B, k) residuals at (B, k) angles in radians; with jacobian, also (B, k, k)."""
+        bad = ~np.all(np.isfinite(theta), axis=1)
+        # eigh may raise LinAlgError on non-finite input, which would end the
+        # whole block: evaluate those rows at 0, then blank them
+        theta = np.where(bad[:, None], 0.0, theta)
+        H = np.zeros((len(theta), len(self.d), len(self.d)))
+        H[:, self.m, self.k] = H[:, self.k, self.m] = 0.5 * theta
+        w, V = np.linalg.eigh(H)
+        U = (V * np.exp(-1j * w)[:, None, :]) @ V.transpose(0, 2, 1)
+        # diag(U D U+) for the diagonal thermal state D needs only |U|^2
+        p = (np.abs(U) ** 2) @ self.d
+        r = p[:, 1:] - p[:, :1]
+        r[bad] = np.nan
+        if not jacobian:
+            return r
+        G = -1j * np.exp(-0.5j * (w[:, :, None] + w[:, None, :])) * np.sinc(
+            (w[:, :, None] - w[:, None, :]) / (2 * np.pi)
+        )
+        # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa = 2 Re (V (G o V^T E_j V) Y)_aa with
+        # Y = V^T D U+, where 2 V^T E_j V = C + C^T for C = outer(V[m_j], V[k_j])
+        Y = V.transpose(0, 2, 1) @ (self.d[:, None] * U.conj())
+        dp = np.empty((len(theta), len(self.m), len(self.d)))
+        for j, (m, k) in enumerate(zip(self.m, self.k)):
+            C = V[:, m, :, None] * V[:, k, None, :]
+            dp[:, j] = np.einsum("baq,bqa->ba", V, (G * (C + C.transpose(0, 2, 1))) @ Y).real
+        J = (dp[:, :, 1:] - dp[:, :, :1]).transpose(0, 2, 1)
+        J[bad] = np.nan
+        return r, J
+
+
+def _newton_steps(J: np.ndarray, r: np.ndarray):
+    """Newton steps -J^-1 r for a stack; a singular J fails only its own row."""
+    try:
+        return np.linalg.solve(J, -r[..., None])[..., 0], np.ones(len(r), dtype=bool)
+    except np.linalg.LinAlgError:
+        steps = np.zeros_like(r)
+        solved = np.ones(len(r), dtype=bool)
+        for i in range(len(r)):
+            try:
+                steps[i] = np.linalg.solve(J[i], -r[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return steps, solved
+
+
+def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
+    """Damped Newton from every row of x0 in lockstep. Returns (x, r, ok) per row.
+
+    Each row follows the single-start rule: converge once max|r| < tol, take
+    the Newton step scaled by the first of 1, 1/2, ... (down to 1e-6) that
+    lowers ||r||, and stop on a singular Jacobian, a stalled line search, a
+    trial point without a finite residual, or after MAX_ITER iterations.
+    """
     x = np.array(x0, dtype=float)
+    k = x.shape[1]
     r = fun(x)
+    ok = np.zeros(len(x), dtype=bool)
+    live = np.all(np.isfinite(r), axis=1)
     for _ in range(MAX_ITER):
-        if np.max(np.abs(r)) < tol:
-            return x, r, True
-        J = np.empty((r.size, x.size))
-        for j in range(x.size):
-            xh = x.copy()
-            xh[j] += JACOBIAN_STEP_RAD
-            J[:, j] = (fun(xh) - r) / JACOBIAN_STEP_RAD
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            return x, r, False
-        norm = np.linalg.norm(r)
-        lam = 1.0
-        while lam > 1e-6:
-            x_new = x + lam * step
-            r_new = fun(x_new)
-            if np.linalg.norm(r_new) < norm:
-                x, r = x_new, r_new
-                break
-            lam *= 0.5
-        else:
-            return x, r, False
-    return x, r, bool(np.max(np.abs(r)) < tol)
+        i = np.flatnonzero(live)
+        done = np.max(np.abs(r[i]), axis=1) < tol
+        ok[i[done]] = True
+        live[i[done]] = False
+        i = i[~done]
+        if not i.size:
+            break
+        r[i], J = fun(x[i], jacobian=True)
+        step, solved = _newton_steps(J, r[i])
+        live[i[~solved]] = False
+        i, step = i[solved], step[solved]
+        norm = np.linalg.norm(r[i], axis=1)
+        # try the scales in order, several per call while few rows remain,
+        # so that one call never holds more than NEWTON_BLOCK trial points
+        tried = 0
+        while i.size and tried < len(_STEP_SCALES):
+            lams = _STEP_SCALES[tried : tried + max(1, NEWTON_BLOCK // i.size)]
+            tried += len(lams)
+            trial = x[i, None] + lams[:, None] * step[:, None]
+            r_trial = fun(trial.reshape(-1, k)).reshape(trial.shape)
+            finite = np.all(np.isfinite(r_trial), axis=2)
+            better = finite & (np.linalg.norm(r_trial, axis=2) < norm[:, None])
+            # each row stops at its first scale that helps or is not finite
+            stop = better | ~finite
+            hit = stop.any(axis=1)
+            rows = np.flatnonzero(hit)
+            first = np.argmax(stop[rows], axis=1)
+            take = better[rows, first]
+            x[i[rows[take]]] = trial[rows[take], first[take]]
+            r[i[rows[take]]] = r_trial[rows[take], first[take]]
+            live[i[rows[~take]]] = False
+            i, step, norm = i[~hit], step[~hit], norm[~hit]
+        live[i] = False
+    ok |= live & (np.max(np.abs(r), axis=1) < tol)
+    return x, r, ok
 
 
 def _grid_starts(k: int, per_dim: int) -> list[tuple[float, ...]]:
@@ -228,14 +312,16 @@ def solve_angles(
 ) -> SolverResult:
     """Find pulse-angle vectors equalizing the non-target populations.
 
-    Multi-start damped Newton on :func:`residual`.  Starts are a uniform
-    grid interior to (0, 360) degrees per dimension (5 points per dimension
-    up to 2 steps, 3 up to 6, then 1; at most MAX_GRID_STARTS in all) plus
-    known reference vectors when the step count matches.  Converged roots
-    are deduplicated at 0.01 degrees componentwise and sorted; each
-    satisfies max |residual| < newton_tol.
-    Roots are reported wherever Newton lands them, so components slightly
-    outside the start box are kept.
+    Multi-start damped Newton on :func:`residual`, with exact Jacobians,
+    advancing NEWTON_BLOCK starts at a time in lockstep.  Starts are a
+    uniform grid interior to (0, 360) degrees per dimension (5 points per
+    dimension up to 2 steps, 3 up to 6, then 1; at most MAX_GRID_STARTS in
+    all) plus known reference vectors when the step count matches.
+    Flipping the sign of any angle leaves the residual unchanged, so
+    converged roots are reported as |theta|, deduplicated at 0.01 degrees
+    componentwise, and sorted by largest component, then lexicographically;
+    each satisfies max |residual| < newton_tol.  Components are reported
+    wherever Newton lands them, so some may exceed 360.
     """
     report = validate_cascade(spec)
     if not report.ok:
@@ -256,37 +342,36 @@ def solve_angles(
     starts = _grid_starts(k, grid_per_dim)
     starts.extend(_SEED_STARTS.get(k, ()))
 
-    d_eq = np.real(np.diagonal(thermal_deviation(system)))
-    fun = lambda x: _residual_from_rad(x, d_eq, spec)
+    fun = _BatchedResidual(spec, np.real(np.diagonal(thermal_deviation(system))))
+    x0 = np.radians(np.array(starts, dtype=float))
+    blocks = [
+        _newton_block(fun, x0[b : b + NEWTON_BLOCK], newton_tol)
+        for b in range(0, len(x0), NEWTON_BLOCK)
+    ]
+    x, r, ok = (np.concatenate(parts) for parts in zip(*blocks))
+    worst = np.max(np.abs(r), axis=1)
 
-    roots: list[tuple[float, ...]] = []
-    norms: list[float] = []
-    converged: list[bool] = []
-    best = math.inf
-    for start in starts:
-        x, r, ok = _newton(fun, np.radians(start), newton_tol)
-        converged.append(ok)
-        if not ok:
-            best = min(best, float(np.max(np.abs(r))))
-            continue
-        deg = tuple(float(v) for v in np.degrees(x))
-        if any(max(abs(a - b) for a, b in zip(deg, seen)) < DEDUP_TOL_DEG for seen in roots):
-            continue
-        roots.append(deg)
-        norms.append(float(np.max(np.abs(r))))
-    if not roots:
+    # a diagonal +-1 similarity flips the sign of any angle of a tree-shaped
+    # cascade and leaves |U|^2 alone, so roots are folded onto |theta|
+    folded, folded_norms = np.abs(np.degrees(x[ok])), worst[ok]
+    kept: list[int] = []
+    for i, deg in enumerate(folded):
+        if not kept or np.min(np.max(np.abs(folded[kept] - deg), axis=1)) >= DEDUP_TOL_DEG:
+            kept.append(i)
+    if not kept:
         raise NoSolutionError(
-            f"no root found from {len(starts)} starts; best residual {best:.3e}"
+            f"no root found from {len(starts)} starts; best residual {np.min(worst):.3e}"
         )
-    # roots inside [0, 360) per component first, then stragglers, each
-    # group lexicographic, so prepare_pseudo_pure picks a tame vector
-    in_box = lambda r: all(0.0 <= v < 360.0 for v in r)
-    order = sorted(range(len(roots)), key=lambda i: (not in_box(roots[i]), roots[i]))
+    roots = [tuple(float(v) for v in folded[i]) for i in kept]
+    norms = [float(folded_norms[i]) for i in kept]
+    # smallest largest angle first, so prepare_pseudo_pure picks a tame
+    # vector and every root inside [0, 360) comes before the rest
+    order = sorted(range(len(roots)), key=lambda i: (max(roots[i]), roots[i]))
     return SolverResult(
         roots=tuple(roots[i] for i in order),
         residual_norms=tuple(norms[i] for i in order),
         starts_tried=len(starts),
-        converged=tuple(converged),
+        converged=tuple(bool(v) for v in ok),
     )
 
 

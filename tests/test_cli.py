@@ -233,6 +233,8 @@ def error_payload(err):
 def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
     inf_j = tmp_path / "inf_j.json"
     inf_j.write_text('{"gamma": [1, 2], "j_hz": [[0, Infinity], [Infinity, 0]]}')
+    huge_gamma = tmp_path / "huge_gamma.json"
+    huge_gamma.write_text('{"gamma": [1e308, 1e308]}')
     cases = [
         ("run", "--system", "chloroform", "--program", str(tmp_path / "missing.pp")),
         ("solve", "--system", "chloroform", "--target", "001"),
@@ -252,6 +254,9 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "nan"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "inf"),
         ("spectrum", "--system", str(inf_j), "--state", chloroform_state, "--spin", "1"),
+        # finite gammas whose thermal deviation overflows
+        ("solve", "--system", str(huge_gamma), "--target", "00"),
+        ("prepare", "--system", str(huge_gamma), "--target", "00", "--angles", "10,10"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -50,6 +50,8 @@ def test_spin_system_validation():
             pp.SpinSystem(gamma=(1.0, 2.0), j_hz=((0.0, bad), (bad, 0.0)))
         with pytest.raises(InputError):
             pp.SpinSystem(gamma=(1.0, 2.0), larmor_mhz=(bad, 1.0))
+    with pytest.raises(InputError):
+        pp.SpinSystem(gamma=(1e308, 1e308))
 
 
 def test_spin_system_json_round_trip():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ppsim as pp
+from ppsim import prep
 from ppsim.errors import InputError, NoSolutionError, NotPseudoPureError
 from ppsim.prep import CascadeSpec, CascadeStep
 
@@ -121,6 +124,108 @@ def test_residual_input_checks():
 
 # ---------------------------------------------------------------------------
 # solver
+
+def batched_residual(system, target):
+    spec = pp.default_cascade(system.n_spins, target)
+    d_eq = np.real(np.diagonal(pp.thermal_deviation(system)))
+    return prep._BatchedResidual(spec, d_eq), spec
+
+
+@pytest.mark.parametrize(
+    "gamma,target",
+    [((1.4048, 5.5857), 1), ((1.0, 1.0), 3), ((1.4048, 1.4048, 5.5857), 1),
+     ((1.0, 1.0, 1.0), 6), ((1.0, 2.0, 3.0, 4.0), 1), ((1.0, 1.0, 1.0, 1.0), 11)],
+)
+def test_batched_jacobian_matches_central_differences(gamma, target):
+    fun, spec = batched_residual(pp.SpinSystem(gamma=gamma), target)
+    k = len(spec.steps)
+    rng = np.random.default_rng(len(gamma) * 10 + target)
+    # theta = 0 and equal angles give degenerate eigenvalues
+    theta = np.vstack([np.zeros(k), np.full(k, 1.3), rng.uniform(-8.0, 8.0, (4, k))])
+    _, J = fun(theta, jacobian=True)
+    h = 1e-5
+    central = np.stack(
+        [(fun(theta + h * e) - fun(theta - h * e)) / (2 * h) for e in np.eye(k)], axis=2
+    )
+    np.testing.assert_allclose(J, central, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("name", ["chloroform", "homonuclear-2", "homonuclear-3", "hetero-3"])
+def test_batched_residual_matches_residual(name):
+    system = pp.get_preset(name)
+    rng = np.random.default_rng(7)
+    for target in range(1, system.dim + 1):
+        fun, spec = batched_residual(system, target)
+        theta = rng.uniform(-12.0, 12.0, (5, len(spec.steps)))
+        want = [pp.residual(np.degrees(t), system, spec) for t in theta]
+        np.testing.assert_allclose(fun(theta), want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([("chloroform", 2), ("homonuclear-2", 4), ("hetero-3", 1), ("homonuclear-3", 5)]),
+    st.lists(st.floats(-720.0, 720.0), min_size=6, max_size=6),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
+)
+def test_residual_is_invariant_under_angle_sign_flips(case, angles, signs):
+    # a cascade is a tree, so a diagonal +-1 similarity flips any angle's sign
+    name, target = case
+    system = pp.get_preset(name)
+    spec = pp.default_cascade(system.n_spins, target)
+    k = len(spec.steps)
+    theta = np.array(angles[:k])
+    flipped = np.array(signs[:k]) * theta
+    np.testing.assert_allclose(
+        pp.residual(flipped, system, spec), pp.residual(theta, system, spec), rtol=0, atol=1e-12
+    )
+
+
+def test_newton_block_failures_stay_in_their_own_start():
+    fun, _ = batched_residual(pp.get_preset("chloroform"), 1)
+    good = np.radians([[120.0, 180.0], [60.0, 240.0]])
+    # the Jacobian at theta = 0 is exactly zero; an infinite start has no residual
+    x0 = np.vstack([good[0], [0.0, 0.0], good[1], [np.inf, 0.0]])
+    x, r, ok = prep._newton_block(fun, x0, 1e-10)
+    assert ok.tolist() == [True, False, True, False]
+    np.testing.assert_array_equal(x[1], [0.0, 0.0])
+    alone = np.array([prep._newton_block(fun, g[None], 1e-10)[0][0] for g in good])
+    np.testing.assert_allclose(x[[0, 2]], alone, rtol=0, atol=1e-12)
+
+
+def test_solver_result_does_not_depend_on_the_block_size(monkeypatch):
+    # every start follows its own iteration, whichever starts share its block
+    system, spec = pp.get_preset("chloroform"), pp.default_cascade(2, 3)
+    default = pp.solve_angles(system, spec)
+    monkeypatch.setattr(prep, "NEWTON_BLOCK", 5)
+    small = pp.solve_angles(system, spec)
+    assert small.converged == default.converged
+    np.testing.assert_allclose(small.roots, default.roots, rtol=0, atol=1e-9)
+
+
+#: roots[0] of the default solve: folded onto |theta|, smallest largest angle.
+FIRST_ROOTS = {
+    ("chloroform", 1): (127.1329076, 186.0093389),
+    ("chloroform", 2): (146.4297642, 119.9678108),
+    ("chloroform", 3): (146.4297642, 119.9678108),
+    ("chloroform", 4): (186.0093389, 127.1329076),
+    ("homonuclear-2", 1): (77.4078425, 77.4078425),
+    ("homonuclear-2", 2): (127.2792206, 127.2792206),
+    ("homonuclear-2", 3): (127.2792206, 127.2792206),
+    ("homonuclear-2", 4): (77.4078425, 77.4078425),
+    ("homonuclear-3", 1): (211.9282222, 176.5484085, 228.5522819, 127.3781795, 95.3118972, 107.2473189),
+    # the published CCH vector, with its fourth entry read as 364.31
+    ("hetero-3", 1): (201.8887011, 258.8275596, 313.4021048, 364.3077460, 295.3639269, 234.1764998),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ROOTS))
+def test_first_root_is_pinned(case):
+    name, target = case
+    system = pp.get_preset(name)
+    spec = pp.default_cascade(system.n_spins, target)
+    first = pp.solve_angles(system, spec).roots[0]
+    np.testing.assert_allclose(first, FIRST_ROOTS[case], rtol=0, atol=1e-6)
+
 
 def test_solver_finds_homonuclear_root():
     result = pp.solve_angles(pp.get_preset("homonuclear-2"), pp.default_cascade(2, 1))
