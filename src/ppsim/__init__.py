@@ -17,6 +17,7 @@ from .core import (
     crush,
     evolve,
     expm_unitary,
+    flipped_spin,
     generator,
     level_of,
     max_rel_error,
@@ -44,7 +45,6 @@ from .prep import (
     preparation_unitary,
     residual,
     solve_angles,
-    validate_cascade,
 )
 from .presets import PRESETS, get_preset
 from .readout import (

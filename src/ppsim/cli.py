@@ -39,6 +39,10 @@ EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_CONTRACT = 3
 
+#: Largest spin count a system file may request: operators are 2**n x 2**n
+#: and the solver's work grows faster still, so larger systems never finish.
+MAX_SPINS = 8
+
 
 # ---------------------------------------------------------------------------
 # canonical serialization
@@ -88,13 +92,20 @@ def matrix_from_json(data) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # input loading
 
-def _read_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -106,7 +117,10 @@ def load_system(name_or_path: str) -> SpinSystem:
             f"{name_or_path!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor a readable file"
         )
-    return SpinSystem.from_dict(_read_json(name_or_path))
+    system = SpinSystem.from_dict(_read_json(name_or_path))
+    if system.n_spins > MAX_SPINS:
+        raise InputError(f"system has {system.n_spins} spins, the limit is {MAX_SPINS}")
+    return system
 
 
 def load_state(path: str, system: SpinSystem) -> np.ndarray:
@@ -114,6 +128,8 @@ def load_state(path: str, system: SpinSystem) -> np.ndarray:
     if isinstance(data, dict) and "matrix" in data:
         data = data["matrix"]
     rho = matrix_from_json(data)
+    if not np.all(np.isfinite(rho)):
+        raise InputError(f"state in {path} has non-finite entries")
     if rho.shape != (system.dim, system.dim):
         raise InputError(
             f"state dimension {rho.shape[0]} does not match the {system.n_spins}-spin system"
@@ -152,8 +168,11 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +233,7 @@ def _initial_state(text: str, system: SpinSystem) -> np.ndarray:
 
 def _cmd_run(args) -> int:
     system = load_system(args.system)
-    try:
-        with open(args.program, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {args.program}: {exc.strerror or exc}") from exc
-    program = dsl.parse(text)
+    program = dsl.parse(_read_text(args.program))
     seq = dsl.compile(program, system)
     rho = dsl.run(seq, _initial_state(args.initial, system))
     payload = {

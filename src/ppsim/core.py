@@ -147,6 +147,22 @@ def _check_level(level: int, n_spins: int) -> int:
     return level
 
 
+def flipped_spin(m: int, k: int, n_spins: int) -> int:
+    """Spin (1-based) flipped by the single-quantum transition between levels m and k.
+
+    Raises InputError unless both levels are in range and differ in exactly
+    one bit, the condition for a resolvable line.
+    """
+    _check_level(m, n_spins)
+    _check_level(k, n_spins)
+    d = (m - 1) ^ (k - 1)
+    if d == 0 or d & (d - 1):
+        raise InputError(
+            f"transition ({m}, {k}) does not flip exactly one bit, not a resolvable line"
+        )
+    return n_spins - d.bit_length() + 1
+
+
 def _pauli(axis: str) -> np.ndarray:
     try:
         return PAULI[axis]

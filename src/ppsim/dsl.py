@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpinSystem, crush, evolve, expm_unitary, generator, spin_op
+from .core import SpinSystem, crush, evolve, expm_unitary, flipped_spin, generator, spin_op
 from .errors import CompileError, InputError, ParseError
 
 CRUSH_KEYWORDS = {"ideal": "all_off_diagonal", "order": "coherence_order"}
@@ -252,45 +252,41 @@ def pretty(program: PulseProgram) -> str:
 # ---------------------------------------------------------------------------
 # compilation
 
-def _compile_block(stmt: Block, system: SpinSystem, where: str) -> np.ndarray:
-    dim = system.dim
-    pulses = []
+def _compile_block(stmt: Block, system: SpinSystem) -> np.ndarray:
     for p in stmt.pulses:
-        if not (1 <= p.m <= dim and 1 <= p.k <= dim):
-            raise CompileError(f"{where}: levels ({p.m}, {p.k}) out of range 1..{dim}")
-        d = (p.m - 1) ^ (p.k - 1)
-        if d == 0 or d & (d - 1):
-            raise CompileError(
-                f"{where}: transition ({p.m}, {p.k}) does not flip exactly one bit, "
-                "not a resolvable line"
-            )
-        pulses.append(((p.m, p.k), p.axis, np.radians(p.angle_deg)))
+        flipped_spin(p.m, p.k, system.n_spins)  # selective pulses need resolvable lines
+    pulses = [((p.m, p.k), p.axis, np.radians(p.angle_deg)) for p in stmt.pulses]
     return expm_unitary(generator(pulses, system.n_spins))
 
 
-def _compile_hard(stmt: HardPulse, system: SpinSystem, where: str) -> np.ndarray:
+def _compile_hard(stmt: HardPulse, system: SpinSystem) -> np.ndarray:
     n = system.n_spins
-    if stmt.spin is not None and not 1 <= stmt.spin <= n:
-        raise CompileError(f"{where}: spin {stmt.spin} out of range 1..{n}")
     spins = range(1, n + 1) if stmt.spin is None else (stmt.spin,)
     H = sum(spin_op(i, stmt.axis, n) for i in spins) * np.radians(stmt.angle_deg)
     return expm_unitary(H)
 
 
 def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
-    """Lower a program to an ordered list of unitaries and crusher events."""
+    """Lower a program to an ordered list of unitaries and crusher events.
+
+    Input errors raised while lowering a statement come back as CompileError
+    naming the statement and its source line.
+    """
     events = []
     for idx, stmt in enumerate(program.statements):
-        line = program.line_of(idx)
-        where = f"statement {idx + 1}" + (f" (line {line})" if line else "")
-        if isinstance(stmt, Block):
-            events.append(Unitary(_compile_block(stmt, system, where)))
-        elif isinstance(stmt, HardPulse):
-            events.append(Unitary(_compile_hard(stmt, system, where)))
-        elif isinstance(stmt, Crush):
-            events.append(CrushEvent(stmt.mode))
-        else:
-            raise CompileError(f"{where}: unknown statement type {type(stmt).__name__}")
+        try:
+            if isinstance(stmt, Block):
+                events.append(Unitary(_compile_block(stmt, system)))
+            elif isinstance(stmt, HardPulse):
+                events.append(Unitary(_compile_hard(stmt, system)))
+            elif isinstance(stmt, Crush):
+                events.append(CrushEvent(stmt.mode))
+            else:
+                raise InputError(f"unknown statement type {type(stmt).__name__}")
+        except InputError as exc:
+            line = program.line_of(idx)
+            where = f"statement {idx + 1}" + (f" (line {line})" if line else "")
+            raise CompileError(f"{where}: {exc}") from exc
     return ChannelSequence(tuple(events), system.dim)
 
 

@@ -1,11 +1,11 @@
 """Pseudo-pure state preparation by simultaneous line-selective pulses.
 
-A cascade chains every non-target level through single-quantum transitions.
-One x-phase pulse per transition, all applied simultaneously (a single
-generator, a single exponential), followed by an ideal crusher, leaves the
-non-target populations equal and the target population at its thermal
-value.  The pulse angles are roots of the population-equalization residual,
-found by a damped Newton iteration from a grid of starting points.
+A cascade joins every non-target level in a tree of single-quantum
+transitions.  One x-phase pulse per transition, all applied simultaneously
+(a single generator, a single exponential), followed by an ideal crusher,
+leaves the non-target populations equal and the target population at its
+thermal value.  The pulse angles are roots of the population-equalization
+residual, found by a damped Newton iteration from a grid of starting points.
 """
 
 import itertools
@@ -17,9 +17,11 @@ import numpy as np
 
 from .core import (
     SpinSystem,
+    _check_level,
     crush,
     evolve,
     expm_unitary,
+    flipped_spin,
     generator,
     pure_part,
     thermal_deviation,
@@ -36,15 +38,6 @@ _STEP_SCALES = 0.5 ** np.arange(20)
 #: Largest number of grid starts solve_angles will build.
 MAX_GRID_STARTS = 10**5
 
-#: Known angle vectors for common systems, used only as extra solver starts.
-_SEED_STARTS = {
-    2: ((77.40, 77.40), (127.13, 186.01)),
-    6: (
-        (182.02, 179.04, 229.38, 193.46, 200.28, 105.75),
-        (201.89, 258.83, 313.40, 364.31, 295.37, 234.18),
-    ),
-}
-
 
 class CascadeStep(NamedTuple):
     m: int
@@ -52,18 +45,45 @@ class CascadeStep(NamedTuple):
     spin: int
 
 
-class ValidationReport(NamedTuple):
-    ok: bool
-    problem: str | None
-
-
 @dataclass(frozen=True)
 class CascadeSpec:
-    """An ordered chain of single-quantum transitions avoiding the target."""
+    """Single-quantum transitions joining the non-target levels in a tree.
+
+    Checked when built: 2**n - 2 steps, each flipping the spin it names,
+    none touching the target and none closing a cycle, so the steps span
+    every non-target level.  On those levels any such tree gives a real
+    symmetric x-pulse generator, and a diagonal +-1 similarity flips the
+    sign of any one angle, which is all the solver relies on.
+    """
 
     target: int
     steps: tuple[CascadeStep, ...]
     n_spins: int
+
+    def __post_init__(self):
+        n = self.n_spins
+        if n < 2:
+            raise InputError("cascades need at least two spins")
+        _check_level(self.target, n)
+        if len(self.steps) != 2**n - 2:
+            raise InputError(f"expected {2**n - 2} steps, got {len(self.steps)}")
+        parent = list(range(2**n + 1))  # union-find over the levels
+
+        def root(lev: int) -> int:
+            while parent[lev] != lev:
+                parent[lev] = parent[parent[lev]]
+                lev = parent[lev]
+            return lev
+
+        for step in self.steps:
+            if flipped_spin(step.m, step.k, n) != step.spin:
+                raise InputError(f"step {step} labels the wrong spin")
+            if self.target in (step.m, step.k):
+                raise InputError(f"step {step} touches the target level")
+            a, b = root(step.m), root(step.k)
+            if a == b:
+                raise InputError(f"step {step} closes a cycle")
+            parent[a] = b
 
 
 @dataclass(frozen=True)
@@ -72,13 +92,6 @@ class SolverResult:
     residual_norms: tuple[float, ...]
     starts_tried: int
     converged: tuple[bool, ...]
-
-
-def _flipped_spin(m: int, k: int, n_spins: int) -> int:
-    d = (m - 1) ^ (k - 1)
-    if d == 0 or d & (d - 1):
-        raise InputError(f"transition ({m}, {k}) does not flip exactly one bit")
-    return n_spins - d.bit_length() + 1
 
 
 def _target1_path(n_spins: int) -> tuple[int, ...]:
@@ -95,55 +108,18 @@ def _target1_path(n_spins: int) -> tuple[int, ...]:
 def default_cascade(n_spins: int, target: int) -> CascadeSpec:
     """The stock cascade for a target level (1-based).
 
-    The target-1 route is relabeled for other targets by XORing every level
-    with the target's bit pattern, then reversing the walk; this reproduces
-    the usual tabulated 2-spin routes for all four targets.
+    The stock routes are Hamiltonian paths, a special case of the trees a
+    :class:`CascadeSpec` accepts.  The target-1 route is relabeled for other
+    targets by XORing every level with the target's bit pattern, which keeps
+    the spin each step flips, then reversing the walk; this reproduces the
+    usual tabulated 2-spin routes for all four targets.
     """
-    if n_spins < 2:
-        raise InputError("cascades need at least two spins")
-    dim = 2**n_spins
-    if not 1 <= target <= dim:
-        raise InputError(f"target level {target} out of range 1..{dim}")
     path = _target1_path(n_spins)
-    steps1 = list(zip(path, path[1:]))
-    if target == 1:
-        pairs = steps1
-    else:
-        t = target - 1
-        relabel = lambda lev: ((lev - 1) ^ t) + 1
-        pairs = [(relabel(k), relabel(m)) for m, k in reversed(steps1)]
-    steps = tuple(CascadeStep(m, k, _flipped_spin(m, k, n_spins)) for m, k in pairs)
-    return CascadeSpec(target=target, steps=steps, n_spins=n_spins)
-
-
-def validate_cascade(spec: CascadeSpec) -> ValidationReport:
-    """Check the chain constraints; reports the first violation, never raises."""
-    dim = 2**spec.n_spins
-    want = dim - 2
-    if len(spec.steps) != want:
-        return ValidationReport(False, f"expected {want} steps, got {len(spec.steps)}")
-    degree: dict[int, int] = {}
-    for step in spec.steps:
-        for lev in (step.m, step.k):
-            if not 1 <= lev <= dim:
-                return ValidationReport(False, f"level {lev} out of range 1..{dim}")
-            if lev == spec.target:
-                return ValidationReport(False, f"step {step} touches the target level")
-            degree[lev] = degree.get(lev, 0) + 1
-        d = (step.m - 1) ^ (step.k - 1)
-        if d == 0 or d & (d - 1):
-            return ValidationReport(False, f"step ({step.m}, {step.k}) flips more than one bit")
-        if _flipped_spin(step.m, step.k, spec.n_spins) != step.spin:
-            return ValidationReport(False, f"step {step} labels the wrong spin")
-    if len(degree) != dim - 1:
-        missing = sorted(set(range(1, dim + 1)) - {spec.target} - set(degree))
-        return ValidationReport(False, f"levels not covered: {missing}")
-    ends = sorted(lev for lev, d in degree.items() if d == 1)
-    if any(d > 2 for d in degree.values()) or len(ends) != 2:
-        return ValidationReport(False, "steps do not form a simple path")
-    # acyclic + degrees <= 2 + two endpoints + full coverage with dim-2 edges
-    # over dim-1 vertices implies a connected Hamiltonian path
-    return ValidationReport(True, None)
+    steps = [CascadeStep(m, k, flipped_spin(m, k, n_spins)) for m, k in zip(path, path[1:])]
+    if target != 1:
+        relabel = lambda lev: ((lev - 1) ^ (target - 1)) + 1
+        steps = [CascadeStep(relabel(s.k), relabel(s.m), s.spin) for s in reversed(steps)]
+    return CascadeSpec(target=target, steps=tuple(steps), n_spins=n_spins)
 
 
 def _angles_deg(angles_deg, spec: CascadeSpec) -> np.ndarray:
@@ -316,16 +292,12 @@ def solve_angles(
     advancing NEWTON_BLOCK starts at a time in lockstep.  Starts are a
     uniform grid interior to (0, 360) degrees per dimension (5 points per
     dimension up to 2 steps, 3 up to 6, then 1; at most MAX_GRID_STARTS in
-    all) plus known reference vectors when the step count matches.
-    Flipping the sign of any angle leaves the residual unchanged, so
+    all).  Flipping the sign of any angle leaves the residual unchanged, so
     converged roots are reported as |theta|, deduplicated at 0.01 degrees
     componentwise, and sorted by largest component, then lexicographically;
     each satisfies max |residual| < newton_tol.  Components are reported
     wherever Newton lands them, so some may exceed 360.
     """
-    report = validate_cascade(spec)
-    if not report.ok:
-        raise InputError(f"invalid cascade: {report.problem}")
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
     if not math.isfinite(newton_tol) or newton_tol < 0:
@@ -340,7 +312,6 @@ def solve_angles(
             f"grid of {grid_per_dim}**{k} starts exceeds the cap of {MAX_GRID_STARTS}"
         )
     starts = _grid_starts(k, grid_per_dim)
-    starts.extend(_SEED_STARTS.get(k, ()))
 
     fun = _BatchedResidual(spec, np.real(np.diagonal(thermal_deviation(system))))
     x0 = np.radians(np.array(starts, dtype=float))
@@ -351,8 +322,8 @@ def solve_angles(
     x, r, ok = (np.concatenate(parts) for parts in zip(*blocks))
     worst = np.max(np.abs(r), axis=1)
 
-    # a diagonal +-1 similarity flips the sign of any angle of a tree-shaped
-    # cascade and leaves |U|^2 alone, so roots are folded onto |theta|
+    # a diagonal +-1 similarity flips the sign of any angle of a cascade,
+    # which is a tree, and leaves |U|^2 alone, so roots are folded onto |theta|
     folded, folded_norms = np.abs(np.degrees(x[ok])), worst[ok]
     kept: list[int] = []
     for i, deg in enumerate(folded):

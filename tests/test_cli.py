@@ -235,6 +235,19 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
     inf_j.write_text('{"gamma": [1, 2], "j_hz": [[0, Infinity], [Infinity, 0]]}')
     huge_gamma = tmp_path / "huge_gamma.json"
     huge_gamma.write_text('{"gamma": [1e308, 1e308]}')
+    nine_spins = tmp_path / "nine_spins.json"
+    nine_spins.write_text(json.dumps({"gamma": [1] * 9}))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"gamma": [1, 2], "labels": ["\xe9", "H"]}')
+    latin1_program = tmp_path / "latin1.pp"
+    latin1_program.write_bytes(b"sel 3 4 x 90 # \xe9\n")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    nan_state, inf_state = tmp_path / "nan_state.json", tmp_path / "inf_state.json"
+    for path, bad in ((nan_state, float("nan")), (inf_state, float("inf"))):
+        # json writes these as the bare tokens NaN and Infinity, which it also reads
+        rows = [[[bad if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        path.write_text(json.dumps({"matrix": rows}))
     cases = [
         ("run", "--system", "chloroform", "--program", str(tmp_path / "missing.pp")),
         ("solve", "--system", "chloroform", "--target", "001"),
@@ -257,6 +270,23 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         # finite gammas whose thermal deviation overflows
         ("solve", "--system", str(huge_gamma), "--target", "00"),
         ("prepare", "--system", str(huge_gamma), "--target", "00", "--angles", "10,10"),
+        # over cli.MAX_SPINS; rejected before any matrix is built
+        ("solve", "--system", str(nine_spins), "--target", "0" * 9),
+        ("solve", "--system", "chloroform", "--target", "00",
+         "--out", str(tmp_path / "missing" / "out.json")),
+        # files that are not UTF-8
+        ("solve", "--system", str(latin1), "--target", "00"),
+        ("spectrum", "--system", "chloroform", "--state", str(latin1), "--spin", "1"),
+        ("run", "--system", "chloroform", "--program", str(latin1_program)),
+        # nesting deeper than the JSON decoder can recurse
+        ("spectrum", "--system", "chloroform", "--state", str(deep), "--spin", "1"),
+        ("solve", "--system", str(deep), "--target", "00"),
+        # states with non-finite entries
+        ("spectrum", "--system", "chloroform", "--state", str(nan_state), "--spin", "1"),
+        ("spectrum", "--system", "chloroform", "--state", str(inf_state), "--spin", "1"),
+        ("tomo", "--system", "chloroform", "--state", str(nan_state)),
+        ("hogg", "--system", "chloroform", "--formula", "V1&V2", "--state", str(nan_state)),
+        ("plot", "--system", "chloroform", "--state", str(nan_state)),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)

@@ -34,6 +34,16 @@ def test_bits_of_range_check():
         pp.bits_of(0, 2)
 
 
+def test_flipped_spin():
+    # spin 1 is the most significant bit
+    assert [pp.flipped_spin(1, k, 3) for k in (5, 3, 2)] == [1, 2, 3]
+    assert pp.flipped_spin(8, 4, 3) == 1
+    for m, k, problem in [(1, 4, "not a resolvable line"), (2, 2, "not a resolvable line"),
+                          (0, 1, "out of range"), (4, 8, "out of range")]:
+        with pytest.raises(InputError, match=problem):
+            pp.flipped_spin(m, k, 2)
+
+
 def test_spin_system_validation():
     with pytest.raises(InputError):
         pp.SpinSystem(gamma=())

@@ -16,6 +16,25 @@ REFERENCE_ANGLES_3SPIN = {
 }
 
 
+#: A 3-spin target-1 cascade that is a spanning tree but not a path: level 4
+#: has three neighbours.
+TREE_3_STEPS = (
+    CascadeStep(4, 2, 2),
+    CascadeStep(4, 3, 3),
+    CascadeStep(4, 8, 1),
+    CascadeStep(8, 6, 2),
+    CascadeStep(8, 7, 3),
+    CascadeStep(6, 5, 3),
+)
+
+
+def cascade_for(system, target):
+    """The stock cascade for a target level, or the 3-spin tree for 'tree'."""
+    if target == "tree":
+        return CascadeSpec(1, TREE_3_STEPS, 3)
+    return pp.default_cascade(system.n_spins, target)
+
+
 def spread_of(residual_vec):
     # populations relative to the reference level, which contributes 0
     values = np.concatenate([[0.0], np.asarray(residual_vec)])
@@ -37,7 +56,6 @@ def spread_of(residual_vec):
 def test_default_cascade_two_spins(target, steps):
     spec = pp.default_cascade(2, target)
     assert tuple((s.m, s.k, s.spin) for s in spec.steps) == steps
-    assert pp.validate_cascade(spec).ok
 
 
 def test_default_cascade_three_spins_target_one():
@@ -47,8 +65,9 @@ def test_default_cascade_three_spins_target_one():
 
 @pytest.mark.parametrize("n,target", [(3, 5), (4, 7), (5, 32)])
 def test_default_cascade_validates_for_any_target(n, target):
-    report = pp.validate_cascade(pp.default_cascade(n, target))
-    assert report.ok, report.problem
+    # CascadeSpec checks the spanning tree when it is built
+    spec = pp.default_cascade(n, target)
+    assert (spec.target, spec.n_spins, len(spec.steps)) == (target, n, 2**n - 2)
 
 
 def test_default_cascade_range_checks():
@@ -58,37 +77,27 @@ def test_default_cascade_range_checks():
         pp.default_cascade(1, 1)
 
 
-def test_validate_cascade_rejections():
-    def spec_of(*mk, target=1, n=2):
-        steps = tuple(CascadeStep(m, k, 2 - (((m - 1) ^ (k - 1)) // 2)) for m, k in mk)
-        return CascadeSpec(target=target, steps=steps, n_spins=n)
+def test_cascade_spec_rejects_non_trees():
+    def steps_of(*mk):
+        return tuple(CascadeStep(m, k, 2 - (((m - 1) ^ (k - 1)) // 2)) for m, k in mk)
 
-    assert "flips more than one bit" in pp.validate_cascade(
-        CascadeSpec(1, (CascadeStep(3, 2, 1), CascadeStep(2, 4, 1)), 2)
-    ).problem
-    assert "touches the target" in pp.validate_cascade(spec_of((3, 4), (4, 2), target=4)).problem
-    assert "not covered" in pp.validate_cascade(spec_of((3, 4), (4, 3))).problem
-    assert "expected 2 steps" in pp.validate_cascade(spec_of((3, 4))).problem
-    assert "out of range" in pp.validate_cascade(
-        CascadeSpec(1, (CascadeStep(3, 4, 2), CascadeStep(4, 6, 1)), 2)
-    ).problem
-    assert "wrong spin" in pp.validate_cascade(
-        CascadeSpec(1, (CascadeStep(3, 4, 1), CascadeStep(4, 2, 1)), 2)
-    ).problem
-    # a star over levels 2..5 of a 3-spin system covers six steps but branches
-    star = CascadeSpec(
-        1,
-        (
-            CascadeStep(2, 4, 2),
-            CascadeStep(4, 3, 3),
-            CascadeStep(3, 7, 1),
-            CascadeStep(7, 5, 2),
-            CascadeStep(5, 6, 3),
-            CascadeStep(6, 2, 1),
-        ),
-        3,
-    )
-    assert not pp.validate_cascade(star).ok
+    # a six-cycle over levels 2..7 of a 3-spin system, leaving level 8 out
+    ring = ((2, 4, 2), (4, 3, 3), (3, 7, 1), (7, 5, 2), (5, 6, 3), (6, 2, 1))
+    cases = [
+        ("not a resolvable line", 1, ((3, 2, 1), (2, 4, 1)), 2),
+        ("not a resolvable line", 1, ((1, 4, 1), (4, 2, 1)), 2),
+        ("touches the target", 4, steps_of((3, 4), (4, 2)), 2),
+        ("closes a cycle", 1, steps_of((3, 4), (4, 3)), 2),
+        ("expected 2 steps", 1, steps_of((3, 4)), 2),
+        ("out of range", 1, ((3, 4, 2), (4, 6, 1)), 2),
+        ("wrong spin", 1, ((3, 4, 1), (4, 2, 1)), 2),
+        ("closes a cycle", 1, ring, 3),
+        ("out of range", 5, steps_of((3, 4), (4, 2)), 2),
+        ("at least two spins", 1, (), 1),
+    ]
+    for problem, target, steps, n in cases:
+        with pytest.raises(InputError, match=problem):
+            CascadeSpec(target, tuple(CascadeStep(*s) for s in steps), n)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +135,7 @@ def test_residual_input_checks():
 # solver
 
 def batched_residual(system, target):
-    spec = pp.default_cascade(system.n_spins, target)
+    spec = cascade_for(system, target)
     d_eq = np.real(np.diagonal(pp.thermal_deviation(system)))
     return prep._BatchedResidual(spec, d_eq), spec
 
@@ -134,12 +143,13 @@ def batched_residual(system, target):
 @pytest.mark.parametrize(
     "gamma,target",
     [((1.4048, 5.5857), 1), ((1.0, 1.0), 3), ((1.4048, 1.4048, 5.5857), 1),
-     ((1.0, 1.0, 1.0), 6), ((1.0, 2.0, 3.0, 4.0), 1), ((1.0, 1.0, 1.0, 1.0), 11)],
+     ((1.0, 1.0, 1.0), 6), ((1.0, 2.0, 3.0, 4.0), 1), ((1.0, 1.0, 1.0, 1.0), 11),
+     ((1.4048, 1.4048, 5.5857), "tree")],
 )
 def test_batched_jacobian_matches_central_differences(gamma, target):
     fun, spec = batched_residual(pp.SpinSystem(gamma=gamma), target)
     k = len(spec.steps)
-    rng = np.random.default_rng(len(gamma) * 10 + target)
+    rng = np.random.default_rng(len(gamma) * 10 + spec.target)
     # theta = 0 and equal angles give degenerate eigenvalues
     theta = np.vstack([np.zeros(k), np.full(k, 1.3), rng.uniform(-8.0, 8.0, (4, k))])
     _, J = fun(theta, jacobian=True)
@@ -154,7 +164,8 @@ def test_batched_jacobian_matches_central_differences(gamma, target):
 def test_batched_residual_matches_residual(name):
     system = pp.get_preset(name)
     rng = np.random.default_rng(7)
-    for target in range(1, system.dim + 1):
+    extra = ["tree"] if system.n_spins == 3 else []
+    for target in [*range(1, system.dim + 1), *extra]:
         fun, spec = batched_residual(system, target)
         theta = rng.uniform(-12.0, 12.0, (5, len(spec.steps)))
         want = [pp.residual(np.degrees(t), system, spec) for t in theta]
@@ -163,7 +174,8 @@ def test_batched_residual_matches_residual(name):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.sampled_from([("chloroform", 2), ("homonuclear-2", 4), ("hetero-3", 1), ("homonuclear-3", 5)]),
+    st.sampled_from([("chloroform", 2), ("homonuclear-2", 4), ("hetero-3", 1), ("homonuclear-3", 5),
+                     ("hetero-3", "tree")]),
     st.lists(st.floats(-720.0, 720.0), min_size=6, max_size=6),
     st.lists(st.sampled_from([-1.0, 1.0]), min_size=6, max_size=6),
 )
@@ -171,7 +183,7 @@ def test_residual_is_invariant_under_angle_sign_flips(case, angles, signs):
     # a cascade is a tree, so a diagonal +-1 similarity flips any angle's sign
     name, target = case
     system = pp.get_preset(name)
-    spec = pp.default_cascade(system.n_spins, target)
+    spec = cascade_for(system, target)
     k = len(spec.steps)
     theta = np.array(angles[:k])
     flipped = np.array(signs[:k]) * theta
@@ -231,8 +243,26 @@ def test_solver_finds_homonuclear_root():
     result = pp.solve_angles(pp.get_preset("homonuclear-2"), pp.default_cascade(2, 1))
     best = min(result.roots, key=lambda r: max(abs(v - HOMO2_ROOT) for v in r))
     assert max(abs(v - HOMO2_ROOT) for v in best) < 1e-6
-    assert result.starts_tried == 27  # 5x5 grid plus two seeded starts
+    assert result.starts_tried == 25  # the 5x5 grid
     assert len(result.converged) == result.starts_tried
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ROOTS))
+def test_signal_equals_temporal_averaging(case):
+    # the cascade keeps the target population d_t and the state stays
+    # traceless, so the pseudo-pure excess is N/(N-1) d_t, the signal that
+    # temporal averaging gives (Knill, Chuang & Laflamme, PRA 57 (1998) 3348)
+    name, target = case
+    system = pp.get_preset(name)
+    rho, _ = pp.prepare_pseudo_pure(system, target, angles_deg=FIRST_ROOTS[case])
+    d_t = np.real(pp.thermal_deviation(system)[target - 1, target - 1])
+    if d_t == 0:
+        with pytest.raises(NotPseudoPureError):
+            pp.pure_part(rho)
+        return
+    part = pp.pure_part(rho)
+    assert part.target == target
+    assert part.pure_coeff == pytest.approx(system.dim / (system.dim - 1) * d_t, rel=0, abs=1e-9)
 
 
 def test_solver_finds_heteronuclear_root():
@@ -273,10 +303,17 @@ def test_solver_reports_failure():
         )
 
 
-def test_solver_rejects_broken_cascade():
-    bad = CascadeSpec(1, (CascadeStep(1, 4, 1), CascadeStep(4, 2, 1)), 2)
-    with pytest.raises(InputError):
-        pp.solve_angles(pp.get_preset("homonuclear-2"), bad)
+@pytest.mark.parametrize("name", ["homonuclear-3", "hetero-3"])
+def test_solver_handles_a_tree_that_is_not_a_path(name):
+    system = pp.get_preset(name)
+    spec = cascade_for(system, "tree")
+    result = pp.solve_angles(system, spec, grid_per_dim=2)
+    assert result.roots
+    for root in result.roots:
+        assert np.max(np.abs(pp.residual(root, system, spec))) < 1e-10
+    U = pp.preparation_unitary(spec, result.roots[0])
+    rho = pp.crush(pp.evolve(pp.thermal_deviation(system), U))
+    assert pp.pure_part(rho).target == 1
 
 
 def test_homonuclear_target_relabeling_preserves_roots():
