@@ -10,8 +10,14 @@ Every amplitude comes from one forward model, :func:`_line_amplitudes`.
 Spectra and measurements apply it to the state; tomography applies it to
 the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
+
+The fixed parts of that chain are built once and cached as read-only
+arrays: the propagator of each readout setting, the product-operator basis
+of each register size, and one SVD of each measurement protocol's design.
+A reconstruction is then a few matrix-vector products.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,6 +29,16 @@ from .errors import ContractError, InputError
 
 READOUT_PULSES = ("none", "x90", "y90")
 _PULSE_AXIS = {"x90": "x", "y90": "y"}
+MAX_TOMOGRAPHY_SPINS = 4
+
+# Cache sizes, in entries.  A propagator takes 16*4**n bytes; 120 entries
+# hold every tomography setting of 1 to 4 spins (0.36 MB), or 120 MiB if
+# all of them are 8-spin propagators (the CLI's cap).  The bases of 1 to
+# 4 spins take 1.1 MB together.  A protocol of R records on n spins takes
+# at most 8*(2R + 4**n)*(4**n - 1) bytes: 0.36 MB for the full 3-spin
+# protocol, 11 MB for the full 4-spin one, so 44 MB for four of those.
+_PROPAGATOR_CACHE = 3 + 9 + 27 + 81
+_PROTOCOL_CACHE = 4
 
 
 class SpectralLine(NamedTuple):
@@ -53,10 +69,39 @@ class MeasurementSet:
 
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
+    """A reconstruction; rank and condition_number describe the design."""
+
     reconstructed: np.ndarray
     residual_norm: float
     settings_used: int
+    rank: int
+    condition_number: float
     max_rel_error: float | None = None
+
+
+class _Protocol(NamedTuple):
+    """Thin SVD factors of one protocol's design A = U diag(s) Vt.
+
+    u is U and w is Vt.T / s, both cut to the numerical rank, so the least
+    squares solution is w @ (u.T @ y).
+    """
+
+    u: np.ndarray
+    w: np.ndarray
+    rank: int
+    condition_number: float
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _check_tomography_size(n_spins: int) -> None:
+    if not 1 <= n_spins <= MAX_TOMOGRAPHY_SPINS:
+        raise InputError(
+            f"tomography supports 1 to {MAX_TOMOGRAPHY_SPINS} spins, got {n_spins}"
+        )
 
 
 def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
@@ -75,26 +120,33 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
 
 
 def setting_unitary(setting, n_spins: int) -> np.ndarray:
-    """Propagator for simultaneous hard readout pulses, one entry per spin."""
+    """Propagator for simultaneous hard readout pulses, one entry per spin.
+
+    The result is cached per setting and read-only.
+    """
     setting = tuple(setting)
     if len(setting) != n_spins:
         raise InputError(f"expected {n_spins} pulse entries, got {len(setting)}")
+    for pulse in setting:
+        if pulse not in READOUT_PULSES:
+            raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
+    return _propagator(setting, n_spins)
+
+
+@functools.lru_cache(maxsize=_PROPAGATOR_CACHE)
+def _propagator(setting: tuple[str, ...], n_spins: int) -> np.ndarray:
     H = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
     for i, pulse in enumerate(setting, start=1):
-        if pulse == "none":
-            continue
-        axis = _PULSE_AXIS.get(pulse)
-        if axis is None:
-            raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
-        H += (np.pi / 2) * spin_op(i, axis, n_spins)
-    return expm_unitary(H)
+        if pulse != "none":
+            H += (np.pi / 2) * spin_op(i, _PULSE_AXIS[pulse], n_spins)
+    return _read_only(expm_unitary(H))
 
 
 def _line_amplitudes(states, keys, n_spins: int) -> np.ndarray:
     """Line amplitudes 2 (U rho U+)[k-1, m-1], one per (setting, (m, k)) key.
 
     states is one density matrix or a stack of them; the key axis is
-    appended last.  Each distinct setting's propagator U is built once.
+    appended last.  Each distinct setting's state is evolved once.
     """
     dim = 2**n_spins
     m, k = np.array([t for _, t in keys], dtype=int).reshape(-1, 2).T
@@ -146,9 +198,8 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
 
 
 def tomography_settings(n_spins: int) -> list[tuple[str, ...]]:
-    """Every per-spin combination of readout pulses, 3**n settings."""
-    if not 1 <= n_spins <= 3:
-        raise InputError(f"tomography supports 1 to 3 spins, got {n_spins}")
+    """Every per-spin combination of readout pulses, 3**n settings, n <= 4."""
+    _check_tomography_size(n_spins)
     return list(itertools.product(READOUT_PULSES, repeat=n_spins))
 
 
@@ -192,12 +243,19 @@ def simulate_measurements(
 
 
 def basis_operators(n_spins: int) -> list[np.ndarray]:
-    """Traceless Hermitian product-operator basis, 4**n - 1 matrices.
+    """Traceless Hermitian product-operator basis, 4**n - 1 matrices, n <= 4.
 
     Kronecker products of {identity, sigma_x, sigma_y, sigma_z} per spin,
     excluding the all-identity term.  Orthogonal under the trace inner
-    product with norm 2**n, so real coefficients are unique.
+    product with norm 2**n, so real coefficients are unique.  The matrices
+    are read-only views of one cached stack.
     """
+    return list(_basis(n_spins))
+
+
+@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
+def _basis(n_spins: int) -> np.ndarray:
+    _check_tomography_size(n_spins)
     eye = np.eye(2, dtype=complex)
     ops = []
     for combo in itertools.product("ixyz", repeat=n_spins):
@@ -207,32 +265,52 @@ def basis_operators(n_spins: int) -> list[np.ndarray]:
         for c in combo:
             op = np.kron(op, eye if c == "i" else PAULI[c])
         ops.append(op)
-    return ops
+    return _read_only(np.array(ops))
+
+
+@functools.lru_cache(maxsize=_PROTOCOL_CACHE)
+def _protocol(n_spins: int, keys: tuple) -> _Protocol:
+    """Factor the design of the records keyed (setting, transition), in order.
+
+    The forward model applied to the basis gives each amplitude as a real
+    linear functional of the deviation matrix's coordinates; real parts and
+    imaginary parts give two rows per record.  The rank cut is lstsq's.
+    """
+    A = _line_amplitudes(_basis(n_spins), keys, n_spins)
+    design = np.concatenate((A.real, A.imag), axis=1).T
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
+    return _Protocol(
+        u=_read_only(u[:, :rank]),
+        w=_read_only(vt[:rank].T / s[:rank]),
+        rank=rank,
+        condition_number=float(s[0] / s[rank - 1]),
+    )
 
 
 def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None) -> TomographyResult:
     """Least-squares inversion of recorded line amplitudes.
 
-    The forward model applied to the product-operator basis gives each
-    amplitude as a real-linear functional of the deviation matrix's
-    coordinates; real parts and imaginary parts give two equations per
-    line.  Solved with lstsq, whose rank is checked so an incomplete
-    protocol fails loudly instead of silently projecting.
+    The design of each distinct protocol (spin count and the records'
+    settings and transitions, in order) is factored once and cached.  Its
+    rank is checked, so an incomplete protocol fails loudly instead of
+    silently projecting.
     """
     records = measurements.records
     if not records:
         raise InputError("no measurements to reconstruct from")
-    basis = basis_operators(system.n_spins)
-    keys = [(rec.setting, rec.transition) for rec in records]
-    A = _line_amplitudes(np.array(basis), keys, system.n_spins)
-    design = np.concatenate((A.real, A.imag), axis=1).T
+    n = system.n_spins
+    basis = _basis(n)
+    protocol = _protocol(n, tuple((tuple(rec.setting), tuple(rec.transition)) for rec in records))
+    if protocol.rank < len(basis):
+        raise ContractError(
+            f"measurement protocol incomplete: design rank {protocol.rank} < {len(basis)}"
+        )
     amps = np.array([rec.amplitude for rec in records], dtype=complex)
     y = np.concatenate((amps.real, amps.imag))
-    x, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < len(basis):
-        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
-    rho = sum(c * B for c, B in zip(x, basis))
-    misfit = float(np.linalg.norm(design @ x - y))
+    c = protocol.u.T @ y
+    rho = np.tensordot(protocol.w @ c, basis, axes=1)
+    misfit = float(np.linalg.norm(protocol.u @ c - y))
     err = None
     if reference is not None:
         err = max_rel_error(rho, np.asarray(reference, dtype=complex))
@@ -240,6 +318,8 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
         reconstructed=rho,
         residual_norm=misfit,
         settings_used=len({tuple(rec.setting) for rec in records}),
+        rank=protocol.rank,
+        condition_number=protocol.condition_number,
         max_rel_error=err,
     )
 

@@ -247,14 +247,25 @@ def test_solver_finds_homonuclear_root():
     assert len(result.converged) == result.starts_tried
 
 
-@pytest.mark.parametrize("case", sorted(FIRST_ROOTS))
+# the pinned first roots, then every 3-spin target with a root from a 2**6 grid
+TEMPORAL_CASES = [(name, target, True) for name, target in sorted(FIRST_ROOTS)] + [
+    (name, target, False) for name in ("homonuclear-3", "hetero-3") for target in range(1, 9)
+]
+
+
+@pytest.mark.parametrize("case", TEMPORAL_CASES)
 def test_signal_equals_temporal_averaging(case):
     # the cascade keeps the target population d_t and the state stays
     # traceless, so the pseudo-pure excess is N/(N-1) d_t, the signal that
     # temporal averaging gives (Knill, Chuang & Laflamme, PRA 57 (1998) 3348)
-    name, target = case
+    name, target, pinned = case
     system = pp.get_preset(name)
-    rho, _ = pp.prepare_pseudo_pure(system, target, angles_deg=FIRST_ROOTS[case])
+    if pinned:
+        angles = FIRST_ROOTS[(name, target)]
+    else:
+        spec = pp.default_cascade(system.n_spins, target)
+        angles = pp.solve_angles(system, spec, grid_per_dim=2).roots[0]
+    rho, _ = pp.prepare_pseudo_pure(system, target, angles_deg=angles)
     d_t = np.real(pp.thermal_deviation(system)[target - 1, target - 1])
     if d_t == 0:
         with pytest.raises(NotPseudoPureError):

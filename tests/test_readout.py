@@ -117,8 +117,10 @@ def test_tomography_settings_counts():
     assert len(pp.tomography_settings(1)) == 3
     assert len(pp.tomography_settings(2)) == 9
     assert len(pp.tomography_settings(3)) == 27
-    with pytest.raises(InputError):
-        pp.tomography_settings(4)
+    assert len(pp.tomography_settings(4)) == 81
+    for bad in (0, 5):
+        with pytest.raises(InputError):
+            pp.tomography_settings(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +217,52 @@ def test_round_trip_single_spin():
 def test_reconstruct_rejects_incomplete_protocols():
     system = pp.get_preset("chloroform")
     rho, _ = pp.prepare_pseudo_pure(system, 1)
-    # populations alone cannot pin down coherences
+    # populations alone cannot pin down coherences, even right after the
+    # full protocol has been reconstructed and its design cached
     full = pp.simulate_measurements(rho, system)
+    assert pp.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
     plain = tuple(rec for rec in full.records if rec.setting == ("none", "none"))
     only_plain = pp.MeasurementSet(plain, full.noise_sigma, full.seed)
     with pytest.raises(ContractError):
         pp.reconstruct(only_plain, system)
     with pytest.raises(InputError):
         pp.reconstruct(pp.MeasurementSet((), 0.0, None), system)
+
+
+def test_cached_arrays_are_read_only():
+    system = pp.get_preset("chloroform")
+    rho = random_deviation(np.random.default_rng(37), 2)
+    measured = pp.simulate_measurements(rho, system)
+    pp.reconstruct(measured, system)
+    for cached in (basis_operators(2)[14], setting_unitary(("x90", "none"), 2)):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 7.0
+    assert pp.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
+
+
+def test_reconstruct_matches_an_independent_lstsq():
+    # the design's column j is the noiseless record of basis operator j
+    for system in (pp.get_preset("chloroform"), pp.get_preset("hetero-3")):
+        rho = random_deviation(np.random.default_rng(41), system.n_spins)
+        measured = pp.simulate_measurements(rho, system, noise_sigma=0.05, seed=3)
+        basis = basis_operators(system.n_spins)
+        columns = [
+            [rec.amplitude for rec in pp.simulate_measurements(B, system).records]
+            for B in basis
+        ]
+        A = np.array(columns).T
+        design = np.concatenate((A.real, A.imag))
+        amps = np.array([rec.amplitude for rec in measured.records])
+        y = np.concatenate((amps.real, amps.imag))
+        x, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        result = pp.reconstruct(measured, system)
+        assert result.rank == rank == len(basis)
+        np.testing.assert_allclose(
+            result.reconstructed, np.tensordot(x, np.array(basis), axes=1), rtol=0, atol=1e-12
+        )
+        assert result.residual_norm == pytest.approx(np.linalg.norm(design @ x - y), abs=1e-12)
+        s = np.linalg.svd(design, compute_uv=False)
+        assert result.condition_number == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
 def test_reconstruct_rejects_levels_out_of_range():
@@ -239,12 +279,26 @@ SYSTEMS_BY_SIZE = {
     1: pp.SpinSystem(gamma=(1.0,)),
     2: pp.get_preset("chloroform"),
     3: pp.get_preset("hetero-3"),
+    4: pp.SpinSystem(gamma=(1.4048, 1.4048, 5.5857, 5.5857)),  # CCHH analogue
 }
+
+
+def test_full_protocols_round_trip_at_full_rank():
+    # 1 to 4 spins; the condition numbers are those of the full 3**n protocols
+    rng = np.random.default_rng(29)
+    for n, cond in ((1, 1.0), (2, 1.5**0.5), (3, 3**0.5), (4, 6.75**0.5)):
+        system = SYSTEMS_BY_SIZE[n]
+        rho = random_deviation(rng, n)
+        result = pp.reconstruct(pp.simulate_measurements(rho, system), system, reference=rho)
+        assert result.max_rel_error < 1e-10
+        assert result.settings_used == 3**n
+        assert result.rank == 4**n - 1
+        assert result.condition_number == pytest.approx(cond, rel=1e-9)
 
 
 @st.composite
 def deviations(draw):
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     dim = 2**n
     parts = st.floats(-1.0, 1.0, allow_subnormal=False)
     a = draw(arrays(float, (dim, dim), elements=parts))
