@@ -6,8 +6,7 @@ Errors are printed to stderr as single-line JSON {code, message, context}.
 
 Primary JSON output is canonical: keys sorted, floats at 10 significant
 digits, no whitespace variation, so identical inputs and seeds give byte
-identical output.  Matrices are nested arrays of [re, im] pairs.  The
-PPSIM_SEED environment variable supplies a default seed where one applies.
+identical output.  Matrices are nested arrays of [re, im] pairs.
 """
 
 import argparse
@@ -29,7 +28,6 @@ from .errors import (
     ContractError,
     InputError,
     NoSolutionError,
-    ParseError,
     PpsimError,
 )
 from .presets import PRESETS, get_preset
@@ -152,18 +150,6 @@ def _parse_angles(text: str) -> list[float]:
         raise InputError(f"bad angle list {text!r}: {exc}") from exc
 
 
-def _default_seed(args) -> int | None:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    raw = os.environ.get("PPSIM_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"PPSIM_SEED must be an integer, got {raw!r}") from None
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
@@ -178,8 +164,7 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_solve(args) -> int:
-    system = load_system(args.system)
+def _cmd_solve(args, system: SpinSystem) -> str:
     target = _target_level(args.target, system)
     spec = prep.default_cascade(system.n_spins, target)
     result = prep.solve_angles(
@@ -193,12 +178,10 @@ def _cmd_solve(args) -> int:
         "starts_tried": result.starts_tried,
         "converged": [bool(c) for c in result.converged],
     }
-    _emit(canonical_json(payload), args.out)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
-def _cmd_prepare(args) -> int:
-    system = load_system(args.system)
+def _cmd_prepare(args, system: SpinSystem) -> str:
     target = _target_level(args.target, system)
     angles = _parse_angles(args.angles) if args.angles else None
     rho, solution = prep.prepare_pseudo_pure(system, target, angles)
@@ -217,8 +200,7 @@ def _cmd_prepare(args) -> int:
         }
     except PpsimError:
         payload["pure_part"] = None
-    _emit(canonical_json(payload), args.out)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
 def _initial_state(text: str, system: SpinSystem) -> np.ndarray:
@@ -231,8 +213,7 @@ def _initial_state(text: str, system: SpinSystem) -> np.ndarray:
     raise InputError(f"initial state must be 'thermal' or {system.n_spins} bits, got {text!r}")
 
 
-def _cmd_run(args) -> int:
-    system = load_system(args.system)
+def _cmd_run(args, system: SpinSystem) -> str:
     program = dsl.parse(_read_text(args.program))
     seq = dsl.compile(program, system)
     rho = dsl.run(seq, _initial_state(args.initial, system))
@@ -241,12 +222,10 @@ def _cmd_run(args) -> int:
         "events": len(seq.events),
         "matrix": matrix_to_json(rho),
     }
-    _emit(canonical_json(payload), args.out)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
-def _cmd_spectrum(args) -> int:
-    system = load_system(args.system)
+def _cmd_spectrum(args, system: SpinSystem) -> str:
     rho = load_state(args.state, system)
     spectrum = readout.readout_spectrum(rho, args.spin, system, args.pulse)
     lines = ["freq_hz,re,im,transition"]
@@ -256,16 +235,13 @@ def _cmd_spectrum(args) -> int:
             f"{freq},{_fmt_float(line.amplitude.real)},"
             f"{_fmt_float(line.amplitude.imag)},{line.transition[0]}-{line.transition[1]}"
         )
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    return "\n".join(lines)
 
 
-def _cmd_tomo(args) -> int:
-    system = load_system(args.system)
+def _cmd_tomo(args, system: SpinSystem) -> str:
     rho = load_state(args.state, system)
-    seed = _default_seed(args)
     measured = readout.simulate_measurements(
-        rho, system, noise_sigma=args.noise, seed=seed
+        rho, system, noise_sigma=args.noise, seed=args.seed
     )
     result = readout.reconstruct(measured, system, reference=rho)
     payload = {
@@ -276,12 +252,10 @@ def _cmd_tomo(args) -> int:
         "noise_sigma": measured.noise_sigma,
         "seed": measured.seed,
     }
-    _emit(canonical_json(payload), args.out)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
-def _cmd_hogg(args) -> int:
-    system = load_system(args.system)
+def _cmd_hogg(args, system: SpinSystem) -> str:
     if system.n_spins != hogg.N_VARS:
         raise InputError(f"the search runs on {hogg.N_VARS} spins, system has {system.n_spins}")
     formula = hogg.parse_formula(args.formula)
@@ -299,19 +273,16 @@ def _cmd_hogg(args) -> int:
         },
         "matrix": matrix_to_json(rho_final),
     }
-    _emit(canonical_json(payload), args.out)
-    return EXIT_OK
+    return canonical_json(payload)
 
 
-def _cmd_plot(args) -> int:
-    system = load_system(args.system)
+def _cmd_plot(args, system: SpinSystem) -> str:
     rho = load_state(args.state, system)
     spectra = [
         readout.readout_spectrum(rho, spin, system, args.pulse)
         for spin in range(1, system.n_spins + 1)
     ]
-    _emit(readout.render_stick_svg(spectra), args.out)
-    return EXIT_OK
+    return readout.render_stick_svg(spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("tomo", _cmd_tomo, "simulate tomography and reconstruct")
     p.add_argument("--state", required=True, help="deviation matrix JSON file")
     p.add_argument("--noise", type=float, default=0.0, help="amplitude noise sigma")
-    p.add_argument("--seed", type=int, default=None, help="noise seed (default PPSIM_SEED)")
+    p.add_argument("--seed", type=int, default=None, help="noise seed")
 
     p = add("hogg", _cmd_hogg, "one-step 1-SAT search on a pseudo-pure state")
     p.add_argument("--formula", required=True, help="e.g. 'V1&V2' or '!V1&V2'")
@@ -382,14 +353,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = args.command
-        return args.fn(args)
+        _emit(args.fn(args, load_system(args.system)), args.out)
+        return EXIT_OK
     except NoSolutionError as exc:
         return _fail(EXIT_NO_SOLUTION, exc, command)
     except ContractError as exc:
         return _fail(EXIT_CONTRACT, exc, command)
-    except (ParseError, InputError) as exc:
-        return _fail(EXIT_INPUT, exc, command)
-    except PpsimError as exc:  # a subclass that slipped the net above
+    except PpsimError as exc:
         return _fail(EXIT_INPUT, exc, command)
 
 

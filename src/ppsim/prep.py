@@ -211,17 +211,12 @@ class _BatchedResidual:
 
 def _newton_steps(J: np.ndarray, r: np.ndarray):
     """Newton steps -J^-1 r for a stack; a singular J fails only its own row."""
-    try:
-        return np.linalg.solve(J, -r[..., None])[..., 0], np.ones(len(r), dtype=bool)
-    except np.linalg.LinAlgError:
-        steps = np.zeros_like(r)
-        solved = np.ones(len(r), dtype=bool)
-        for i in range(len(r)):
-            try:
-                steps[i] = np.linalg.solve(J[i], -r[i])
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return steps, solved
+    # slogdet and solve factor with the same LAPACK getrf, so the sign is 0
+    # exactly where solve would raise LinAlgError
+    solved = np.linalg.slogdet(J)[0] != 0
+    steps = np.zeros_like(r)
+    steps[solved] = np.linalg.solve(J[solved], -r[solved][..., None])[..., 0]
+    return steps, solved
 
 
 def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):

@@ -215,10 +215,12 @@ def simulate_measurements(
     noise_sigma times the largest thermal line amplitude (2 max |gamma|) is
     added to the real and imaginary part of each amplitude.  The seed used
     is recorded; when omitted, a fresh one is drawn so reruns can be
-    reproduced from the result.
+    reproduced from the result.  A given seed must be a nonnegative integer.
     """
     if not np.isfinite(noise_sigma) or noise_sigma < 0:
         raise InputError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     n = system.n_spins
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):

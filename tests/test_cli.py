@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ppsim as pp
+from ppsim import cli
 from ppsim.cli import canonical_json, main, matrix_from_json, matrix_to_json
 
 
@@ -135,27 +136,6 @@ def test_tomo_reports_error_and_seed(capsys, chloroform_state):
     assert data["settings_used"] == 9
 
 
-def test_tomo_seed_from_environment(capsys, chloroform_state, monkeypatch):
-    monkeypatch.setenv("PPSIM_SEED", "12")
-    _, out_env, _ = run_cli(
-        capsys,
-        "tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "0.01",
-    )
-    monkeypatch.delenv("PPSIM_SEED")
-    _, out_explicit, _ = run_cli(
-        capsys,
-        "tomo", "--system", "chloroform", "--state", chloroform_state,
-        "--noise", "0.01", "--seed", "12",
-    )
-    assert out_env == out_explicit
-    monkeypatch.setenv("PPSIM_SEED", "notanumber")
-    code, _, err = run_cli(
-        capsys,
-        "tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "0.01",
-    )
-    assert code == 1 and "PPSIM_SEED" in err
-
-
 def test_repeated_runs_are_byte_identical(capsys, chloroform_state):
     argv = (
         "tomo", "--system", "chloroform", "--state", chloroform_state,
@@ -208,6 +188,28 @@ def test_plot_emits_svg(capsys, chloroform_state, tmp_path):
     assert code == 0 and out == ""
     text = out_file.read_text()
     assert text.startswith("<svg") and "</svg>" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--target", "00"),
+    ("prepare", "--target", "00"),
+    ("run", "--program", "{program}"),
+    ("spectrum", "--state", "{state}", "--spin", "1"),
+    ("tomo", "--state", "{state}", "--noise", "0.01", "--seed", "3"),
+    ("hogg", "--formula", "V1&V2", "--state", "{state}"),
+    ("plot", "--state", "{state}"),
+], ids=lambda argv: argv[0])
+def test_out_file_holds_the_printed_bytes(capsys, chloroform_state, tmp_path, argv):
+    program = tmp_path / "prep.pp"
+    program.write_text("block { sel 3 4 x 127.13 ; sel 2 4 x 186.01 }\ncrush\n")
+    argv = [a.format(state=chloroform_state, program=program) for a in argv]
+    argv[1:1] = ["--system", "chloroform"]
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0 and printed
+    out_file = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 0 and out == ""
+    assert out_file.read_bytes() == printed.encode()
 
 
 def test_system_loading_from_file(capsys, tmp_path):
@@ -266,6 +268,8 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         ("solve", "--system", "chloroform", "--target", "00", "--grid", "400"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "nan"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "inf"),
+        ("tomo", "--system", "chloroform", "--state", chloroform_state,
+         "--noise", "0.1", "--seed", "-1"),
         ("spectrum", "--system", str(inf_j), "--state", chloroform_state, "--spin", "1"),
         # finite gammas whose thermal deviation overflows
         ("solve", "--system", str(huge_gamma), "--target", "00"),
@@ -327,3 +331,24 @@ def test_exit_code_for_contract_violations(capsys, tmp_path):
     assert code == 3
     payload = error_payload(err)
     assert payload["code"] == 3 and payload["context"]["command"] == "hogg"
+
+
+@pytest.mark.parametrize("error, code", [
+    (pp.InputError, 1),
+    (pp.errors.ParseError, 1),
+    (pp.errors.CompileError, 1),
+    (pp.NoSolutionError, 2),
+    (pp.ContractError, 3),
+    (pp.errors.NotPseudoPureError, 3),
+    (pp.errors.PpsimError, 1),
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_exit_code_for_each_error_class(capsys, monkeypatch, error, code):
+    def fail(name_or_path):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "load_system", fail)
+    exit_code, out, err = run_cli(capsys, "solve", "--system", "chloroform", "--target", "00")
+    assert exit_code == code and out == ""
+    payload = error_payload(err)
+    assert payload["code"] == code
+    assert payload["context"] == {"command": "solve", "error": error.__name__}

@@ -111,6 +111,11 @@ def test_readout_input_checks():
         pp.readout_spectrum(np.eye(4), 1, system, "x180")
     with pytest.raises(InputError):
         pp.readout_spectrum(np.eye(8), 1, system, "x90")
+    rho = pp.thermal_deviation(system)
+    for sigma in (0.0, 0.1):
+        for seed in (-1, 1.5, "7"):
+            with pytest.raises(InputError):
+                pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
 
 
 def test_tomography_settings_counts():
