@@ -10,6 +10,7 @@ identical output.  Matrices are nested arrays of [re, im] pairs.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,9 @@ import numpy as np
 from . import dsl, hogg, prep, readout
 from .core import (
     SpinSystem,
+    _json_numbers,
     bits_of,
+    flipped_spin,
     level_of,
     pure_part,
     thermal_deviation,
@@ -78,11 +81,8 @@ def matrix_to_json(M) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"malformed matrix: {exc}") from exc
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+    arr = _json_numbers(data, 3, "matrix")
+    if arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise InputError(f"matrix must be square with [re, im] entries, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
@@ -103,7 +103,7 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deep a nesting recurses
+    except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -172,7 +172,7 @@ def _cmd_solve(args, system: SpinSystem) -> str:
     )
     payload = {
         "target_level": target,
-        "steps": [[s.m, s.k, s.spin] for s in spec.steps],
+        "steps": [[s.m, s.k, flipped_spin(s.m, s.k, system.n_spins)] for s in spec.steps],
         "roots_deg": [list(r) for r in result.roots],
         "residual_norms": list(result.residual_norms),
         "starts_tried": result.starts_tried,
@@ -293,6 +293,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ppsim", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

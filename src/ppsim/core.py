@@ -38,16 +38,11 @@ class SpinSystem:
     """A static description of the spin ensemble.
 
     gamma: relative gyromagnetic ratio per spin (dimensionless, nonzero).
-    larmor_mhz: carrier frequency per spin, kept for the file format only
-        (no computation reads it).
     j_hz: symmetric scalar-coupling matrix with zero diagonal.
-    labels: optional per-spin names ("C", "H", ...).
     """
 
     gamma: tuple[float, ...]
-    larmor_mhz: tuple[float, ...] | None = None
     j_hz: tuple[tuple[float, ...], ...] | None = None
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
@@ -59,16 +54,6 @@ class SpinSystem:
         # thermal_deviation builds 2 * gamma_i * sigma_z(i)/2 and sums them
         if not np.isfinite(2 * sum(abs(g) for g in self.gamma)):
             raise InputError(f"gamma too large, the thermal deviation overflows: {self.gamma}")
-        if self.larmor_mhz is not None:
-            object.__setattr__(self, "larmor_mhz", tuple(float(v) for v in self.larmor_mhz))
-            if len(self.larmor_mhz) != n:
-                raise InputError("larmor_mhz length does not match gamma")
-            if not np.all(np.isfinite(self.larmor_mhz)):
-                raise InputError(f"larmor_mhz must be finite, got {self.larmor_mhz}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-            if len(self.labels) != n:
-                raise InputError("labels length does not match gamma")
         if self.j_hz is not None:
             j = tuple(tuple(float(v) for v in row) for row in self.j_hz)
             object.__setattr__(self, "j_hz", j)
@@ -91,37 +76,30 @@ class SpinSystem:
     def dim(self) -> int:
         return 2**self.n_spins
 
-    def label(self, i: int) -> str:
-        """Name of spin i (1-based), generated if none was given."""
-        if not 1 <= i <= self.n_spins:
-            raise InputError(f"spin index {i} out of range 1..{self.n_spins}")
-        return self.labels[i - 1] if self.labels else f"S{i}"
-
-    def to_dict(self) -> dict:
-        out: dict = {"gamma": list(self.gamma)}
-        if self.labels is not None:
-            out["labels"] = list(self.labels)
-        if self.larmor_mhz is not None:
-            out["larmor_mhz"] = list(self.larmor_mhz)
-        if self.j_hz is not None:
-            out["j_hz"] = [list(row) for row in self.j_hz]
-        return out
-
     @classmethod
     def from_dict(cls, data: dict) -> "SpinSystem":
+        """A system file's object: 'gamma' and optional 'j_hz'; other keys are ignored."""
         if not isinstance(data, dict) or "gamma" not in data:
             raise InputError("spin system JSON must be an object with a 'gamma' array")
-        try:
-            return cls(
-                gamma=tuple(data["gamma"]),
-                larmor_mhz=tuple(data["larmor_mhz"]) if data.get("larmor_mhz") is not None else None,
-                j_hz=tuple(tuple(r) for r in data["j_hz"]) if data.get("j_hz") is not None else None,
-                labels=tuple(data["labels"]) if data.get("labels") is not None else None,
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InputError):
-                raise
-            raise InputError(f"malformed spin system: {exc}") from exc
+        j_hz = data.get("j_hz")
+        return cls(
+            gamma=tuple(_json_numbers(data["gamma"], 1, "gamma")),
+            j_hz=None if j_hz is None else tuple(map(tuple, _json_numbers(j_hz, 2, "j_hz"))),
+        )
+
+
+def _json_numbers(value, ndim: int, what: str) -> np.ndarray:
+    """A float array from JSON arrays nested ndim deep whose leaves are JSON numbers.
+
+    Bools and strings are not numbers here, although float() would take them.
+    """
+    arr = np.asarray(value, dtype=object) if isinstance(value, list) else None
+    if arr is None or arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
+        raise InputError(f"malformed {what}: expected numbers in JSON arrays nested {ndim} deep")
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise InputError(f"{what} holds a number beyond the float range") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,13 @@ MAX_GRID_STARTS = 10**5
 class CascadeStep(NamedTuple):
     m: int
     k: int
-    spin: int
 
 
 @dataclass(frozen=True)
 class CascadeSpec:
     """Single-quantum transitions joining the non-target levels in a tree.
 
-    Checked when built: 2**n - 2 steps, each flipping the spin it names,
+    Checked when built: 2**n - 2 steps, each flipping exactly one spin,
     none touching the target and none closing a cycle, so the steps span
     every non-target level.  On those levels any such tree gives a real
     symmetric x-pulse generator, and a diagonal +-1 similarity flips the
@@ -76,8 +75,7 @@ class CascadeSpec:
             return lev
 
         for step in self.steps:
-            if flipped_spin(step.m, step.k, n) != step.spin:
-                raise InputError(f"step {step} labels the wrong spin")
+            flipped_spin(step.m, step.k, n)  # raises unless a resolvable line
             if self.target in (step.m, step.k):
                 raise InputError(f"step {step} touches the target level")
             a, b = root(step.m), root(step.k)
@@ -115,10 +113,10 @@ def default_cascade(n_spins: int, target: int) -> CascadeSpec:
     usual tabulated 2-spin routes for all four targets.
     """
     path = _target1_path(n_spins)
-    steps = [CascadeStep(m, k, flipped_spin(m, k, n_spins)) for m, k in zip(path, path[1:])]
+    steps = [CascadeStep(m, k) for m, k in zip(path, path[1:])]
     if target != 1:
-        relabel = lambda lev: ((lev - 1) ^ (target - 1)) + 1
-        steps = [CascadeStep(relabel(s.k), relabel(s.m), s.spin) for s in reversed(steps)]
+        flip_bits = lambda lev: ((lev - 1) ^ (target - 1)) + 1
+        steps = [CascadeStep(flip_bits(s.k), flip_bits(s.m)) for s in reversed(steps)]
     return CascadeSpec(target=target, steps=tuple(steps), n_spins=n_spins)
 
 

@@ -2,45 +2,19 @@
 
 Gyromagnetic ratios are relative to 13C (so carbon is 1.4048 only when
 quoted in the raw 1e7 rad/(s T) units used here; what matters downstream
-are ratios and signs).  Larmor frequencies correspond to an 11.7 T magnet.
+are ratios and signs).
 """
 
 from .errors import InputError
 from .core import SpinSystem
 
-_CHLOROFORM = SpinSystem(
-    labels=("C", "H"),
-    gamma=(1.4048, 5.5857),
-    larmor_mhz=(125.77, 500.13),
-    j_hz=((0.0, 214.95), (214.95, 0.0)),
-)
-
-_HOMONUCLEAR_2 = SpinSystem(
-    labels=("A", "B"),
-    gamma=(1.0, 1.0),
-    larmor_mhz=None,
-    j_hz=None,
-)
-
-_HOMONUCLEAR_3 = SpinSystem(
-    labels=("A", "B", "C"),
-    gamma=(1.0, 1.0, 1.0),
-    larmor_mhz=None,
-    j_hz=None,
-)
-
-_HETERO_3 = SpinSystem(
-    labels=("C1", "C2", "H"),
-    gamma=(1.4048, 1.4048, 5.5857),
-    larmor_mhz=(125.77, 125.77, 500.13),
-    j_hz=None,
-)
-
 PRESETS: dict[str, SpinSystem] = {
-    "chloroform": _CHLOROFORM,
-    "homonuclear-2": _HOMONUCLEAR_2,
-    "homonuclear-3": _HOMONUCLEAR_3,
-    "hetero-3": _HETERO_3,
+    # spins 13C, 1H
+    "chloroform": SpinSystem(gamma=(1.4048, 5.5857), j_hz=((0.0, 214.95), (214.95, 0.0))),
+    "homonuclear-2": SpinSystem(gamma=(1.0, 1.0)),
+    "homonuclear-3": SpinSystem(gamma=(1.0, 1.0, 1.0)),
+    # spins 13C, 13C, 1H
+    "hetero-3": SpinSystem(gamma=(1.4048, 1.4048, 5.5857)),
 }
 
 

@@ -55,7 +55,6 @@ class StickSpectrum:
 
 class Measurement(NamedTuple):
     setting: tuple[str, ...]
-    spin: int
     transition: tuple[int, int]
     amplitude: complex
 
@@ -226,21 +225,19 @@ def simulate_measurements(
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
     lines = [
-        (setting, spin, t)
+        (setting, t)
         for setting in tomography_settings(n)
         for spin in range(1, n + 1)
         for t in transitions_of_spin(spin, n)
     ]
-    amps = _line_amplitudes(rho, [(setting, t) for setting, _, t in lines], n)
+    amps = _line_amplitudes(rho, lines, n)
     if noise_sigma > 0:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % 2**32
         # one (real, imag) pair per line, drawn in record order
         z = np.random.default_rng(seed).standard_normal((len(lines), 2))
         amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
-    records = tuple(
-        Measurement(setting, spin, t, complex(a)) for (setting, spin, t), a in zip(lines, amps)
-    )
+    records = tuple(Measurement(setting, t, complex(a)) for (setting, t), a in zip(lines, amps))
     return MeasurementSet(records, float(noise_sigma), seed)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ppsim as pp
@@ -19,12 +19,12 @@ REFERENCE_ANGLES_3SPIN = {
 #: A 3-spin target-1 cascade that is a spanning tree but not a path: level 4
 #: has three neighbours.
 TREE_3_STEPS = (
-    CascadeStep(4, 2, 2),
-    CascadeStep(4, 3, 3),
-    CascadeStep(4, 8, 1),
-    CascadeStep(8, 6, 2),
-    CascadeStep(8, 7, 3),
-    CascadeStep(6, 5, 3),
+    CascadeStep(4, 2),
+    CascadeStep(4, 3),
+    CascadeStep(4, 8),
+    CascadeStep(8, 6),
+    CascadeStep(8, 7),
+    CascadeStep(6, 5),
 )
 
 
@@ -55,7 +55,7 @@ def spread_of(residual_vec):
 )
 def test_default_cascade_two_spins(target, steps):
     spec = pp.default_cascade(2, target)
-    assert tuple((s.m, s.k, s.spin) for s in spec.steps) == steps
+    assert tuple((s.m, s.k, pp.flipped_spin(s.m, s.k, 2)) for s in spec.steps) == steps
 
 
 def test_default_cascade_three_spins_target_one():
@@ -78,21 +78,17 @@ def test_default_cascade_range_checks():
 
 
 def test_cascade_spec_rejects_non_trees():
-    def steps_of(*mk):
-        return tuple(CascadeStep(m, k, 2 - (((m - 1) ^ (k - 1)) // 2)) for m, k in mk)
-
     # a six-cycle over levels 2..7 of a 3-spin system, leaving level 8 out
-    ring = ((2, 4, 2), (4, 3, 3), (3, 7, 1), (7, 5, 2), (5, 6, 3), (6, 2, 1))
+    ring = ((2, 4), (4, 3), (3, 7), (7, 5), (5, 6), (6, 2))
     cases = [
-        ("not a resolvable line", 1, ((3, 2, 1), (2, 4, 1)), 2),
-        ("not a resolvable line", 1, ((1, 4, 1), (4, 2, 1)), 2),
-        ("touches the target", 4, steps_of((3, 4), (4, 2)), 2),
-        ("closes a cycle", 1, steps_of((3, 4), (4, 3)), 2),
-        ("expected 2 steps", 1, steps_of((3, 4)), 2),
-        ("out of range", 1, ((3, 4, 2), (4, 6, 1)), 2),
-        ("wrong spin", 1, ((3, 4, 1), (4, 2, 1)), 2),
+        ("not a resolvable line", 1, ((3, 2), (2, 4)), 2),
+        ("not a resolvable line", 1, ((1, 4), (4, 2)), 2),
+        ("touches the target", 4, ((3, 4), (4, 2)), 2),
+        ("closes a cycle", 1, ((3, 4), (4, 3)), 2),
+        ("expected 2 steps", 1, ((3, 4),), 2),
+        ("out of range", 1, ((3, 4), (4, 6)), 2),
         ("closes a cycle", 1, ring, 3),
-        ("out of range", 5, steps_of((3, 4), (4, 2)), 2),
+        ("out of range", 5, ((3, 4), (4, 2)), 2),
         ("at least two spins", 1, (), 1),
     ]
     for problem, target, steps, n in cases:
@@ -274,6 +270,27 @@ def test_signal_equals_temporal_averaging(case):
     part = pp.pure_part(rho)
     assert part.target == target
     assert part.pure_coeff == pytest.approx(system.dim / (system.dim - 1) * d_t, rel=0, abs=1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.floats(0.2, 10.0), min_size=2, max_size=2),
+    st.lists(st.sampled_from([-1.0, 1.0]), min_size=2, max_size=2),
+    st.integers(1, 4),
+)
+def test_every_root_prepares_a_pseudo_pure_state(magnitudes, signs, target):
+    # a zero residual equalizes the non-target populations, so every root the
+    # solver reports must pass pure_part with the temporal-averaging signal
+    system = pp.SpinSystem(gamma=tuple(g * s for g, s in zip(magnitudes, signs)))
+    d = np.real(np.diagonal(pp.thermal_deviation(system)))
+    scale = np.max(np.abs(d))
+    assume(abs(d[target - 1]) >= 0.1 * scale)
+    result = pp.solve_angles(system, pp.default_cascade(2, target))
+    for root in result.roots:
+        rho, _ = pp.prepare_pseudo_pure(system, target, angles_deg=root)
+        part = pp.pure_part(rho)
+        assert part.target == target
+        assert abs(part.pure_coeff - 4 / 3 * d[target - 1]) <= 1e-9 * scale
 
 
 def test_solver_finds_heteronuclear_root():

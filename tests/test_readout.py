@@ -141,7 +141,8 @@ def test_noiseless_measurements_match_spectra():
         if all(p == "none" for p in rec.setting):
             assert rec.amplitude == 0
     one_spin = [
-        r for r in measured.records if r.setting == ("x90", "none") and r.spin == 1
+        r for r in measured.records
+        if r.setting == ("x90", "none") and pp.flipped_spin(*r.transition, 2) == 1
     ]
     spectrum = pp.readout_spectrum(rho, 1, system, "x90")
     for rec, line in zip(one_spin, spectrum.lines):
