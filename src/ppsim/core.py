@@ -230,12 +230,12 @@ def expm_unitary(hermitian: np.ndarray) -> np.ndarray:
 
 
 def evolve(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Conjugate a state, or a stack of states, by a propagator: rho -> U rho U+."""
+    """Conjugate rho -> U rho U+; states and propagators may be stacks, broadcast as in matmul."""
     rho = np.asarray(rho, dtype=complex)
     U = np.asarray(U, dtype=complex)
-    if U.ndim != 2 or U.shape[0] != U.shape[1] or rho.shape[-2:] != U.shape:
+    if U.ndim < 2 or U.shape[-1] != U.shape[-2] or rho.shape[-2:] != U.shape[-2:]:
         raise InputError(f"shape mismatch: state {rho.shape} vs propagator {U.shape}")
-    return U @ rho @ U.conj().T
+    return U @ rho @ U.conj().swapaxes(-1, -2)
 
 
 def coherence_order(j: int, k: int, n_spins: int) -> int:

@@ -13,12 +13,17 @@ least squares over every per-spin combination of {none, x90, y90} pulses.
 
 The fixed parts of that chain are built once and cached as read-only
 arrays: the propagator of each readout setting, the product-operator basis
-of each register size, and one SVD of each measurement protocol's design.
-A reconstruction is then a few matrix-vector products.
+of each register size, the plan of each list of records (their settings'
+stacked propagators and gather indices) and one SVD of each protocol's
+design.  Simulated records are one batched conjugation and one gather, and
+a reconstruction is a few matrix-vector products.
 """
 
 import functools
 import itertools
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,8 +42,16 @@ MAX_TOMOGRAPHY_SPINS = 4
 # 4 spins take 1.1 MB together.  A protocol of R records on n spins takes
 # at most 8*(2R + 4**n)*(4**n - 1) bytes: 0.36 MB for the full 3-spin
 # protocol, 11 MB for the full 4-spin one, so 44 MB for four of those.
+# A plan of R records over S settings takes 16*S*4**n bytes of propagators
+# and about 100*R bytes of indices and keys: 0.6 MB for the full 4-spin
+# protocol (the full plan of each register size is kept), or 16 MB for 16
+# one-setting 8-spin spectra.  _line_amplitudes conjugates as many states
+# at once as keep a block within _CONJUGATION_BLOCK matrices, and at least
+# one (a 1 MB block for the 4-spin design).
 _PROPAGATOR_CACHE = 3 + 9 + 27 + 81
 _PROTOCOL_CACHE = 4
+_PLAN_CACHE = 16
+_CONJUGATION_BLOCK = 256
 
 
 class SpectralLine(NamedTuple):
@@ -78,6 +91,17 @@ class TomographyResult:
     max_rel_error: float | None = None
 
 
+class _Plan(NamedTuple):
+    """The state-independent part of reading out records keyed (setting, (m, k))."""
+
+    settings: tuple[tuple[str, ...], ...]
+    transitions: tuple[tuple[int, int], ...]
+    propagators: np.ndarray  # one per distinct setting, in order of first use
+    which: np.ndarray  # each record's index into propagators
+    row: np.ndarray  # k - 1
+    col: np.ndarray  # m - 1
+
+
 class _Protocol(NamedTuple):
     """Thin SVD factors of one protocol's design A = U diag(s) Vt.
 
@@ -96,6 +120,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _in_range(value, types, hi) -> bool:
+    # isinstance(True, int) holds, but a flag is not a count or a scale
+    return isinstance(value, types) and not isinstance(value, bool) and 0 <= value <= hi
+
+
 def _check_tomography_size(n_spins: int) -> None:
     if not 1 <= n_spins <= MAX_TOMOGRAPHY_SPINS:
         raise InputError(
@@ -111,11 +140,7 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
     if not 1 <= spin <= n_spins:
         raise InputError(f"spin index {spin} out of range 1..{n_spins}")
     stride = 2 ** (n_spins - spin)
-    out = []
-    for m0 in range(2**n_spins):
-        if not m0 & stride:
-            out.append((m0 + 1, m0 + stride + 1))
-    return out
+    return [(m0 + 1, m0 + stride + 1) for m0 in range(2**n_spins) if not m0 & stride]
 
 
 def setting_unitary(setting, n_spins: int) -> np.ndarray:
@@ -141,25 +166,33 @@ def _propagator(setting: tuple[str, ...], n_spins: int) -> np.ndarray:
     return _read_only(expm_unitary(H))
 
 
-def _line_amplitudes(states, keys, n_spins: int) -> np.ndarray:
-    """Line amplitudes 2 (U rho U+)[k-1, m-1], one per (setting, (m, k)) key.
-
-    states is one density matrix or a stack of them; the key axis is
-    appended last.  Each distinct setting's state is evolved once.
-    """
+@functools.lru_cache(maxsize=_PLAN_CACHE)
+def _plan(n_spins: int, keys: tuple) -> _Plan:
     dim = 2**n_spins
-    m, k = np.array([t for _, t in keys], dtype=int).reshape(-1, 2).T
+    settings, transitions = zip(*keys)
+    m, k = np.array(transitions, dtype=int).reshape(-1, 2).T
     if np.any((m < 1) | (m > dim) | (k < 1) | (k > dim)):
         raise InputError(f"transition levels must lie in 1..{dim}")
     index: dict[tuple[str, ...], int] = {}
-    which = np.array([index.setdefault(tuple(s), len(index)) for s, _ in keys], dtype=int)
+    which = np.array([index.setdefault(s, len(index)) for s in settings], dtype=int)
+    propagators = np.array([setting_unitary(s, n_spins) for s in index])
+    return _Plan(settings, transitions, *map(_read_only, (propagators, which, k - 1, m - 1)))
+
+
+def _line_amplitudes(states, plan: _Plan) -> np.ndarray:
+    """Line amplitudes 2 (U rho U+)[k-1, m-1], one per record of the plan.
+
+    states is one density matrix or a stack of them; the record axis is
+    appended last.  A block of states is conjugated by every setting at once.
+    """
     states = np.asarray(states, dtype=complex)
-    out = np.empty(states.shape[:-2] + (len(keys),), dtype=complex)
-    for setting, j in index.items():
-        idx = which == j
-        after = evolve(states, setting_unitary(setting, n_spins))
-        out[..., idx] = 2 * after[..., k[idx] - 1, m[idx] - 1]
-    return out
+    flat = states.reshape(-1, 1, *states.shape[-2:])
+    step = max(1, _CONJUGATION_BLOCK // len(plan.propagators))
+    out = np.empty((len(flat), len(plan.which)), dtype=complex)
+    for i in range(0, len(flat), step):
+        after = evolve(flat[i:i + step], plan.propagators)
+        out[i:i + step] = 2 * after[:, plan.which, plan.row, plan.col]
+    return out.reshape(states.shape[:-2] + plan.which.shape)
 
 
 def _line_freqs(spin: int, system: SpinSystem) -> dict[tuple[int, int], float] | None:
@@ -188,7 +221,7 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
     transitions = transitions_of_spin(spin, n)
-    amps = _line_amplitudes(rho, [(setting, t) for t in transitions], n)
+    amps = _line_amplitudes(rho, _plan(n, tuple((setting, t) for t in transitions)))
     freqs = _line_freqs(spin, system)
     lines = tuple(
         SpectralLine(freqs[t] if freqs else None, complex(a), t) for t, a in zip(transitions, amps)
@@ -200,6 +233,13 @@ def tomography_settings(n_spins: int) -> list[tuple[str, ...]]:
     """Every per-spin combination of readout pulses, 3**n settings, n <= 4."""
     _check_tomography_size(n_spins)
     return list(itertools.product(READOUT_PULSES, repeat=n_spins))
+
+
+@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
+def _tomography_plan(n_spins: int) -> _Plan:
+    # records run over settings, then spins, then transitions
+    lines = [t for spin in range(1, n_spins + 1) for t in transitions_of_spin(spin, n_spins)]
+    return _plan(n_spins, tuple((s, t) for s in tomography_settings(n_spins) for t in lines))
 
 
 def simulate_measurements(
@@ -216,28 +256,22 @@ def simulate_measurements(
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.  A given seed must be a nonnegative integer.
     """
-    if not np.isfinite(noise_sigma) or noise_sigma < 0:
-        raise InputError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
-    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
+        raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
+    if seed is not None and not _in_range(seed, (int, np.integer), math.inf):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    n = system.n_spins
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
-    lines = [
-        (setting, t)
-        for setting in tomography_settings(n)
-        for spin in range(1, n + 1)
-        for t in transitions_of_spin(spin, n)
-    ]
-    amps = _line_amplitudes(rho, lines, n)
+    plan = _tomography_plan(system.n_spins)
+    amps = _line_amplitudes(rho, plan)
     if noise_sigma > 0:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % 2**32
         # one (real, imag) pair per line, drawn in record order
-        z = np.random.default_rng(seed).standard_normal((len(lines), 2))
+        z = np.random.default_rng(seed).standard_normal((len(amps), 2))
         amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
-    records = tuple(Measurement(setting, t, complex(a)) for (setting, t), a in zip(lines, amps))
+    records = tuple(map(Measurement, plan.settings, plan.transitions, amps.tolist()))
     return MeasurementSet(records, float(noise_sigma), seed)
 
 
@@ -255,15 +289,9 @@ def basis_operators(n_spins: int) -> list[np.ndarray]:
 @functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
 def _basis(n_spins: int) -> np.ndarray:
     _check_tomography_size(n_spins)
-    eye = np.eye(2, dtype=complex)
-    ops = []
-    for combo in itertools.product("ixyz", repeat=n_spins):
-        if all(c == "i" for c in combo):
-            continue
-        op = np.array([[1]], dtype=complex)
-        for c in combo:
-            op = np.kron(op, eye if c == "i" else PAULI[c])
-        ops.append(op)
+    factors = {"i": np.eye(2, dtype=complex), **PAULI}
+    combos = list(itertools.product("ixyz", repeat=n_spins))[1:]  # all but the identity
+    ops = [functools.reduce(np.kron, [factors[c] for c in combo]) for combo in combos]
     return _read_only(np.array(ops))
 
 
@@ -275,7 +303,7 @@ def _protocol(n_spins: int, keys: tuple) -> _Protocol:
     linear functional of the deviation matrix's coordinates; real parts and
     imaginary parts give two rows per record.  The rank cut is lstsq's.
     """
-    A = _line_amplitudes(_basis(n_spins), keys, n_spins)
+    A = _line_amplitudes(_basis(n_spins), _plan(n_spins, keys))
     design = np.concatenate((A.real, A.imag), axis=1).T
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))

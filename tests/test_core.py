@@ -163,8 +163,17 @@ def test_evolve_preserves_trace_and_hermiticity():
         out = pp.evolve(rho, U)
         assert abs(np.trace(out) - np.trace(rho)) < 1e-12
         assert is_hermitian(out, tol=1e-12)
-    with pytest.raises(InputError):
-        pp.evolve(np.eye(4), np.eye(2))
+    # a stack of propagators conjugates each state by each propagator
+    rhos = np.array([random_hermitian(rng, 4, scale=3.0) for _ in range(2)])
+    Us = np.array([pp.expm_unitary(random_hermitian(rng, 4, scale=2.0)) for _ in range(3)])
+    out = pp.evolve(rhos[:, None], Us)
+    assert out.shape == (2, 3, 4, 4)
+    for i, rho in enumerate(rhos):
+        for j, U in enumerate(Us):
+            np.testing.assert_array_equal(out[i, j], pp.evolve(rho, U))
+    for bad in (np.eye(2), np.ones(4), np.ones((3, 4, 2))):
+        with pytest.raises(InputError):
+            pp.evolve(np.eye(4), bad)
 
 
 def test_two_level_rotation_closed_form():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import ppsim as pp
 from ppsim.errors import ContractError, InputError
-from ppsim.readout import basis_operators, render_stick_svg, setting_unitary
+from ppsim.readout import _tomography_plan, basis_operators, render_stick_svg, setting_unitary
 
 
 def random_deviation(rng, n_spins):
@@ -113,9 +115,12 @@ def test_readout_input_checks():
         pp.readout_spectrum(np.eye(8), 1, system, "x90")
     rho = pp.thermal_deviation(system)
     for sigma in (0.0, 0.1):
-        for seed in (-1, 1.5, "7"):
+        for seed in (-1, 1.5, "7", True, False):
             with pytest.raises(InputError):
                 pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
+    for sigma in ("0.1", True, False, 0.1j, None, 10**400):
+        with pytest.raises(InputError):
+            pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=7)
 
 
 def test_tomography_settings_counts():
@@ -178,6 +183,29 @@ def test_seeded_noise_is_pinned():
     }
     for i, amp in pinned.items():
         assert records[i].amplitude == pytest.approx(amp, rel=1e-12, abs=1e-15)
+
+
+def test_records_match_an_independent_forward_model():
+    # 2 (U rho U+)[k-1, m-1] with U built from spin operators, not the cached stack
+    for n, system in SYSTEMS_BY_SIZE.items():
+        rho = random_deviation(np.random.default_rng(100 + n), n)
+        records = pp.simulate_measurements(rho, system).records
+        keys = []
+        for setting in itertools.product(("none", "x90", "y90"), repeat=n):
+            H = sum(
+                ((np.pi / 2) * pp.spin_op(i, pulse[0], n)
+                 for i, pulse in enumerate(setting, start=1) if pulse != "none"),
+                np.zeros((2**n, 2**n)),
+            )
+            U = pp.expm_unitary(H)
+            after = U @ rho @ U.conj().T
+            for spin in range(1, n + 1):
+                for m, k in pp.transitions_of_spin(spin, n):
+                    keys.append((setting, (m, k), 2 * after[k - 1, m - 1]))
+        assert [(r.setting, r.transition) for r in records] == [key[:2] for key in keys]
+        got = np.array([r.amplitude for r in records])
+        want = np.array([key[2] for key in keys])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_measurements_are_linear_in_the_state():
@@ -243,7 +271,25 @@ def test_cached_arrays_are_read_only():
     for cached in (basis_operators(2)[14], setting_unitary(("x90", "none"), 2)):
         with pytest.raises(ValueError):
             cached[0, 0] = 7.0
+    plan = _tomography_plan(2)
+    for cached in (plan.propagators, plan.which, plan.row, plan.col):
+        with pytest.raises(ValueError):
+            cached[0] = 1
     assert pp.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
+    assert pp.simulate_measurements(rho, system) == measured
+
+
+def test_shuffled_records_reconstruct():
+    # records in any order go through the keyed design, not the cached readout order
+    for n in (2, 3):
+        system = SYSTEMS_BY_SIZE[n]
+        rng = np.random.default_rng(43 + n)
+        rho = random_deviation(rng, n)
+        records = list(pp.simulate_measurements(rho, system).records)
+        rng.shuffle(records)
+        result = pp.reconstruct(pp.MeasurementSet(tuple(records), 0.0, None), system, reference=rho)
+        assert result.max_rel_error < 1e-12
+        assert result.settings_used == 3**n
 
 
 def test_reconstruct_matches_an_independent_lstsq():
