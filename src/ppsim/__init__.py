@@ -21,7 +21,6 @@ from .core import (
     generator,
     level_of,
     max_rel_error,
-    projector,
     pure_part,
     spin_op,
     thermal_deviation,

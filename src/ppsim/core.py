@@ -161,14 +161,6 @@ def spin_op(i: int, axis: str, n_spins: int) -> np.ndarray:
     return np.kron(op, np.eye(2 ** (n_spins - i), dtype=complex))
 
 
-def projector(i: int, sign: str, n_spins: int) -> np.ndarray:
-    """Projector onto spin i up ('+', bit 0) or down ('-', bit 1)."""
-    if sign not in ("+", "-"):
-        raise InputError(f"sign must be '+' or '-', got {sign!r}")
-    s = 1.0 if sign == "+" else -1.0
-    return 0.5 * (np.eye(2**n_spins, dtype=complex) + 2 * s * spin_op(i, "z", n_spins))
-
-
 def transition_op(m: int, k: int, axis: str, n_spins: int) -> np.ndarray:
     """Single-transition operator acting only in the two-level subspace (m, k).
 
@@ -319,10 +311,3 @@ def is_hermitian(A: np.ndarray, tol: float = 1e-12) -> bool:
     return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(
         np.max(np.abs(A - A.conj().T)) <= tol
     )
-
-
-def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:
-    U = np.asarray(U)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        return False
-    return bool(np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) <= tol)

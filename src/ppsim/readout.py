@@ -11,12 +11,12 @@ Spectra and measurements apply it to the state; tomography applies it to
 the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
 
-The fixed parts of that chain are built once and cached as read-only
-arrays: the propagator of each readout setting, the product-operator basis
-of each register size, the plan of each list of records (their settings'
-stacked propagators and gather indices) and one SVD of each protocol's
-design.  Simulated records are one batched conjugation and one gather, and
-a reconstruction is a few matrix-vector products.
+The fixed parts are built once and cached as read-only arrays: each
+setting's propagator, each register size's basis and one protocol per
+list of records keyed (setting, transition).  A protocol stacks its
+settings' propagators and gather indices, and factors its design by SVD
+only when first reconstructed.  A MeasurementSet is its protocol and one
+amplitude per record, so a reconstruction looks nothing up.
 """
 
 import functools
@@ -39,18 +39,19 @@ MAX_TOMOGRAPHY_SPINS = 4
 # Cache sizes, in entries.  A propagator takes 16*4**n bytes; 120 entries
 # hold every tomography setting of 1 to 4 spins (0.36 MB), or 120 MiB if
 # all of them are 8-spin propagators (the CLI's cap).  The bases of 1 to
-# 4 spins take 1.1 MB together.  A protocol of R records on n spins takes
-# at most 8*(2R + 4**n)*(4**n - 1) bytes: 0.36 MB for the full 3-spin
-# protocol, 11 MB for the full 4-spin one, so 44 MB for four of those.
-# A plan of R records over S settings takes 16*S*4**n bytes of propagators
-# and about 100*R bytes of indices and keys: 0.6 MB for the full 4-spin
-# protocol (the full plan of each register size is kept), or 16 MB for 16
-# one-setting 8-spin spectra.  _line_amplitudes conjugates as many states
-# at once as keep a block within _CONJUGATION_BLOCK matrices, and at least
-# one (a 1 MB block for the 4-spin design).
+# 4 spins take 1.1 MB together.  A protocol of R records over S settings
+# on n spins takes 16*S*4**n bytes of propagators and about 100*R bytes of
+# indices and keys, plus 8*(2R + 4**n)*(4**n - 1) bytes of SVD factors
+# once reconstructed (only n <= 4 is): 0.4 MB for the full 3-spin protocol
+# and 11.6 MB for the full 4-spin one.  The full protocols of 1 to 4 spins
+# are also kept apart from the LRU, 12 MB together.  A spectrum is one
+# setting, so 16 spectra take at most 16 MB (8 spins); the worst case, 16
+# reconstructed caller-built 4-spin record lists of full length, is 186 MB.
+# _line_amplitudes conjugates as many states at once as keep a block
+# within _CONJUGATION_BLOCK matrices, and at least one (a 1 MB block for
+# the 4-spin design).
 _PROPAGATOR_CACHE = 3 + 9 + 27 + 81
-_PROTOCOL_CACHE = 4
-_PLAN_CACHE = 16
+_PROTOCOL_CACHE = 16
 _CONJUGATION_BLOCK = 256
 
 
@@ -72,13 +73,6 @@ class Measurement(NamedTuple):
     amplitude: complex
 
 
-@dataclass(frozen=True)
-class MeasurementSet:
-    records: tuple[Measurement, ...]
-    noise_sigma: float
-    seed: int | None
-
-
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
     """A reconstruction; rank and condition_number describe the design."""
@@ -89,30 +83,6 @@ class TomographyResult:
     rank: int
     condition_number: float
     max_rel_error: float | None = None
-
-
-class _Plan(NamedTuple):
-    """The state-independent part of reading out records keyed (setting, (m, k))."""
-
-    settings: tuple[tuple[str, ...], ...]
-    transitions: tuple[tuple[int, int], ...]
-    propagators: np.ndarray  # one per distinct setting, in order of first use
-    which: np.ndarray  # each record's index into propagators
-    row: np.ndarray  # k - 1
-    col: np.ndarray  # m - 1
-
-
-class _Protocol(NamedTuple):
-    """Thin SVD factors of one protocol's design A = U diag(s) Vt.
-
-    u is U and w is Vt.T / s, both cut to the numerical rank, so the least
-    squares solution is w @ (u.T @ y).
-    """
-
-    u: np.ndarray
-    w: np.ndarray
-    rank: int
-    condition_number: float
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -166,33 +136,92 @@ def _propagator(setting: tuple[str, ...], n_spins: int) -> np.ndarray:
     return _read_only(expm_unitary(H))
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE)
-def _plan(n_spins: int, keys: tuple) -> _Plan:
-    dim = 2**n_spins
-    settings, transitions = zip(*keys)
-    m, k = np.array(transitions, dtype=int).reshape(-1, 2).T
-    if np.any((m < 1) | (m > dim) | (k < 1) | (k > dim)):
-        raise InputError(f"transition levels must lie in 1..{dim}")
-    index: dict[tuple[str, ...], int] = {}
-    which = np.array([index.setdefault(s, len(index)) for s in settings], dtype=int)
-    propagators = np.array([setting_unitary(s, n_spins) for s in index])
-    return _Plan(settings, transitions, *map(_read_only, (propagators, which, k - 1, m - 1)))
+class _Protocol:
+    """The state-independent part of reading out records keyed (setting, (m, k)).
+
+    Cached per key list; compares by identity.
+    """
+
+    def __init__(self, n_spins: int, keys: tuple):
+        dim = 2**n_spins
+        self.n_spins = n_spins
+        self.settings, self.transitions = zip(*keys)
+        m, k = np.array(self.transitions, dtype=int).reshape(-1, 2).T
+        if np.any((m < 1) | (m > dim) | (k < 1) | (k > dim)):
+            raise InputError(f"transition levels must lie in 1..{dim}")
+        index: dict[tuple[str, ...], int] = {}
+        which = np.array([index.setdefault(s, len(index)) for s in self.settings], dtype=int)
+        # one propagator per distinct setting, in order of first use; each
+        # record reads the coherence [k - 1, m - 1] after propagator which
+        propagators = np.array([setting_unitary(s, n_spins) for s in index])
+        self.row, self.col = _read_only(k - 1), _read_only(m - 1)
+        self.propagators, self.which = _read_only(propagators), _read_only(which)
+
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """Thin SVD factors (u, w, rank, condition_number) of the design A.
+
+        Each record's amplitude applied to the basis gives two rows of A, its
+        real and imaginary parts.  With A = U diag(s) Vt, u is U and w is
+        Vt.T / s, both cut to lstsq's rank, so lstsq(A, y) = w @ (u.T @ y).
+        """
+        A = _line_amplitudes(_basis(self.n_spins), self)
+        design = np.concatenate((A.real, A.imag), axis=1).T
+        u, s, vt = np.linalg.svd(design, full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
+        w = vt[:rank].T / s[:rank]
+        return _read_only(u[:, :rank]), _read_only(w), rank, float(s[0] / s[rank - 1])
 
 
-def _line_amplitudes(states, plan: _Plan) -> np.ndarray:
-    """Line amplitudes 2 (U rho U+)[k-1, m-1], one per record of the plan.
+_protocol = functools.lru_cache(maxsize=_PROTOCOL_CACHE)(_Protocol)
+
+
+@dataclass(frozen=True)
+class MeasurementSet:
+    """Line amplitudes, amplitudes[i] of the protocol's record i, as columns."""
+
+    protocol: _Protocol
+    amplitudes: tuple[complex, ...]
+    noise_sigma: float
+    seed: int | None
+
+    @classmethod
+    def from_records(cls, records, noise_sigma: float = 0.0, seed: int | None = None) -> "MeasurementSet":
+        """Records (setting, transition, amplitude) in any order, on len(setting) spins.
+
+        Equal keys in equal order share one cached protocol and its design.
+        Raises InputError on no records, more spins than tomography takes, a
+        bad setting or a transition level out of range.
+        """
+        records = tuple(records)
+        if not records:
+            raise InputError("no measurements to reconstruct from")
+        keys = tuple((tuple(rec.setting), tuple(rec.transition)) for rec in records)
+        n_spins = len(keys[0][0])
+        _check_tomography_size(n_spins)
+        amplitudes = tuple(complex(rec.amplitude) for rec in records)
+        return cls(_protocol(n_spins, keys), amplitudes, noise_sigma, seed)
+
+    @property
+    def records(self) -> tuple[Measurement, ...]:
+        p = self.protocol
+        return tuple(map(Measurement, p.settings, p.transitions, self.amplitudes))
+
+
+def _line_amplitudes(states, protocol: _Protocol) -> np.ndarray:
+    """Line amplitudes 2 (U rho U+)[k-1, m-1], one per record of the protocol.
 
     states is one density matrix or a stack of them; the record axis is
     appended last.  A block of states is conjugated by every setting at once.
     """
     states = np.asarray(states, dtype=complex)
     flat = states.reshape(-1, 1, *states.shape[-2:])
-    step = max(1, _CONJUGATION_BLOCK // len(plan.propagators))
-    out = np.empty((len(flat), len(plan.which)), dtype=complex)
+    step = max(1, _CONJUGATION_BLOCK // len(protocol.propagators))
+    out = np.empty((len(flat), len(protocol.which)), dtype=complex)
     for i in range(0, len(flat), step):
-        after = evolve(flat[i:i + step], plan.propagators)
-        out[i:i + step] = 2 * after[:, plan.which, plan.row, plan.col]
-    return out.reshape(states.shape[:-2] + plan.which.shape)
+        after = evolve(flat[i:i + step], protocol.propagators)
+        out[i:i + step] = 2 * after[:, protocol.which, protocol.row, protocol.col]
+    return out.reshape(states.shape[:-2] + protocol.which.shape)
 
 
 def _line_freqs(spin: int, system: SpinSystem) -> dict[tuple[int, int], float] | None:
@@ -221,7 +250,7 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
     transitions = transitions_of_spin(spin, n)
-    amps = _line_amplitudes(rho, _plan(n, tuple((setting, t) for t in transitions)))
+    amps = _line_amplitudes(rho, _protocol(n, tuple((setting, t) for t in transitions)))
     freqs = _line_freqs(spin, system)
     lines = tuple(
         SpectralLine(freqs[t] if freqs else None, complex(a), t) for t, a in zip(transitions, amps)
@@ -236,10 +265,10 @@ def tomography_settings(n_spins: int) -> list[tuple[str, ...]]:
 
 
 @functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
-def _tomography_plan(n_spins: int) -> _Plan:
+def _tomography_protocol(n_spins: int) -> _Protocol:
     # records run over settings, then spins, then transitions
     lines = [t for spin in range(1, n_spins + 1) for t in transitions_of_spin(spin, n_spins)]
-    return _plan(n_spins, tuple((s, t) for s in tomography_settings(n_spins) for t in lines))
+    return _protocol(n_spins, tuple((s, t) for s in tomography_settings(n_spins) for t in lines))
 
 
 def simulate_measurements(
@@ -263,16 +292,15 @@ def simulate_measurements(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
-    plan = _tomography_plan(system.n_spins)
-    amps = _line_amplitudes(rho, plan)
+    protocol = _tomography_protocol(system.n_spins)
+    amps = _line_amplitudes(rho, protocol)
     if noise_sigma > 0:
         if seed is None:
             seed = int(np.random.SeedSequence().entropy) % 2**32
         # one (real, imag) pair per line, drawn in record order
         z = np.random.default_rng(seed).standard_normal((len(amps), 2))
         amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
-    records = tuple(map(Measurement, plan.settings, plan.transitions, amps.tolist()))
-    return MeasurementSet(records, float(noise_sigma), seed)
+    return MeasurementSet(protocol, tuple(amps.tolist()), float(noise_sigma), seed)
 
 
 def basis_operators(n_spins: int) -> list[np.ndarray]:
@@ -295,58 +323,32 @@ def _basis(n_spins: int) -> np.ndarray:
     return _read_only(np.array(ops))
 
 
-@functools.lru_cache(maxsize=_PROTOCOL_CACHE)
-def _protocol(n_spins: int, keys: tuple) -> _Protocol:
-    """Factor the design of the records keyed (setting, transition), in order.
-
-    The forward model applied to the basis gives each amplitude as a real
-    linear functional of the deviation matrix's coordinates; real parts and
-    imaginary parts give two rows per record.  The rank cut is lstsq's.
-    """
-    A = _line_amplitudes(_basis(n_spins), _plan(n_spins, keys))
-    design = np.concatenate((A.real, A.imag), axis=1).T
-    u, s, vt = np.linalg.svd(design, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
-    return _Protocol(
-        u=_read_only(u[:, :rank]),
-        w=_read_only(vt[:rank].T / s[:rank]),
-        rank=rank,
-        condition_number=float(s[0] / s[rank - 1]),
-    )
-
-
 def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None) -> TomographyResult:
     """Least-squares inversion of recorded line amplitudes.
 
-    The design of each distinct protocol (spin count and the records'
-    settings and transitions, in order) is factored once and cached.  Its
-    rank is checked, so an incomplete protocol fails loudly instead of
-    silently projecting.
+    The protocol's design is factored on its first reconstruction and kept.
+    Its rank is checked, so an incomplete protocol fails loudly instead of
+    silently projecting; records of another spin count raise InputError.
     """
-    records = measurements.records
-    if not records:
-        raise InputError("no measurements to reconstruct from")
-    n = system.n_spins
-    basis = _basis(n)
-    protocol = _protocol(n, tuple((tuple(rec.setting), tuple(rec.transition)) for rec in records))
-    if protocol.rank < len(basis):
-        raise ContractError(
-            f"measurement protocol incomplete: design rank {protocol.rank} < {len(basis)}"
-        )
-    amps = np.array([rec.amplitude for rec in records], dtype=complex)
+    protocol = measurements.protocol
+    if protocol.n_spins != system.n_spins:
+        raise InputError(f"records are of {protocol.n_spins} spins, the system has {system.n_spins}")
+    basis = _basis(system.n_spins)
+    u, w, rank, condition_number = protocol.factors
+    if rank < len(basis):
+        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
+    amps = np.array(measurements.amplitudes, dtype=complex)
     y = np.concatenate((amps.real, amps.imag))
-    c = protocol.u.T @ y
-    rho = np.tensordot(protocol.w @ c, basis, axes=1)
-    misfit = float(np.linalg.norm(protocol.u @ c - y))
-    err = None
-    if reference is not None:
-        err = max_rel_error(rho, np.asarray(reference, dtype=complex))
+    c = u.T @ y
+    rho = np.tensordot(w @ c, basis, axes=1)
+    misfit = float(np.linalg.norm(u @ c - y))
+    err = None if reference is None else max_rel_error(rho, np.asarray(reference, dtype=complex))
     return TomographyResult(
         reconstructed=rho,
         residual_norm=misfit,
-        settings_used=len({tuple(rec.setting) for rec in records}),
-        rank=protocol.rank,
-        condition_number=protocol.condition_number,
+        settings_used=len(protocol.propagators),
+        rank=rank,
+        condition_number=condition_number,
         max_rel_error=err,
     )
 

@@ -13,7 +13,8 @@ import pytest
 
 import ppsim as pp
 from ppsim import dsl
-from ppsim.core import is_unitary
+
+from helpers import is_unitary
 
 HOMO2_ROOT_DEG = float(np.degrees(np.sqrt(2) * np.arccos(1 / np.sqrt(3))))
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import ppsim as pp
-from ppsim.core import is_hermitian, is_unitary
+from ppsim.core import is_hermitian
 from ppsim.errors import ContractError, InputError, NotPseudoPureError
+
+from helpers import is_unitary, projector
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -83,16 +85,6 @@ def test_spin_op_is_half_pauli():
         np.testing.assert_allclose(ix @ iy - iy @ ix, 1j * iz, atol=1e-15)
 
 
-def test_projector_resolution():
-    for i in (1, 2):
-        plus = pp.projector(i, "+", 2)
-        minus = pp.projector(i, "-", 2)
-        np.testing.assert_allclose(plus + minus, np.eye(4), atol=1e-15)
-        np.testing.assert_allclose(plus @ plus, plus, atol=1e-15)
-    with pytest.raises(InputError):
-        pp.projector(1, "up", 2)
-
-
 def test_transition_op_explicit():
     want = np.zeros((4, 4), dtype=complex)
     want[2, 3] = want[3, 2] = 0.5
@@ -107,9 +99,9 @@ def test_transition_op_explicit():
 def test_transition_ops_factor_through_projectors():
     # the (3,4) line is the spin-2 flip inside the spin-1 down manifold,
     # and the (4,2) line is the spin-1 flip inside the spin-2 down manifold
-    lhs = pp.projector(1, "-", 2) @ pp.spin_op(2, "x", 2)
+    lhs = projector(1, "-", 2) @ pp.spin_op(2, "x", 2)
     np.testing.assert_allclose(pp.transition_op(3, 4, "x", 2), lhs, atol=1e-15)
-    lhs = pp.spin_op(1, "x", 2) @ pp.projector(2, "-", 2)
+    lhs = pp.spin_op(1, "x", 2) @ projector(2, "-", 2)
     np.testing.assert_allclose(pp.transition_op(4, 2, "x", 2), lhs, atol=1e-15)
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import ppsim as pp
-from ppsim.core import is_unitary
 from ppsim.errors import ContractError, InputError
+
+from helpers import is_unitary
 
 ALL_PATTERNS = ("V1&V2", "V1&!V2", "!V1&V2", "!V1&!V2")
 

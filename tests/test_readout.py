@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import ppsim as pp
 from ppsim.errors import ContractError, InputError
-from ppsim.readout import _tomography_plan, basis_operators, render_stick_svg, setting_unitary
+from ppsim.readout import basis_operators, render_stick_svg, setting_unitary
 
 
 def random_deviation(rng, n_spins):
@@ -256,11 +256,11 @@ def test_reconstruct_rejects_incomplete_protocols():
     full = pp.simulate_measurements(rho, system)
     assert pp.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
     plain = tuple(rec for rec in full.records if rec.setting == ("none", "none"))
-    only_plain = pp.MeasurementSet(plain, full.noise_sigma, full.seed)
+    only_plain = pp.MeasurementSet.from_records(plain, full.noise_sigma, full.seed)
     with pytest.raises(ContractError):
         pp.reconstruct(only_plain, system)
     with pytest.raises(InputError):
-        pp.reconstruct(pp.MeasurementSet((), 0.0, None), system)
+        pp.reconstruct(pp.MeasurementSet.from_records((), 0.0, None), system)
 
 
 def test_cached_arrays_are_read_only():
@@ -271,8 +271,9 @@ def test_cached_arrays_are_read_only():
     for cached in (basis_operators(2)[14], setting_unitary(("x90", "none"), 2)):
         with pytest.raises(ValueError):
             cached[0, 0] = 7.0
-    plan = _tomography_plan(2)
-    for cached in (plan.propagators, plan.which, plan.row, plan.col):
+    protocol = measured.protocol
+    u, w, _, _ = protocol.factors
+    for cached in (protocol.propagators, protocol.which, protocol.row, protocol.col, u, w):
         with pytest.raises(ValueError):
             cached[0] = 1
     assert pp.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
@@ -287,7 +288,8 @@ def test_shuffled_records_reconstruct():
         rho = random_deviation(rng, n)
         records = list(pp.simulate_measurements(rho, system).records)
         rng.shuffle(records)
-        result = pp.reconstruct(pp.MeasurementSet(tuple(records), 0.0, None), system, reference=rho)
+        shuffled = pp.MeasurementSet.from_records(records, 0.0, None)
+        result = pp.reconstruct(shuffled, system, reference=rho)
         assert result.max_rel_error < 1e-12
         assert result.settings_used == 3**n
 
@@ -324,7 +326,30 @@ def test_reconstruct_rejects_levels_out_of_range():
     for bad in ((0, 3), (2, 5)):
         records = (measured.records[0]._replace(transition=bad),) + measured.records[1:]
         with pytest.raises(InputError):
-            pp.reconstruct(pp.MeasurementSet(records, 0.0, None), system)
+            pp.reconstruct(pp.MeasurementSet.from_records(records, 0.0, None), system)
+
+
+def test_records_come_back_with_their_protocol():
+    # a simulated set rebuilt from its records finds the cached protocol, so
+    # no second design is factored, and reconstructs bit for bit the same
+    for n, sigma, seed in ((2, 0.0, None), (3, 0.01, 5)):
+        system = SYSTEMS_BY_SIZE[n]
+        rho = random_deviation(np.random.default_rng(53 + n), n)
+        measured = pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
+        rebuilt = pp.MeasurementSet.from_records(measured.records, measured.noise_sigma, measured.seed)
+        assert rebuilt.protocol is measured.protocol
+        assert rebuilt == measured
+        a, b = pp.reconstruct(measured, system), pp.reconstruct(rebuilt, system)
+        assert np.array_equal(a.reconstructed, b.reconstructed)
+        assert a.residual_norm == b.residual_norm
+
+
+def test_reconstruct_rejects_records_of_another_spin_count():
+    for made_on, read_as in (("chloroform", "hetero-3"), ("hetero-3", "chloroform")):
+        system = pp.get_preset(made_on)
+        measured = pp.simulate_measurements(pp.thermal_deviation(system), system)
+        with pytest.raises(InputError):
+            pp.reconstruct(measured, pp.get_preset(read_as))
 
 
 SYSTEMS_BY_SIZE = {
