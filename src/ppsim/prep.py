@@ -31,8 +31,15 @@ from .errors import InputError, NoSolutionError, NotPseudoPureError
 DEDUP_TOL_DEG = 0.01
 #: Newton iterations per start.
 MAX_ITER = 60
-#: Starts that one lockstep Newton block advances together; bounds its memory.
-NEWTON_BLOCK = 64
+#: Bytes one lockstep Newton block may hold in per-start temporaries.  They
+#: grow as starts x dim**2 over the dim = 2**n - 1 non-target levels, so 3
+#: spins run 250 starts a block and 4 spins 54.
+NEWTON_BYTES = 3 * 2**19
+#: Peak bytes per start and per dim**2 of a Newton block of 64 or more
+#: starts, measured with tracemalloc at 3 and 4 spins (about 122-128).
+_ROW_BYTES_PER_LEVEL2 = 128
+#: Most trial points one line-search call evaluates, whatever the block size.
+TRIAL_ROWS = 64
 #: Line-search scales of a Newton step: 1, 1/2, ..., the last one above 1e-6.
 _STEP_SCALES = 0.5 ** np.arange(20)
 #: Largest number of grid starts solve_angles will build.
@@ -178,6 +185,15 @@ class _BatchedResidual:
 
     def __call__(self, theta: np.ndarray, jacobian: bool = False):
         """(B, k) residuals at (B, k) angles in radians; with jacobian, also (B, k, k)."""
+        r, w, V = self.evaluate(theta)
+        if not jacobian:
+            return r
+        J = self.jacobian(w, V)
+        J[~np.all(np.isfinite(theta), axis=1)] = np.nan
+        return r, J
+
+    def evaluate(self, theta: np.ndarray):
+        """(B, k) residuals at (B, k) angles in radians, and the eigh (w, V) behind them."""
         bad = ~np.all(np.isfinite(theta), axis=1)
         # eigh may raise LinAlgError on non-finite input, which would end the
         # whole block: evaluate those rows at 0, then blank them
@@ -185,32 +201,40 @@ class _BatchedResidual:
         H = np.zeros((len(theta), len(self.d), len(self.d)))
         H[:, self.m, self.k] = H[:, self.k, self.m] = 0.5 * theta
         w, V = np.linalg.eigh(H)
-        U = (V * np.exp(-1j * w)[:, None, :]) @ V.transpose(0, 2, 1)
         # diag(U D U+) for the diagonal thermal state D needs only |U|^2
-        p = (np.abs(U) ** 2) @ self.d
+        p = (np.abs(self._propagators(w, V)) ** 2) @ self.d
         r = p[:, 1:] - p[:, :1]
         r[bad] = np.nan
-        if not jacobian:
-            return r
+        return r, w, V
+
+    @staticmethod
+    def _propagators(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+        return (V * np.exp(-1j * w)[:, None, :]) @ V.transpose(0, 2, 1)
+
+    def jacobian(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """(B, k, k) exact Jacobians from the (w, V) that :meth:`evaluate` returned."""
+        U = self._propagators(w, V)
         G = -1j * np.exp(-0.5j * (w[:, :, None] + w[:, None, :])) * np.sinc(
             (w[:, :, None] - w[:, None, :]) / (2 * np.pi)
         )
         # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa = 2 Re (V (G o V^T E_j V) Y)_aa with
         # Y = V^T D U+, where 2 V^T E_j V = C + C^T for C = outer(V[m_j], V[k_j])
         Y = V.transpose(0, 2, 1) @ (self.d[:, None] * U.conj())
-        dp = np.empty((len(theta), len(self.m), len(self.d)))
+        dp = np.empty((len(w), len(self.m), len(self.d)))
         for j, (m, k) in enumerate(zip(self.m, self.k)):
             C = V[:, m, :, None] * V[:, k, None, :]
             dp[:, j] = np.einsum("baq,bqa->ba", V, (G * (C + C.transpose(0, 2, 1))) @ Y).real
-        J = (dp[:, :, 1:] - dp[:, :, :1]).transpose(0, 2, 1)
-        J[bad] = np.nan
-        return r, J
+        return (dp[:, :, 1:] - dp[:, :, :1]).transpose(0, 2, 1)
 
 
 def _newton_steps(J: np.ndarray, r: np.ndarray):
     """Newton steps -J^-1 r for a stack; a singular J fails only its own row."""
+    try:
+        return np.linalg.solve(J, -r[..., None])[..., 0], np.ones(len(r), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
     # slogdet and solve factor with the same LAPACK getrf, so the sign is 0
-    # exactly where solve would raise LinAlgError
+    # exactly where solve raised LinAlgError
     solved = np.linalg.slogdet(J)[0] != 0
     steps = np.zeros_like(r)
     steps[solved] = np.linalg.solve(J[solved], -r[solved][..., None])[..., 0]
@@ -224,10 +248,12 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     the Newton step scaled by the first of 1, 1/2, ... (down to 1e-6) that
     lowers ||r||, and stop on a singular Jacobian, a stalled line search, a
     trial point without a finite residual, or after MAX_ITER iterations.
+    Each row's current point keeps the eigendecomposition it was evaluated
+    with, so its Jacobian costs no second eigh.
     """
     x = np.array(x0, dtype=float)
     k = x.shape[1]
-    r = fun(x)
+    r, w, V = fun.evaluate(x)
     ok = np.zeros(len(x), dtype=bool)
     live = np.all(np.isfinite(r), axis=1)
     for _ in range(MAX_ITER):
@@ -238,19 +264,21 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
         i = i[~done]
         if not i.size:
             break
-        r[i], J = fun(x[i], jacobian=True)
-        step, solved = _newton_steps(J, r[i])
+        step, solved = _newton_steps(fun.jacobian(w[i], V[i]), r[i])
         live[i[~solved]] = False
         i, step = i[solved], step[solved]
         norm = np.linalg.norm(r[i], axis=1)
         # try the scales in order, several per call while few rows remain,
-        # so that one call never holds more than NEWTON_BLOCK trial points
+        # so that one call never holds more than TRIAL_ROWS trial points
         tried = 0
         while i.size and tried < len(_STEP_SCALES):
-            lams = _STEP_SCALES[tried : tried + max(1, NEWTON_BLOCK // i.size)]
+            lams = _STEP_SCALES[tried : tried + max(1, TRIAL_ROWS // i.size)]
             tried += len(lams)
             trial = x[i, None] + lams[:, None] * step[:, None]
-            r_trial = fun(trial.reshape(-1, k)).reshape(trial.shape)
+            r_trial, w_trial, V_trial = (
+                a.reshape(*trial.shape[:2], *a.shape[1:])
+                for a in fun.evaluate(trial.reshape(-1, k))
+            )
             finite = np.all(np.isfinite(r_trial), axis=2)
             better = finite & (np.linalg.norm(r_trial, axis=2) < norm[:, None])
             # each row stops at its first scale that helps or is not finite
@@ -259,13 +287,19 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             rows = np.flatnonzero(hit)
             first = np.argmax(stop[rows], axis=1)
             take = better[rows, first]
-            x[i[rows[take]]] = trial[rows[take], first[take]]
-            r[i[rows[take]]] = r_trial[rows[take], first[take]]
+            moved, best = i[rows[take]], (rows[take], first[take])
+            x[moved], r[moved] = trial[best], r_trial[best]
+            w[moved], V[moved] = w_trial[best], V_trial[best]
             live[i[rows[~take]]] = False
             i, step, norm = i[~hit], step[~hit], norm[~hit]
         live[i] = False
     ok |= live & (np.max(np.abs(r), axis=1) < tol)
     return x, r, ok
+
+
+def _block_rows(dim: int) -> int:
+    """Starts per Newton block: as many as NEWTON_BYTES holds at dim levels."""
+    return max(1, NEWTON_BYTES // (_ROW_BYTES_PER_LEVEL2 * dim * dim))
 
 
 def _grid_starts(k: int, per_dim: int) -> list[tuple[float, ...]]:
@@ -282,14 +316,18 @@ def solve_angles(
     """Find pulse-angle vectors equalizing the non-target populations.
 
     Multi-start damped Newton on :func:`residual`, with exact Jacobians,
-    advancing NEWTON_BLOCK starts at a time in lockstep.  Starts are a
-    uniform grid interior to (0, 360) degrees per dimension (5 points per
-    dimension up to 2 steps, 3 up to 6, then 1; at most MAX_GRID_STARTS in
-    all).  Flipping the sign of any angle leaves the residual unchanged, so
-    converged roots are reported as |theta|, deduplicated at 0.01 degrees
-    componentwise, and sorted by largest component, then lexicographically;
-    each satisfies max |residual| < newton_tol.  Components are reported
-    wherever Newton lands them, so some may exceed 360.
+    advancing starts in lockstep blocks as large as NEWTON_BYTES of
+    temporaries allows, and decomposing each accepted point once for both
+    its residual and its Jacobian.  Starts are a uniform grid interior to
+    (0, 360) degrees per dimension (5 points per dimension up to 2 steps, 3
+    up to 6, then 1; at most MAX_GRID_STARTS in all).  Flipping the sign of
+    any angle leaves the residual unchanged, so converged roots are reported
+    as |theta|, deduplicated at 0.01 degrees componentwise, and sorted by
+    largest component, then lexicographically.  Each returned root is
+    checked once more through :func:`residual` and kept only if its
+    max |residual| < newton_tol; ``residual_norms`` are the solver's own.
+    Components are reported wherever Newton lands them, so some may exceed
+    360.
     """
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
@@ -308,10 +346,8 @@ def solve_angles(
 
     fun = _BatchedResidual(spec, np.real(np.diagonal(thermal_deviation(system))))
     x0 = np.radians(np.array(starts, dtype=float))
-    blocks = [
-        _newton_block(fun, x0[b : b + NEWTON_BLOCK], newton_tol)
-        for b in range(0, len(x0), NEWTON_BLOCK)
-    ]
+    rows = _block_rows(len(fun.d))
+    blocks = [_newton_block(fun, x0[b : b + rows], newton_tol) for b in range(0, len(x0), rows)]
     x, r, ok = (np.concatenate(parts) for parts in zip(*blocks))
     worst = np.max(np.abs(r), axis=1)
 
@@ -322,6 +358,8 @@ def solve_angles(
     for i, deg in enumerate(folded):
         if not kept or np.min(np.max(np.abs(folded[kept] - deg), axis=1)) >= DEDUP_TOL_DEG:
             kept.append(i)
+    # the batched path is the solver's own; hold each root to residual's promise
+    kept = [i for i in kept if np.max(np.abs(residual(folded[i], system, spec))) < newton_tol]
     if not kept:
         raise NoSolutionError(
             f"no root found from {len(starts)} starts; best residual {np.min(worst):.3e}"

@@ -202,12 +202,54 @@ def test_newton_block_failures_stay_in_their_own_start():
 
 def test_solver_result_does_not_depend_on_the_block_size(monkeypatch):
     # every start follows its own iteration, whichever starts share its block
-    system, spec = pp.get_preset("chloroform"), pp.default_cascade(2, 3)
-    default = pp.solve_angles(system, spec)
-    monkeypatch.setattr(prep, "NEWTON_BLOCK", 5)
-    small = pp.solve_angles(system, spec)
-    assert small.converged == default.converged
-    np.testing.assert_allclose(small.roots, default.roots, rtol=0, atol=1e-9)
+    system, spec = pp.get_preset("homonuclear-3"), pp.default_cascade(3, 1)
+    default = pp.solve_angles(system, spec, grid_per_dim=2)
+    assert prep._block_rows(7) >= default.starts_tried == 64
+    for rows in (1, 5):
+        monkeypatch.setattr(prep, "NEWTON_BYTES", rows * prep._ROW_BYTES_PER_LEVEL2 * 7 * 7)
+        assert prep._block_rows(7) == rows
+        assert repr(pp.solve_angles(system, spec, grid_per_dim=2)) == repr(default)
+
+
+def test_newton_block_decomposes_each_point_once(monkeypatch):
+    fun, spec = batched_residual(pp.get_preset("hetero-3"), 1)
+    x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), 2), dtype=float))
+    eigh_rows, evaluated, jacobians = [], [], []
+    real_eigh, real_evaluate, real_jacobian = np.linalg.eigh, fun.evaluate, fun.jacobian
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_rows.append(len(a)) or real_eigh(a))
+    monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
+    monkeypatch.setattr(fun, "jacobian", lambda w, V: jacobians.append(len(w)) or real_jacobian(w, V))
+    prep._newton_block(fun, x0, 1e-10)
+    # the first evaluation holds the starts, every later one trial points
+    assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
+    assert sum(eigh_rows) == sum(evaluated)
+
+
+def test_jacobian_from_a_stored_decomposition_matches_the_call():
+    fun, spec = batched_residual(pp.get_preset("hetero-3"), 1)
+    theta = np.random.default_rng(3).uniform(-8.0, 8.0, (6, len(spec.steps)))
+    r, w, V = fun.evaluate(theta)
+    want_r, want_J = fun(theta, jacobian=True)
+    np.testing.assert_array_equal(r, want_r)
+    np.testing.assert_array_equal(fun.jacobian(w, V), want_J)
+
+
+def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
+    system, spec = pp.get_preset("chloroform"), pp.default_cascade(2, 1)
+    honest = pp.solve_angles(system, spec)
+    bogus = (10.0, 20.0)
+    assert np.max(np.abs(pp.residual(bogus, system, spec))) >= 1e-10
+    real_block = prep._newton_block
+
+    def lenient(fun, x0, tol):
+        # the batched path accepts one more point, with a zero residual
+        x, r, ok = real_block(fun, x0, tol)
+        return (np.vstack([x, np.radians(bogus)]), np.vstack([r, np.zeros(r.shape[1])]),
+                np.append(ok, True))
+
+    monkeypatch.setattr(prep, "_newton_block", lenient)
+    # without the re-check (10, 20) would be one more root
+    assert pp.solve_angles(system, spec).roots == honest.roots
 
 
 #: roots[0] of the default solve: folded onto |theta|, smallest largest angle.
