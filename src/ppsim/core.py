@@ -51,7 +51,8 @@ class SpinSystem:
             raise InputError("a spin system needs at least one spin")
         if not all(np.isfinite(g) and g != 0 for g in self.gamma):
             raise InputError(f"gamma must be finite and nonzero, got {self.gamma}")
-        # thermal_deviation builds 2 * gamma_i * sigma_z(i)/2 and sums them
+        # a thermal population is a sum of +-gamma_i, so a difference of two
+        # populations is bounded by 2 * sum |gamma_i|
         if not np.isfinite(2 * sum(abs(g) for g in self.gamma)):
             raise InputError(f"gamma too large, the thermal deviation overflows: {self.gamma}")
         if self.j_hz is not None:
@@ -187,10 +188,12 @@ def transition_op(m: int, k: int, axis: str, n_spins: int) -> np.ndarray:
 def thermal_deviation(system: SpinSystem) -> np.ndarray:
     """High-temperature equilibrium deviation, sum_i gamma_i * sigma_z(i)."""
     n = system.n_spins
-    out = np.zeros((system.dim, system.dim), dtype=complex)
+    levels = np.arange(system.dim)
+    d = np.zeros(system.dim)
     for i, g in enumerate(system.gamma, start=1):
-        out += 2 * g * spin_op(i, "z", n)
-    return out
+        # +gamma_i on the levels where spin i's bit is 0, -gamma_i where it is 1
+        d += np.where((levels >> (n - i)) & 1, -g, g)
+    return np.diag(d).astype(complex)
 
 
 def generator(pulses, n_spins: int) -> np.ndarray:

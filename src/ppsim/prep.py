@@ -170,9 +170,10 @@ class _BatchedResidual:
     derivative dU/dtheta_j = V (G o V^T E_j V) V^T, where G holds the divided
     differences of exp(-i w) (Najfeld & Havel, Adv. Appl. Math. 16 (1995)
     321), written as G_pq = -i exp(-i (w_p + w_q)/2) sinc((w_p - w_q)/2) so
-    that it stays exact at degenerate eigenvalues.  Rows whose angles are not
-    finite come back as NaN.  This path is the solver's own; :func:`residual`
-    stays on ``core.generator`` and ``core.expm_unitary`` to check its roots.
+    that it stays exact at degenerate eigenvalues.  Residual rows whose angles
+    are not finite come back as NaN.  This path is the solver's own;
+    :func:`residual` stays on ``core.generator`` and ``core.expm_unitary`` to
+    check its roots.
     """
 
     def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
@@ -182,15 +183,6 @@ class _BatchedResidual:
         self.m = np.array([row[s.m] for s in spec.steps])
         self.k = np.array([row[s.k] for s in spec.steps])
         self.d = d_eq[np.array(others) - 1]
-
-    def __call__(self, theta: np.ndarray, jacobian: bool = False):
-        """(B, k) residuals at (B, k) angles in radians; with jacobian, also (B, k, k)."""
-        r, w, V = self.evaluate(theta)
-        if not jacobian:
-            return r
-        J = self.jacobian(w, V)
-        J[~np.all(np.isfinite(theta), axis=1)] = np.nan
-        return r, J
 
     def evaluate(self, theta: np.ndarray):
         """(B, k) residuals at (B, k) angles in radians, and the eigh (w, V) behind them."""

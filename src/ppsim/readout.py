@@ -12,11 +12,11 @@ the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
 
 The fixed parts are built once and cached as read-only arrays: each
-setting's propagator, each register size's basis and one protocol per
-list of records keyed (setting, transition).  A protocol stacks its
-settings' propagators and gather indices, and factors its design by SVD
-only when first reconstructed.  A MeasurementSet is its protocol and one
-amplitude per record, so a reconstruction looks nothing up.
+register size's basis and one protocol per list of records keyed
+(setting, transition).  A protocol stacks its settings' propagators and
+gather indices, and factors its design by SVD only when first
+reconstructed.  A MeasurementSet is its protocol and one amplitude per
+record, so a reconstruction looks nothing up.
 """
 
 import functools
@@ -36,21 +36,18 @@ READOUT_PULSES = ("none", "x90", "y90")
 _PULSE_AXIS = {"x90": "x", "y90": "y"}
 MAX_TOMOGRAPHY_SPINS = 4
 
-# Cache sizes, in entries.  A propagator takes 16*4**n bytes; 120 entries
-# hold every tomography setting of 1 to 4 spins (0.36 MB), or 120 MiB if
-# all of them are 8-spin propagators (the CLI's cap).  The bases of 1 to
-# 4 spins take 1.1 MB together.  A protocol of R records over S settings
-# on n spins takes 16*S*4**n bytes of propagators and about 100*R bytes of
-# indices and keys, plus 8*(2R + 4**n)*(4**n - 1) bytes of SVD factors
-# once reconstructed (only n <= 4 is): 0.4 MB for the full 3-spin protocol
-# and 11.6 MB for the full 4-spin one.  The full protocols of 1 to 4 spins
-# are also kept apart from the LRU, 12 MB together.  A spectrum is one
-# setting, so 16 spectra take at most 16 MB (8 spins); the worst case, 16
-# reconstructed caller-built 4-spin record lists of full length, is 186 MB.
+# Cache sizes, in entries.  The bases of 1 to 4 spins take 1.1 MB
+# together.  A protocol of R records over S settings on n spins takes
+# 16*S*4**n bytes of propagators and about 100*R bytes of indices and keys,
+# plus 8*(2R + 4**n)*(4**n - 1) bytes of SVD factors once reconstructed
+# (only n <= 4 is): 0.4 MB for the full 3-spin protocol and 11.6 MB for
+# the full 4-spin one.  The full protocols of 1 to 4 spins are also kept
+# apart from the LRU, 12 MB together.  A spectrum is one setting, so 16
+# spectra take at most 16 MB (8 spins); the worst case, 16 reconstructed
+# caller-built 4-spin record lists of full length, is 186 MB.
 # _line_amplitudes conjugates as many states at once as keep a block
 # within _CONJUGATION_BLOCK matrices, and at least one (a 1 MB block for
 # the 4-spin design).
-_PROPAGATOR_CACHE = 3 + 9 + 27 + 81
 _PROTOCOL_CACHE = 16
 _CONJUGATION_BLOCK = 256
 
@@ -114,26 +111,17 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
 
 
 def setting_unitary(setting, n_spins: int) -> np.ndarray:
-    """Propagator for simultaneous hard readout pulses, one entry per spin.
-
-    The result is cached per setting and read-only.
-    """
+    """Propagator for simultaneous hard readout pulses, one entry per spin."""
     setting = tuple(setting)
     if len(setting) != n_spins:
         raise InputError(f"expected {n_spins} pulse entries, got {len(setting)}")
-    for pulse in setting:
-        if pulse not in READOUT_PULSES:
-            raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
-    return _propagator(setting, n_spins)
-
-
-@functools.lru_cache(maxsize=_PROPAGATOR_CACHE)
-def _propagator(setting: tuple[str, ...], n_spins: int) -> np.ndarray:
     H = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
     for i, pulse in enumerate(setting, start=1):
+        if pulse not in READOUT_PULSES:
+            raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
         if pulse != "none":
             H += (np.pi / 2) * spin_op(i, _PULSE_AXIS[pulse], n_spins)
-    return _read_only(expm_unitary(H))
+    return expm_unitary(H)
 
 
 class _Protocol:
@@ -328,7 +316,8 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
 
     The protocol's design is factored on its first reconstruction and kept.
     Its rank is checked, so an incomplete protocol fails loudly instead of
-    silently projecting; records of another spin count raise InputError.
+    silently projecting.  Records of another spin count, and amplitudes that
+    are not finite or whose sum of squares overflows, raise InputError.
     """
     protocol = measurements.protocol
     if protocol.n_spins != system.n_spins:
@@ -339,6 +328,10 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
         raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
     amps = np.array(measurements.amplitudes, dtype=complex)
     y = np.concatenate((amps.real, amps.imag))
+    # the misfit ||U c - y|| is at most ||y||, so a finite y.y keeps it finite
+    with np.errstate(over="ignore"):
+        if not np.isfinite(y @ y):
+            raise InputError("measured amplitudes must be finite with a finite sum of squares")
     c = u.T @ y
     rho = np.tensordot(w @ c, basis, axes=1)
     misfit = float(np.linalg.norm(u @ c - y))

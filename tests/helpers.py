@@ -2,13 +2,21 @@
 
 import numpy as np
 
-import ppsim as pp
+from ppsim import core
 
 
 def projector(i: int, sign: str, n_spins: int) -> np.ndarray:
     """Projector onto spin i up ('+', bit 0) or down ('-', bit 1)."""
     s = {"+": 1.0, "-": -1.0}[sign]
-    return 0.5 * (np.eye(2**n_spins, dtype=complex) + 2 * s * pp.spin_op(i, "z", n_spins))
+    return 0.5 * (np.eye(2**n_spins, dtype=complex) + 2 * s * core.spin_op(i, "z", n_spins))
+
+
+def thermal_reference(system: core.SpinSystem) -> np.ndarray:
+    """sum_i 2 gamma_i * spin_op(i, "z"), the thermal deviation built operator by operator."""
+    out = np.zeros((system.dim, system.dim), dtype=complex)
+    for i, g in enumerate(system.gamma, start=1):
+        out += 2 * g * core.spin_op(i, "z", system.n_spins)
+    return out
 
 
 def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:

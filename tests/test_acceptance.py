@@ -11,8 +11,7 @@ import time
 import numpy as np
 import pytest
 
-import ppsim as pp
-from ppsim import dsl
+from ppsim import core, dsl, errors, hogg, prep, presets, readout
 
 from helpers import is_unitary
 
@@ -53,18 +52,18 @@ def closest_root(result, want):
 def population_spread_fraction(name):
     """Spread of non-target populations at the tabulated angles, as a
     fraction of the thermal population range."""
-    system = pp.get_preset(name)
-    spec = pp.default_cascade(3, 1)
-    r = pp.residual(ANGLES_3SPIN[name], system, spec)
+    system = presets.get_preset(name)
+    spec = prep.default_cascade(3, 1)
+    r = prep.residual(ANGLES_3SPIN[name], system, spec)
     populations = np.concatenate([[0.0], r])  # relative to the reference level
     spread = populations.max() - populations.min()
-    d_eq = np.real(np.diagonal(pp.thermal_deviation(system)))
+    d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
     return float(spread / (d_eq.max() - d_eq.min()))
 
 
 def test_criterion_01_homonuclear_two_spin_root():
     t0 = time.monotonic()
-    result = pp.solve_angles(pp.get_preset("homonuclear-2"), pp.default_cascade(2, 1))
+    result = prep.solve_angles(presets.get_preset("homonuclear-2"), prep.default_cascade(2, 1))
     elapsed = time.monotonic() - t0
     i = closest_root(result, (77.42, 77.42))
     dev = max(abs(v - 77.42) for v in result.roots[i])
@@ -78,14 +77,14 @@ def test_criterion_01_homonuclear_two_spin_root():
 
 
 def test_criterion_02_heteronuclear_two_spin_root():
-    system = pp.get_preset("chloroform")
-    spec = pp.default_cascade(2, 1)
+    system = presets.get_preset("chloroform")
+    spec = prep.default_cascade(2, 1)
     t0 = time.monotonic()
-    result = pp.solve_angles(system, spec)
+    result = prep.solve_angles(system, spec)
     elapsed = time.monotonic() - t0
     i = closest_root(result, (127.13, 186.01))
     dev = max(abs(a - b) for a, b in zip(result.roots[i], (127.13, 186.01)))
-    at_tabulated = np.max(np.abs(pp.residual((127.13, 186.01), system, spec)))
+    at_tabulated = np.max(np.abs(prep.residual((127.13, 186.01), system, spec)))
     ok = dev < 0.5 and at_tabulated < 5e-3 and elapsed < 1.0
     report(
         2,
@@ -95,18 +94,18 @@ def test_criterion_02_heteronuclear_two_spin_root():
 
 
 def test_criterion_03_homonuclear_golden_diagonal():
-    rho, _ = pp.prepare_pseudo_pure(pp.get_preset("homonuclear-2"), 1)
+    rho, _ = prep.prepare_pseudo_pure(presets.get_preset("homonuclear-2"), 1)
     diag = np.real(np.diagonal(rho))
     dev = np.max(np.abs(diag - np.array([2, -2 / 3, -2 / 3, -2 / 3])))
     report(3, dev < 1e-6, f"diag {np.round(diag, 7).tolist()}, max dev {dev:.2e}")
 
 
 def test_criterion_04_heteronuclear_golden_diagonal():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     diag = np.real(np.diagonal(rho))
     dev = np.max(np.abs(diag - np.array([6.9905, -2.3303, -2.3303, -2.3303])))
-    part = pp.pure_part(rho)
+    part = core.pure_part(rho)
     coeff_dev = abs(part.pure_coeff - 9.3208)
     derived = abs(part.pure_coeff - (4 / 3) * sum(system.gamma))
     ok = dev < 1e-3 and coeff_dev < 1e-3 and derived < 1e-3
@@ -119,11 +118,11 @@ def test_criterion_04_heteronuclear_golden_diagonal():
 
 
 def test_criterion_05_all_two_spin_targets():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     worst = 0.0
     for target in range(1, 5):
-        rho, _ = pp.prepare_pseudo_pure(system, target)
-        part = pp.pure_part(rho)
+        rho, _ = prep.prepare_pseudo_pure(system, target)
+        part = core.pure_part(rho)
         assert part.target == target
         rest = np.delete(np.real(np.diagonal(rho)), target - 1)
         worst = max(worst, float(rest.max() - rest.min()))
@@ -133,7 +132,7 @@ def test_criterion_05_all_two_spin_targets():
 def test_criterion_06_three_spin_homonuclear():
     frac = population_spread_fraction("homonuclear-3")
     t0 = time.monotonic()
-    result = pp.solve_angles(pp.get_preset("homonuclear-3"), pp.default_cascade(3, 1))
+    result = prep.solve_angles(presets.get_preset("homonuclear-3"), prep.default_cascade(3, 1))
     elapsed = time.monotonic() - t0
     best = min(result.residual_norms)
     ok = frac <= 0.01 and best < 1e-8 and elapsed < 60.0
@@ -149,10 +148,10 @@ def test_criterion_07a_three_spin_heteronuclear_tabulated_spread():
     # The tabulated vector is read with entry 4 as 364.31, not the printed
     # 346.31 (see HETERO3_AS_PRINTED); the printed spread is reported too.
     frac = population_spread_fraction("hetero-3")
-    system = pp.get_preset("hetero-3")
-    r = pp.residual(HETERO3_AS_PRINTED, system, pp.default_cascade(3, 1))
+    system = presets.get_preset("hetero-3")
+    r = prep.residual(HETERO3_AS_PRINTED, system, prep.default_cascade(3, 1))
     populations = np.concatenate([[0.0], r])
-    d_eq = np.real(np.diagonal(pp.thermal_deviation(system)))
+    d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
     printed = float(np.ptp(populations) / np.ptp(d_eq))
     report(
         "7a",
@@ -163,10 +162,10 @@ def test_criterion_07a_three_spin_heteronuclear_tabulated_spread():
 
 
 def test_criterion_07b_three_spin_heteronuclear_solver():
-    system = pp.get_preset("hetero-3")
-    spec = pp.default_cascade(3, 1)
+    system = presets.get_preset("hetero-3")
+    spec = prep.default_cascade(3, 1)
     t0 = time.monotonic()
-    result = pp.solve_angles(system, spec)
+    result = prep.solve_angles(system, spec)
     elapsed = time.monotonic() - t0
     best = min(result.residual_norms)
     # the root nearest the tabulated vector matches it to within rounding
@@ -184,32 +183,32 @@ def test_criterion_07b_three_spin_heteronuclear_solver():
 
 
 def test_criterion_08_search_finds_every_solution():
-    rho, _ = pp.prepare_pseudo_pure(pp.get_preset("chloroform"), 1)
+    rho, _ = prep.prepare_pseudo_pure(presets.get_preset("chloroform"), 1)
     worst = 1.0
     for text in ("V1&V2", "V1&!V2", "!V1&V2", "!V1&!V2"):
-        formula = pp.parse_formula(text)
-        _, weights = pp.hogg_run(rho, formula)
-        level = pp.level_of(pp.satisfying_assignment(formula))
+        formula = hogg.parse_formula(text)
+        _, weights = hogg.hogg_run(rho, formula)
+        level = core.level_of(hogg.satisfying_assignment(formula))
         worst = min(worst, float(weights[level - 1]))
     report(8, abs(worst - 1.0) < 1e-10, f"smallest solution weight {worst:.12f}")
 
 
 def test_criterion_09_tomography_round_trip_and_noise():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     rng = np.random.default_rng(2025)
     worst = 0.0
     for _ in range(100):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = (a + a.conj().T) / 2
         rho -= np.trace(rho) / 4 * np.eye(4)
-        measured = pp.simulate_measurements(rho, system)
-        worst = max(worst, pp.reconstruct(measured, system, reference=rho).max_rel_error)
+        measured = readout.simulate_measurements(rho, system)
+        worst = max(worst, readout.reconstruct(measured, system, reference=rho).max_rel_error)
 
-    rho_pp, _ = pp.prepare_pseudo_pure(system, 1)
+    rho_pp, _ = prep.prepare_pseudo_pure(system, 1)
     errs = []
     for seed in range(200):
-        measured = pp.simulate_measurements(rho_pp, system, noise_sigma=0.01, seed=seed)
-        errs.append(pp.reconstruct(measured, system, reference=rho_pp).max_rel_error)
+        measured = readout.simulate_measurements(rho_pp, system, noise_sigma=0.01, seed=seed)
+        errs.append(readout.reconstruct(measured, system, reference=rho_pp).max_rel_error)
     median = float(np.median(errs))
     ok = worst < 1e-10 and 0.005 <= median <= 0.05
     report(
@@ -221,21 +220,21 @@ def test_criterion_09_tomography_round_trip_and_noise():
 
 
 def test_criterion_10_spectral_signatures():
-    system = pp.get_preset("chloroform")
-    rho_pp, _ = pp.prepare_pseudo_pure(system, 1)
-    rho_eq = pp.thermal_deviation(system)
+    system = presets.get_preset("chloroform")
+    rho_pp, _ = prep.prepare_pseudo_pure(system, 1)
+    rho_eq = core.thermal_deviation(system)
     d_pp = np.real(np.diagonal(rho_pp))
     d_eq = np.real(np.diagonal(rho_eq))
     ok = True
     details = []
     for spin in (1, 2):
-        lines = pp.readout_spectrum(rho_pp, spin, system, "x90").lines
+        lines = readout.readout_spectrum(rho_pp, spin, system, "x90").lines
         live = [ln for ln in lines if abs(ln.amplitude) > 1e-9]
         ok &= len(live) == 1
         for ln in lines:  # closed form: x90 maps populations to 1j (d_k - d_m)
             m, k = ln.transition
             ok &= abs(ln.amplitude - 1j * (d_pp[k - 1] - d_pp[m - 1])) < 1e-10
-        thermal = pp.readout_spectrum(rho_eq, spin, system, "x90").lines
+        thermal = readout.readout_spectrum(rho_eq, spin, system, "x90").lines
         mags = sorted(abs(ln.amplitude) for ln in thermal)
         ok &= abs(mags[0] - mags[1]) < 1e-10 and mags[0] > 1.0
         for ln in thermal:
@@ -251,14 +250,14 @@ def test_criterion_11_invariant_spot_checks():
     # unitarity of the exponential on random Hermitian generators
     for _ in range(20):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ok &= is_unitary(pp.expm_unitary((a + a.conj().T) / 2), tol=1e-12)
+        ok &= is_unitary(core.expm_unitary((a + a.conj().T) / 2), tol=1e-12)
     # stock cascades are spanning trees (CascadeSpec checks when built) for
     # every system size and target used here
     for n in (2, 3, 4):
         for target in range(1, 2**n + 1):
             try:
-                pp.default_cascade(n, target)
-            except pp.InputError:
+                prep.default_cascade(n, target)
+            except errors.InputError:
                 ok = False
     # parser and printer agree
     text = "block { sel 3 4 x 127.13 ; sel 2 4 x 186.01 }\ncrush\nhard all y 90\n"
@@ -268,6 +267,6 @@ def test_criterion_11_invariant_spot_checks():
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = (a + a.conj().T) / 2
     for mode in ("all_off_diagonal", "coherence_order"):
-        once = pp.crush(rho, mode)
-        ok &= bool(np.array_equal(pp.crush(once, mode), once))
+        once = core.crush(rho, mode)
+        ok &= bool(np.array_equal(core.crush(once, mode), once))
     report(11, ok, "unitarity, cascade construction, program round-trip, crusher idempotence")

@@ -4,8 +4,7 @@ import os
 import numpy as np
 import pytest
 
-import ppsim as pp
-from ppsim import cli
+from ppsim import cli, core, errors, prep, presets
 from ppsim.cli import canonical_json, main, matrix_from_json, matrix_to_json
 
 
@@ -23,7 +22,7 @@ def write_state(tmp_path, rho, name="state.json"):
 
 @pytest.fixture()
 def chloroform_state(tmp_path):
-    rho, _ = pp.prepare_pseudo_pure(pp.get_preset("chloroform"), 1)
+    rho, _ = prep.prepare_pseudo_pure(presets.get_preset("chloroform"), 1)
     return write_state(tmp_path, rho)
 
 
@@ -41,7 +40,7 @@ def test_matrix_round_trip():
     rng = np.random.default_rng(1)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     np.testing.assert_allclose(matrix_from_json(matrix_to_json(m)), m)
-    with pytest.raises(pp.InputError):
+    with pytest.raises(errors.InputError):
         matrix_from_json([[1.0, 2.0]])
 
 
@@ -172,7 +171,7 @@ def test_hogg_rejects_other_spin_counts_before_solving(capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_angles called")
 
-    monkeypatch.setattr(pp.prep, "solve_angles", no_solve)
+    monkeypatch.setattr(prep, "solve_angles", no_solve)
     code, _, err = run_cli(capsys, "hogg", "--system", "homonuclear-3", "--formula", "V1&V2")
     assert code == 1
     assert "has 3" in error_payload(err)["message"]
@@ -287,6 +286,12 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         ("tomo", "--system", "chloroform", "--state", chloroform_state, "--noise", "inf"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state,
          "--noise", "0.1", "--seed", "-1"),
+        # finite noise levels whose amplitudes' sum of squares overflows, or
+        # whose amplitudes do
+        ("tomo", "--system", "chloroform", "--state", chloroform_state,
+         "--noise", "1e153", "--seed", "1"),
+        ("tomo", "--system", "chloroform", "--state", chloroform_state,
+         "--noise", "1e308", "--seed", "1"),
         ("spectrum", "--system", str(inf_j), "--state", chloroform_state, "--spin", "1"),
         # finite gammas whose thermal deviation overflows
         ("solve", "--system", str(huge_gamma), "--target", "00"),
@@ -315,7 +320,12 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1, argv
+        assert len(err.splitlines()) == 1, argv
         assert error_payload(err)["code"] == 1
+    # a large noise level whose sum of squares stays finite still reconstructs
+    code, _, _ = run_cli(capsys, "tomo", "--system", "chloroform", "--state", chloroform_state,
+                         "--noise", "1e150", "--seed", "1")
+    assert code == 0
 
 
 def test_exit_code_for_parse_errors(capsys, tmp_path):
@@ -344,7 +354,7 @@ def test_exit_code_for_no_solution(capsys):
 
 
 def test_exit_code_for_contract_violations(capsys, tmp_path):
-    thermal = write_state(tmp_path, pp.thermal_deviation(pp.get_preset("chloroform")))
+    thermal = write_state(tmp_path, core.thermal_deviation(presets.get_preset("chloroform")))
     code, _, err = run_cli(
         capsys, "hogg", "--system", "chloroform", "--formula", "V1&V2", "--state", thermal
     )
@@ -354,13 +364,13 @@ def test_exit_code_for_contract_violations(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("error, code", [
-    (pp.InputError, 1),
-    (pp.errors.ParseError, 1),
-    (pp.errors.CompileError, 1),
-    (pp.NoSolutionError, 2),
-    (pp.ContractError, 3),
-    (pp.errors.NotPseudoPureError, 3),
-    (pp.errors.PpsimError, 1),
+    (errors.InputError, 1),
+    (errors.ParseError, 1),
+    (errors.CompileError, 1),
+    (errors.NoSolutionError, 2),
+    (errors.ContractError, 3),
+    (errors.NotPseudoPureError, 3),
+    (errors.PpsimError, 1),
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_exit_code_for_each_error_class(capsys, monkeypatch, error, code):
     def fail(name_or_path):

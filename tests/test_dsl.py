@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import ppsim as pp
-from ppsim import dsl
+from ppsim import core, dsl, presets
 from ppsim.errors import CompileError, InputError, ParseError
 
 PREP_PROGRAM = "block { sel 3 4 x 127.13 ; sel 2 4 x 186.01 }\ncrush\n"
@@ -35,6 +34,10 @@ def random_program(rng):
         else:
             statements.append(dsl.Crush(str(rng.choice(["all_off_diagonal", "coherence_order"]))))
     return dsl.PulseProgram(tuple(statements))
+
+
+axes = st.sampled_from("xyz")
+finite_angles = st.floats(allow_nan=False, allow_infinity=False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,18 +116,37 @@ def test_pretty_round_trip_hand_program():
     assert dsl.parse(dsl.pretty(program)) == program
 
 
-def test_pretty_round_trip_generated_programs():
-    rng = np.random.default_rng(2024)
-    for _ in range(50):
-        program = random_program(rng)
-        assert dsl.parse(dsl.pretty(program)) == program
+@st.composite
+def any_block(draw):
+    # parse rejects a pulse on one level and a line twice in one block, nothing else
+    distinct = st.tuples(st.integers(), st.integers()).filter(lambda mk: mk[0] != mk[1])
+    pairs = draw(st.lists(distinct, min_size=1, max_size=4, unique_by=frozenset))
+    return dsl.Block(tuple(dsl.SelPulse(m, k, draw(axes), draw(finite_angles)) for m, k in pairs))
+
+
+any_statements = st.one_of(
+    any_block(),
+    st.builds(dsl.HardPulse, st.none() | st.integers(), axes, finite_angles),
+    st.builds(dsl.Crush, st.sampled_from(core.CRUSH_MODES)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(any_statements, max_size=6))
+def test_pretty_round_trip_generated_programs(stmts):
+    # any finite angle (-0.0, subnormals, beyond 1e16), level and spin
+    program = dsl.PulseProgram(tuple(stmts))
+    parsed = dsl.parse(dsl.pretty(program))
+    assert parsed == program
+    # repr also tells -0.0 from 0.0, which == does not
+    assert repr(parsed.statements) == repr(program.statements)
 
 
 # ---------------------------------------------------------------------------
 # compilation
 
 def test_compile_preparation_program():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     seq = dsl.compile(dsl.parse(PREP_PROGRAM), system)
     assert len(seq.events) == 2
     assert isinstance(seq.events[0], dsl.Unitary)
@@ -134,16 +156,16 @@ def test_compile_preparation_program():
 
 
 def test_compile_hard_pulse_is_kron_of_rotations():
-    system = pp.get_preset("homonuclear-2")
+    system = presets.get_preset("homonuclear-2")
     seq = dsl.compile(dsl.parse("hard all x 90"), system)
-    single = pp.expm_unitary((np.pi / 2) * pp.spin_op(1, "x", 1))
+    single = core.expm_unitary((np.pi / 2) * core.spin_op(1, "x", 1))
     np.testing.assert_allclose(seq.events[0].op, np.kron(single, single), atol=1e-12)
     seq = dsl.compile(dsl.parse("hard 2 x 90"), system)
     np.testing.assert_allclose(seq.events[0].op, np.kron(np.eye(2), single), atol=1e-12)
 
 
 def test_compile_rejects_unresolvable_lines():
-    system = pp.get_preset("homonuclear-2")
+    system = presets.get_preset("homonuclear-2")
     with pytest.raises(CompileError) as err:
         dsl.compile(dsl.parse("sel 1 4 x 90"), system)
     assert "not a resolvable line" in str(err.value)
@@ -156,7 +178,7 @@ def test_compile_rejects_unresolvable_lines():
 def test_compile_block_simultaneity_matters():
     # one block is a single exponential; consecutive one-pulse statements
     # multiply two exponentials, a different operator for non-commuting lines
-    system = pp.get_preset("homonuclear-2")
+    system = presets.get_preset("homonuclear-2")
     together = dsl.compile(dsl.parse("block { sel 3 4 x 90 ; sel 4 2 x 90 }"), system)
     apart = dsl.compile(dsl.parse("sel 3 4 x 90\nsel 4 2 x 90"), system)
     combined = apart.events[1].op @ apart.events[0].op
@@ -164,7 +186,7 @@ def test_compile_block_simultaneity_matters():
 
 
 def test_compile_is_deterministic():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     a = dsl.compile(dsl.parse(PREP_PROGRAM), system)
     b = dsl.compile(dsl.parse(PREP_PROGRAM), system)
     for ea, eb in zip(a.events, b.events):
@@ -178,16 +200,16 @@ def test_compile_is_deterministic():
 # execution
 
 def test_run_empty_sequence_is_identity():
-    system = pp.get_preset("chloroform")
-    rho = pp.thermal_deviation(system)
+    system = presets.get_preset("chloroform")
+    rho = core.thermal_deviation(system)
     out = dsl.run(dsl.compile(dsl.parse(""), system), rho)
     np.testing.assert_allclose(out, rho)
 
 
 def test_run_preparation_program_reaches_golden_diagonal():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     seq = dsl.compile(dsl.parse(PREP_PROGRAM), system)
-    rho = dsl.run(seq, pp.thermal_deviation(system))
+    rho = dsl.run(seq, core.thermal_deviation(system))
     np.testing.assert_allclose(
         np.real(np.diagonal(rho)), [6.9905, -2.3303, -2.3303, -2.3303], atol=1e-3
     )
@@ -195,27 +217,27 @@ def test_run_preparation_program_reaches_golden_diagonal():
 
 
 def test_run_without_crush_leaves_coherences():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     text = "block { sel 3 4 x 127.13 ; sel 2 4 x 186.01 }"
-    rho = dsl.run(dsl.compile(dsl.parse(text), system), pp.thermal_deviation(system))
+    rho = dsl.run(dsl.compile(dsl.parse(text), system), core.thermal_deviation(system))
     off = rho - np.diag(np.diagonal(rho))
     assert np.max(np.abs(off)) > 0.1
     # the two pulses share level 4, which builds a zero-quantum (2,3)
     # coherence that an order-based crusher keeps; only the idealized
     # all-off-diagonal mode yields the clean diagonal
-    kept = pp.crush(rho, "coherence_order")
+    kept = core.crush(rho, "coherence_order")
     assert abs(kept[1, 2]) > 1e-3
-    flat = pp.crush(rho, "all_off_diagonal")
+    flat = core.crush(rho, "all_off_diagonal")
     assert np.max(np.abs(flat - np.diag(np.diagonal(flat)))) == 0
 
 
 def test_run_concatenation_matches_sequential_runs():
-    system = pp.get_preset("homonuclear-2")
+    system = presets.get_preset("homonuclear-2")
     rng = np.random.default_rng(77)
     for _ in range(10):
         p1, p2 = random_program(rng), random_program(rng)
         joined = dsl.PulseProgram(p1.statements + p2.statements)
-        rho0 = pp.thermal_deviation(system)
+        rho0 = core.thermal_deviation(system)
         once = dsl.run(dsl.compile(joined, system), rho0)
         twice = dsl.run(
             dsl.compile(p2, system), dsl.run(dsl.compile(p1, system), rho0)
@@ -225,7 +247,6 @@ def test_run_concatenation_matches_sequential_runs():
 
 # the four single-flip lines of a two-spin register
 LINES_2SPIN = ((1, 2), (3, 4), (1, 3), (2, 4))
-axes = st.sampled_from("xyz")
 angles = st.floats(-720.0, 720.0, allow_subnormal=False)
 
 
@@ -243,7 +264,7 @@ def blocks(draw):
 statements = st.one_of(
     blocks(),
     st.builds(dsl.HardPulse, st.sampled_from((None, 1, 2)), axes, angles),
-    st.builds(dsl.Crush, st.sampled_from(pp.core.CRUSH_MODES)),
+    st.builds(dsl.Crush, st.sampled_from(core.CRUSH_MODES)),
 )
 
 
@@ -259,14 +280,14 @@ def traceless_hermitian_2spin(draw):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(statements, min_size=1, max_size=6), traceless_hermitian_2spin())
 def test_run_preserves_hermiticity_and_trace(stmts, rho):
-    system = pp.get_preset("homonuclear-2")
+    system = presets.get_preset("homonuclear-2")
     out = dsl.run(dsl.compile(dsl.PulseProgram(tuple(stmts)), system), rho)
     assert np.max(np.abs(out - out.conj().T)) <= 1e-12
     assert abs(np.trace(out) - np.trace(rho)) <= 1e-12
 
 
 def test_run_dimension_check():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     seq = dsl.compile(dsl.parse("crush"), system)
     with pytest.raises(InputError):
         dsl.run(seq, np.eye(8))

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import ppsim as pp
-from ppsim import prep
+from ppsim import core, prep, presets
 from ppsim.errors import InputError, NoSolutionError, NotPseudoPureError
 from ppsim.prep import CascadeSpec, CascadeStep
 
@@ -32,7 +31,7 @@ def cascade_for(system, target):
     """The stock cascade for a target level, or the 3-spin tree for 'tree'."""
     if target == "tree":
         return CascadeSpec(1, TREE_3_STEPS, 3)
-    return pp.default_cascade(system.n_spins, target)
+    return prep.default_cascade(system.n_spins, target)
 
 
 def spread_of(residual_vec):
@@ -54,27 +53,27 @@ def spread_of(residual_vec):
     ],
 )
 def test_default_cascade_two_spins(target, steps):
-    spec = pp.default_cascade(2, target)
-    assert tuple((s.m, s.k, pp.flipped_spin(s.m, s.k, 2)) for s in spec.steps) == steps
+    spec = prep.default_cascade(2, target)
+    assert tuple((s.m, s.k, core.flipped_spin(s.m, s.k, 2)) for s in spec.steps) == steps
 
 
 def test_default_cascade_three_spins_target_one():
-    spec = pp.default_cascade(3, 1)
+    spec = prep.default_cascade(3, 1)
     assert tuple((s.m, s.k) for s in spec.steps) == ((3, 7), (7, 5), (5, 6), (6, 8), (8, 4), (4, 2))
 
 
 @pytest.mark.parametrize("n,target", [(3, 5), (4, 7), (5, 32)])
 def test_default_cascade_validates_for_any_target(n, target):
     # CascadeSpec checks the spanning tree when it is built
-    spec = pp.default_cascade(n, target)
+    spec = prep.default_cascade(n, target)
     assert (spec.target, spec.n_spins, len(spec.steps)) == (target, n, 2**n - 2)
 
 
 def test_default_cascade_range_checks():
     with pytest.raises(InputError):
-        pp.default_cascade(2, 5)
+        prep.default_cascade(2, 5)
     with pytest.raises(InputError):
-        pp.default_cascade(1, 1)
+        prep.default_cascade(1, 1)
 
 
 def test_cascade_spec_rejects_non_trees():
@@ -100,31 +99,31 @@ def test_cascade_spec_rejects_non_trees():
 # residual
 
 def test_residual_identity_pulse_homonuclear():
-    spec = pp.default_cascade(2, 1)
-    r = pp.residual((0.0, 0.0), pp.get_preset("homonuclear-2"), spec)
+    spec = prep.default_cascade(2, 1)
+    r = prep.residual((0.0, 0.0), presets.get_preset("homonuclear-2"), spec)
     np.testing.assert_allclose(r, [0.0, -2.0], atol=1e-15)
 
 
 def test_residual_at_homonuclear_root():
-    spec = pp.default_cascade(2, 1)
-    r = pp.residual((HOMO2_ROOT, HOMO2_ROOT), pp.get_preset("homonuclear-2"), spec)
+    spec = prep.default_cascade(2, 1)
+    r = prep.residual((HOMO2_ROOT, HOMO2_ROOT), presets.get_preset("homonuclear-2"), spec)
     assert np.max(np.abs(r)) < 1e-12
 
 
 def test_residual_at_tabulated_heteronuclear_angles():
-    spec = pp.default_cascade(2, 1)
-    r = pp.residual((127.13, 186.01), pp.get_preset("chloroform"), spec)
+    spec = prep.default_cascade(2, 1)
+    r = prep.residual((127.13, 186.01), presets.get_preset("chloroform"), spec)
     assert np.max(np.abs(r)) < 5e-3
 
 
 def test_residual_input_checks():
-    spec = pp.default_cascade(2, 1)
+    spec = prep.default_cascade(2, 1)
     with pytest.raises(InputError):
-        pp.residual((1.0,), pp.get_preset("homonuclear-2"), spec)
+        prep.residual((1.0,), presets.get_preset("homonuclear-2"), spec)
     with pytest.raises(InputError):
-        pp.residual((1.0, 2.0), pp.get_preset("homonuclear-3"), spec)
+        prep.residual((1.0, 2.0), presets.get_preset("homonuclear-3"), spec)
     with pytest.raises(InputError):
-        pp.residual((float("nan"), 2.0), pp.get_preset("homonuclear-2"), spec)
+        prep.residual((float("nan"), 2.0), presets.get_preset("homonuclear-2"), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +131,7 @@ def test_residual_input_checks():
 
 def batched_residual(system, target):
     spec = cascade_for(system, target)
-    d_eq = np.real(np.diagonal(pp.thermal_deviation(system)))
+    d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
     return prep._BatchedResidual(spec, d_eq), spec
 
 
@@ -143,29 +142,32 @@ def batched_residual(system, target):
      ((1.4048, 1.4048, 5.5857), "tree")],
 )
 def test_batched_jacobian_matches_central_differences(gamma, target):
-    fun, spec = batched_residual(pp.SpinSystem(gamma=gamma), target)
+    fun, spec = batched_residual(core.SpinSystem(gamma=gamma), target)
     k = len(spec.steps)
     rng = np.random.default_rng(len(gamma) * 10 + spec.target)
     # theta = 0 and equal angles give degenerate eigenvalues
     theta = np.vstack([np.zeros(k), np.full(k, 1.3), rng.uniform(-8.0, 8.0, (4, k))])
-    _, J = fun(theta, jacobian=True)
+    _, w, V = fun.evaluate(theta)
+    J = fun.jacobian(w, V)
     h = 1e-5
     central = np.stack(
-        [(fun(theta + h * e) - fun(theta - h * e)) / (2 * h) for e in np.eye(k)], axis=2
+        [(fun.evaluate(theta + h * e)[0] - fun.evaluate(theta - h * e)[0]) / (2 * h)
+         for e in np.eye(k)],
+        axis=2,
     )
     np.testing.assert_allclose(J, central, rtol=0, atol=1e-7)
 
 
 @pytest.mark.parametrize("name", ["chloroform", "homonuclear-2", "homonuclear-3", "hetero-3"])
 def test_batched_residual_matches_residual(name):
-    system = pp.get_preset(name)
+    system = presets.get_preset(name)
     rng = np.random.default_rng(7)
     extra = ["tree"] if system.n_spins == 3 else []
     for target in [*range(1, system.dim + 1), *extra]:
         fun, spec = batched_residual(system, target)
         theta = rng.uniform(-12.0, 12.0, (5, len(spec.steps)))
-        want = [pp.residual(np.degrees(t), system, spec) for t in theta]
-        np.testing.assert_allclose(fun(theta), want, rtol=0, atol=1e-12)
+        want = [prep.residual(np.degrees(t), system, spec) for t in theta]
+        np.testing.assert_allclose(fun.evaluate(theta)[0], want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,18 +180,18 @@ def test_batched_residual_matches_residual(name):
 def test_residual_is_invariant_under_angle_sign_flips(case, angles, signs):
     # a cascade is a tree, so a diagonal +-1 similarity flips any angle's sign
     name, target = case
-    system = pp.get_preset(name)
+    system = presets.get_preset(name)
     spec = cascade_for(system, target)
     k = len(spec.steps)
     theta = np.array(angles[:k])
     flipped = np.array(signs[:k]) * theta
     np.testing.assert_allclose(
-        pp.residual(flipped, system, spec), pp.residual(theta, system, spec), rtol=0, atol=1e-12
+        prep.residual(flipped, system, spec), prep.residual(theta, system, spec), rtol=0, atol=1e-12
     )
 
 
 def test_newton_block_failures_stay_in_their_own_start():
-    fun, _ = batched_residual(pp.get_preset("chloroform"), 1)
+    fun, _ = batched_residual(presets.get_preset("chloroform"), 1)
     good = np.radians([[120.0, 180.0], [60.0, 240.0]])
     # the Jacobian at theta = 0 is exactly zero; an infinite start has no residual
     x0 = np.vstack([good[0], [0.0, 0.0], good[1], [np.inf, 0.0]])
@@ -202,17 +204,17 @@ def test_newton_block_failures_stay_in_their_own_start():
 
 def test_solver_result_does_not_depend_on_the_block_size(monkeypatch):
     # every start follows its own iteration, whichever starts share its block
-    system, spec = pp.get_preset("homonuclear-3"), pp.default_cascade(3, 1)
-    default = pp.solve_angles(system, spec, grid_per_dim=2)
+    system, spec = presets.get_preset("homonuclear-3"), prep.default_cascade(3, 1)
+    default = prep.solve_angles(system, spec, grid_per_dim=2)
     assert prep._block_rows(7) >= default.starts_tried == 64
     for rows in (1, 5):
         monkeypatch.setattr(prep, "NEWTON_BYTES", rows * prep._ROW_BYTES_PER_LEVEL2 * 7 * 7)
         assert prep._block_rows(7) == rows
-        assert repr(pp.solve_angles(system, spec, grid_per_dim=2)) == repr(default)
+        assert repr(prep.solve_angles(system, spec, grid_per_dim=2)) == repr(default)
 
 
 def test_newton_block_decomposes_each_point_once(monkeypatch):
-    fun, spec = batched_residual(pp.get_preset("hetero-3"), 1)
+    fun, spec = batched_residual(presets.get_preset("hetero-3"), 1)
     x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), 2), dtype=float))
     eigh_rows, evaluated, jacobians = [], [], []
     real_eigh, real_evaluate, real_jacobian = np.linalg.eigh, fun.evaluate, fun.jacobian
@@ -225,20 +227,11 @@ def test_newton_block_decomposes_each_point_once(monkeypatch):
     assert sum(eigh_rows) == sum(evaluated)
 
 
-def test_jacobian_from_a_stored_decomposition_matches_the_call():
-    fun, spec = batched_residual(pp.get_preset("hetero-3"), 1)
-    theta = np.random.default_rng(3).uniform(-8.0, 8.0, (6, len(spec.steps)))
-    r, w, V = fun.evaluate(theta)
-    want_r, want_J = fun(theta, jacobian=True)
-    np.testing.assert_array_equal(r, want_r)
-    np.testing.assert_array_equal(fun.jacobian(w, V), want_J)
-
-
 def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
-    system, spec = pp.get_preset("chloroform"), pp.default_cascade(2, 1)
-    honest = pp.solve_angles(system, spec)
+    system, spec = presets.get_preset("chloroform"), prep.default_cascade(2, 1)
+    honest = prep.solve_angles(system, spec)
     bogus = (10.0, 20.0)
-    assert np.max(np.abs(pp.residual(bogus, system, spec))) >= 1e-10
+    assert np.max(np.abs(prep.residual(bogus, system, spec))) >= 1e-10
     real_block = prep._newton_block
 
     def lenient(fun, x0, tol):
@@ -249,7 +242,7 @@ def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
 
     monkeypatch.setattr(prep, "_newton_block", lenient)
     # without the re-check (10, 20) would be one more root
-    assert pp.solve_angles(system, spec).roots == honest.roots
+    assert prep.solve_angles(system, spec).roots == honest.roots
 
 
 #: roots[0] of the default solve: folded onto |theta|, smallest largest angle.
@@ -271,14 +264,14 @@ FIRST_ROOTS = {
 @pytest.mark.parametrize("case", sorted(FIRST_ROOTS))
 def test_first_root_is_pinned(case):
     name, target = case
-    system = pp.get_preset(name)
-    spec = pp.default_cascade(system.n_spins, target)
-    first = pp.solve_angles(system, spec).roots[0]
+    system = presets.get_preset(name)
+    spec = prep.default_cascade(system.n_spins, target)
+    first = prep.solve_angles(system, spec).roots[0]
     np.testing.assert_allclose(first, FIRST_ROOTS[case], rtol=0, atol=1e-6)
 
 
 def test_solver_finds_homonuclear_root():
-    result = pp.solve_angles(pp.get_preset("homonuclear-2"), pp.default_cascade(2, 1))
+    result = prep.solve_angles(presets.get_preset("homonuclear-2"), prep.default_cascade(2, 1))
     best = min(result.roots, key=lambda r: max(abs(v - HOMO2_ROOT) for v in r))
     assert max(abs(v - HOMO2_ROOT) for v in best) < 1e-6
     assert result.starts_tried == 25  # the 5x5 grid
@@ -297,19 +290,19 @@ def test_signal_equals_temporal_averaging(case):
     # traceless, so the pseudo-pure excess is N/(N-1) d_t, the signal that
     # temporal averaging gives (Knill, Chuang & Laflamme, PRA 57 (1998) 3348)
     name, target, pinned = case
-    system = pp.get_preset(name)
+    system = presets.get_preset(name)
     if pinned:
         angles = FIRST_ROOTS[(name, target)]
     else:
-        spec = pp.default_cascade(system.n_spins, target)
-        angles = pp.solve_angles(system, spec, grid_per_dim=2).roots[0]
-    rho, _ = pp.prepare_pseudo_pure(system, target, angles_deg=angles)
-    d_t = np.real(pp.thermal_deviation(system)[target - 1, target - 1])
+        spec = prep.default_cascade(system.n_spins, target)
+        angles = prep.solve_angles(system, spec, grid_per_dim=2).roots[0]
+    rho, _ = prep.prepare_pseudo_pure(system, target, angles_deg=angles)
+    d_t = np.real(core.thermal_deviation(system)[target - 1, target - 1])
     if d_t == 0:
         with pytest.raises(NotPseudoPureError):
-            pp.pure_part(rho)
+            core.pure_part(rho)
         return
-    part = pp.pure_part(rho)
+    part = core.pure_part(rho)
     assert part.target == target
     assert part.pure_coeff == pytest.approx(system.dim / (system.dim - 1) * d_t, rel=0, abs=1e-9)
 
@@ -323,20 +316,20 @@ def test_signal_equals_temporal_averaging(case):
 def test_every_root_prepares_a_pseudo_pure_state(magnitudes, signs, target):
     # a zero residual equalizes the non-target populations, so every root the
     # solver reports must pass pure_part with the temporal-averaging signal
-    system = pp.SpinSystem(gamma=tuple(g * s for g, s in zip(magnitudes, signs)))
-    d = np.real(np.diagonal(pp.thermal_deviation(system)))
+    system = core.SpinSystem(gamma=tuple(g * s for g, s in zip(magnitudes, signs)))
+    d = np.real(np.diagonal(core.thermal_deviation(system)))
     scale = np.max(np.abs(d))
     assume(abs(d[target - 1]) >= 0.1 * scale)
-    result = pp.solve_angles(system, pp.default_cascade(2, target))
+    result = prep.solve_angles(system, prep.default_cascade(2, target))
     for root in result.roots:
-        rho, _ = pp.prepare_pseudo_pure(system, target, angles_deg=root)
-        part = pp.pure_part(rho)
+        rho, _ = prep.prepare_pseudo_pure(system, target, angles_deg=root)
+        part = core.pure_part(rho)
         assert part.target == target
         assert abs(part.pure_coeff - 4 / 3 * d[target - 1]) <= 1e-9 * scale
 
 
 def test_solver_finds_heteronuclear_root():
-    result = pp.solve_angles(pp.get_preset("chloroform"), pp.default_cascade(2, 1))
+    result = prep.solve_angles(presets.get_preset("chloroform"), prep.default_cascade(2, 1))
     best = min(
         result.roots,
         key=lambda r: max(abs(a - b) for a, b in zip(r, (127.13, 186.01))),
@@ -346,13 +339,13 @@ def test_solver_finds_heteronuclear_root():
 
 def test_solver_soundness_and_dedup():
     tol = 1e-10
-    result = pp.solve_angles(
-        pp.get_preset("chloroform"), pp.default_cascade(2, 1), newton_tol=tol
+    result = prep.solve_angles(
+        presets.get_preset("chloroform"), prep.default_cascade(2, 1), newton_tol=tol
     )
-    spec = pp.default_cascade(2, 1)
+    spec = prep.default_cascade(2, 1)
     for root, norm in zip(result.roots, result.residual_norms):
         assert norm < tol
-        r = pp.residual(root, pp.get_preset("chloroform"), spec)
+        r = prep.residual(root, presets.get_preset("chloroform"), spec)
         assert np.max(np.abs(r)) < tol * 10
     for i, a in enumerate(result.roots):
         for b in result.roots[i + 1 :]:
@@ -360,7 +353,7 @@ def test_solver_soundness_and_dedup():
 
 
 def test_solver_orders_in_box_roots_first():
-    result = pp.solve_angles(pp.get_preset("homonuclear-2"), pp.default_cascade(2, 1))
+    result = prep.solve_angles(presets.get_preset("homonuclear-2"), prep.default_cascade(2, 1))
     boxed = [all(0 <= v < 360 for v in r) for r in result.roots]
     assert boxed == sorted(boxed, reverse=True)
     assert boxed[0]
@@ -368,33 +361,33 @@ def test_solver_orders_in_box_roots_first():
 
 def test_solver_reports_failure():
     with pytest.raises(NoSolutionError):
-        pp.solve_angles(
-            pp.get_preset("homonuclear-2"), pp.default_cascade(2, 1), newton_tol=0.0
+        prep.solve_angles(
+            presets.get_preset("homonuclear-2"), prep.default_cascade(2, 1), newton_tol=0.0
         )
 
 
 @pytest.mark.parametrize("name", ["homonuclear-3", "hetero-3"])
 def test_solver_handles_a_tree_that_is_not_a_path(name):
-    system = pp.get_preset(name)
+    system = presets.get_preset(name)
     spec = cascade_for(system, "tree")
-    result = pp.solve_angles(system, spec, grid_per_dim=2)
+    result = prep.solve_angles(system, spec, grid_per_dim=2)
     assert result.roots
     for root in result.roots:
-        assert np.max(np.abs(pp.residual(root, system, spec))) < 1e-10
-    U = pp.preparation_unitary(spec, result.roots[0])
-    rho = pp.crush(pp.evolve(pp.thermal_deviation(system), U))
-    assert pp.pure_part(rho).target == 1
+        assert np.max(np.abs(prep.residual(root, system, spec))) < 1e-10
+    U = prep.preparation_unitary(spec, result.roots[0])
+    rho = core.crush(core.evolve(core.thermal_deviation(system), U))
+    assert core.pure_part(rho).target == 1
 
 
 def test_homonuclear_target_relabeling_preserves_roots():
     # flipping both bits maps the target-1 cascade onto the target-4 one
     # with the step order reversed, so every solved angle vector, read
     # backwards, must also be a root of the relabeled problem
-    system = pp.get_preset("homonuclear-2")
-    spec4 = pp.default_cascade(2, 4)
-    roots1 = pp.solve_angles(system, pp.default_cascade(2, 1)).roots
+    system = presets.get_preset("homonuclear-2")
+    spec4 = prep.default_cascade(2, 4)
+    roots1 = prep.solve_angles(system, prep.default_cascade(2, 1)).roots
     for root in roots1:
-        r = pp.residual(tuple(reversed(root)), system, spec4)
+        r = prep.residual(tuple(reversed(root)), system, spec4)
         assert np.max(np.abs(r)) < 1e-8
 
 
@@ -402,7 +395,7 @@ def test_homonuclear_target_relabeling_preserves_roots():
 # preparation
 
 def test_prepare_homonuclear_golden():
-    rho, solution = pp.prepare_pseudo_pure(pp.get_preset("homonuclear-2"), 1)
+    rho, solution = prep.prepare_pseudo_pure(presets.get_preset("homonuclear-2"), 1)
     assert solution is not None
     np.testing.assert_allclose(
         np.real(np.diagonal(rho)), [2, -2 / 3, -2 / 3, -2 / 3], atol=1e-6
@@ -411,51 +404,51 @@ def test_prepare_homonuclear_golden():
 
 
 def test_prepare_heteronuclear_golden():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     np.testing.assert_allclose(
         np.real(np.diagonal(rho)), [6.9905, -2.3303, -2.3303, -2.3303], atol=1e-3
     )
-    part = pp.pure_part(rho)
+    part = core.pure_part(rho)
     assert part.pure_coeff == pytest.approx((4 / 3) * sum(system.gamma), abs=1e-3)
 
 
 def test_prepare_keeps_target_population_thermal():
-    system = pp.get_preset("chloroform")
-    d_eq = np.real(np.diagonal(pp.thermal_deviation(system)))
+    system = presets.get_preset("chloroform")
+    d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
     for target in range(1, 5):
-        rho, _ = pp.prepare_pseudo_pure(system, target)
+        rho, _ = prep.prepare_pseudo_pure(system, target)
         d = np.real(np.diagonal(rho))
         assert d[target - 1] == pytest.approx(d_eq[target - 1], abs=1e-12)
-        part = pp.pure_part(rho)
+        part = core.pure_part(rho)
         assert part.target == target
         rest = np.delete(d, target - 1)
         assert rest.max() - rest.min() < 1e-6
 
 
 def test_prepare_explicit_angles_skips_solver():
-    system = pp.get_preset("chloroform")
-    rho, solution = pp.prepare_pseudo_pure(system, 1, angles_deg=(127.13, 186.01))
+    system = presets.get_preset("chloroform")
+    rho, solution = prep.prepare_pseudo_pure(system, 1, angles_deg=(127.13, 186.01))
     assert solution is None
-    part = pp.pure_part(rho, tol=5e-3)
+    part = core.pure_part(rho, tol=5e-3)
     assert part.target == 1
     # deliberately bad angles still produce a state, just not a useful one
-    rho, _ = pp.prepare_pseudo_pure(system, 1, angles_deg=(10.0, 20.0))
+    rho, _ = prep.prepare_pseudo_pure(system, 1, angles_deg=(10.0, 20.0))
     with pytest.raises(NotPseudoPureError):
-        pp.pure_part(rho)
+        core.pure_part(rho)
 
 
 def test_prepare_homonuclear_odd_parity_targets_vanish():
     # levels 2 and 3 of an equal-gamma pair carry zero thermal population,
     # so equalizing the rest leaves nothing above the uniform background
-    system = pp.get_preset("homonuclear-2")
+    system = presets.get_preset("homonuclear-2")
     for target in (2, 3):
         with pytest.raises(NotPseudoPureError):
-            pp.prepare_pseudo_pure(system, target)
+            prep.prepare_pseudo_pure(system, target)
 
 
 def test_prepare_heteronuclear_last_level():
-    rho, _ = pp.prepare_pseudo_pure(pp.get_preset("chloroform"), 4)
+    rho, _ = prep.prepare_pseudo_pure(presets.get_preset("chloroform"), 4)
     d = np.real(np.diagonal(rho))
     rest = np.delete(d, 3)
     assert rest.max() - rest.min() < 5e-3
@@ -463,7 +456,7 @@ def test_prepare_heteronuclear_last_level():
 
 
 def test_prepare_three_spin_system():
-    rho, solution = pp.prepare_pseudo_pure(pp.get_preset("homonuclear-3"), 1)
+    rho, solution = prep.prepare_pseudo_pure(presets.get_preset("homonuclear-3"), 1)
     d = np.real(np.diagonal(rho))
     np.testing.assert_allclose(d, [3] + [-3 / 7] * 7, atol=1e-8)
     assert all(0 <= v < 360 for v in solution.roots[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import ppsim as pp
+from ppsim import core, prep, presets, readout
 from ppsim.errors import ContractError, InputError
 from ppsim.readout import basis_operators, render_stick_svg, setting_unitary
 
@@ -26,16 +27,16 @@ def amplitudes(spectrum):
 # lines and settings
 
 def test_transitions_of_spin():
-    assert pp.transitions_of_spin(1, 2) == [(1, 3), (2, 4)]
-    assert pp.transitions_of_spin(2, 2) == [(1, 2), (3, 4)]
-    assert pp.transitions_of_spin(1, 3) == [(1, 5), (2, 6), (3, 7), (4, 8)]
+    assert readout.transitions_of_spin(1, 2) == [(1, 3), (2, 4)]
+    assert readout.transitions_of_spin(2, 2) == [(1, 2), (3, 4)]
+    assert readout.transitions_of_spin(1, 3) == [(1, 5), (2, 6), (3, 7), (4, 8)]
     with pytest.raises(InputError):
-        pp.transitions_of_spin(3, 2)
+        readout.transitions_of_spin(3, 2)
 
 
 def test_setting_unitary():
     np.testing.assert_allclose(setting_unitary(("none", "none"), 2), np.eye(4), atol=1e-15)
-    single = pp.expm_unitary((np.pi / 2) * pp.spin_op(1, "x", 1))
+    single = core.expm_unitary((np.pi / 2) * core.spin_op(1, "x", 1))
     np.testing.assert_allclose(
         setting_unitary(("x90", "x90"), 2), np.kron(single, single), atol=1e-12
     )
@@ -46,11 +47,11 @@ def test_setting_unitary():
 
 
 def test_spectrum_of_prepared_state_has_one_line_per_spin():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     d = np.real(np.diagonal(rho))
     for spin in (1, 2):
-        spectrum = pp.readout_spectrum(rho, spin, system, "x90")
+        spectrum = readout.readout_spectrum(rho, spin, system, "x90")
         amp = amplitudes(spectrum)
         live = [t for t, a in amp.items() if abs(a) > 1e-9]
         assert len(live) == 1
@@ -61,12 +62,12 @@ def test_spectrum_of_prepared_state_has_one_line_per_spin():
 
 
 def test_spectrum_amplitude_conventions():
-    system = pp.get_preset("chloroform")
-    rho = pp.thermal_deviation(system)
+    system = presets.get_preset("chloroform")
+    rho = core.thermal_deviation(system)
     d = np.real(np.diagonal(rho))
     for spin, gamma in ((1, 1.4048), (2, 5.5857)):
         for pulse in ("x90", "y90"):
-            spectrum = pp.readout_spectrum(rho, spin, system, pulse)
+            spectrum = readout.readout_spectrum(rho, spin, system, pulse)
             for line in spectrum.lines:
                 m, k = line.transition
                 want = 1j * (d[k - 1] - d[m - 1]) if pulse == "x90" else d[m - 1] - d[k - 1]
@@ -75,71 +76,71 @@ def test_spectrum_amplitude_conventions():
 
 
 def test_spectrum_frequencies_follow_partner_state():
-    system = pp.get_preset("chloroform")
-    rho = pp.thermal_deviation(system)
-    spectrum = pp.readout_spectrum(rho, 1, system, "x90")
+    system = presets.get_preset("chloroform")
+    rho = core.thermal_deviation(system)
+    spectrum = readout.readout_spectrum(rho, 1, system, "x90")
     by_transition = {line.transition: line.freq_hz for line in spectrum.lines}
     assert by_transition[(1, 3)] == pytest.approx(214.95 / 2)  # partner H in 0
     assert by_transition[(2, 4)] == pytest.approx(-214.95 / 2)
     # no coupling information means no line positions
-    bare = pp.readout_spectrum(
-        pp.thermal_deviation(pp.get_preset("homonuclear-2")),
+    bare = readout.readout_spectrum(
+        core.thermal_deviation(presets.get_preset("homonuclear-2")),
         1,
-        pp.get_preset("homonuclear-2"),
+        presets.get_preset("homonuclear-2"),
         "x90",
     )
     assert all(line.freq_hz is None for line in bare.lines)
 
 
 def test_spectrum_without_pulse_shows_nothing_for_diagonal_states():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
-    spectrum = pp.readout_spectrum(rho, 1, system, "none")
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    spectrum = readout.readout_spectrum(rho, 1, system, "none")
     assert all(line.amplitude == 0 for line in spectrum.lines)
 
 
 def test_readout_preserves_total_population():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     rng = np.random.default_rng(9)
     rho = random_deviation(rng, 2)
     for pulse in ("none", "x90", "y90"):
-        after = pp.evolve(rho, setting_unitary((pulse, "none"), 2))
+        after = core.evolve(rho, setting_unitary((pulse, "none"), 2))
         assert np.sum(np.diagonal(after)) == pytest.approx(np.sum(np.diagonal(rho)), abs=1e-12)
 
 
 def test_readout_input_checks():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     with pytest.raises(InputError):
-        pp.readout_spectrum(np.eye(4), 1, system, "x180")
+        readout.readout_spectrum(np.eye(4), 1, system, "x180")
     with pytest.raises(InputError):
-        pp.readout_spectrum(np.eye(8), 1, system, "x90")
-    rho = pp.thermal_deviation(system)
+        readout.readout_spectrum(np.eye(8), 1, system, "x90")
+    rho = core.thermal_deviation(system)
     for sigma in (0.0, 0.1):
         for seed in (-1, 1.5, "7", True, False):
             with pytest.raises(InputError):
-                pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
+                readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
     for sigma in ("0.1", True, False, 0.1j, None, 10**400):
         with pytest.raises(InputError):
-            pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=7)
+            readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=7)
 
 
 def test_tomography_settings_counts():
-    assert len(pp.tomography_settings(1)) == 3
-    assert len(pp.tomography_settings(2)) == 9
-    assert len(pp.tomography_settings(3)) == 27
-    assert len(pp.tomography_settings(4)) == 81
+    assert len(readout.tomography_settings(1)) == 3
+    assert len(readout.tomography_settings(2)) == 9
+    assert len(readout.tomography_settings(3)) == 27
+    assert len(readout.tomography_settings(4)) == 81
     for bad in (0, 5):
         with pytest.raises(InputError):
-            pp.tomography_settings(bad)
+            readout.tomography_settings(bad)
 
 
 # ---------------------------------------------------------------------------
 # measurement simulation
 
 def test_noiseless_measurements_match_spectra():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
-    measured = pp.simulate_measurements(rho, system)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    measured = readout.simulate_measurements(rho, system)
     assert len(measured.records) == 9 * 2 * 2
     assert measured.seed is None
     for rec in measured.records:
@@ -147,34 +148,34 @@ def test_noiseless_measurements_match_spectra():
             assert rec.amplitude == 0
     one_spin = [
         r for r in measured.records
-        if r.setting == ("x90", "none") and pp.flipped_spin(*r.transition, 2) == 1
+        if r.setting == ("x90", "none") and core.flipped_spin(*r.transition, 2) == 1
     ]
-    spectrum = pp.readout_spectrum(rho, 1, system, "x90")
+    spectrum = readout.readout_spectrum(rho, 1, system, "x90")
     for rec, line in zip(one_spin, spectrum.lines):
         assert rec.transition == line.transition
         assert rec.amplitude == pytest.approx(line.amplitude, abs=1e-12)
 
 
 def test_measurement_noise_is_reproducible():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
-    a = pp.simulate_measurements(rho, system, noise_sigma=0.01, seed=31)
-    b = pp.simulate_measurements(rho, system, noise_sigma=0.01, seed=31)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    a = readout.simulate_measurements(rho, system, noise_sigma=0.01, seed=31)
+    b = readout.simulate_measurements(rho, system, noise_sigma=0.01, seed=31)
     assert a.records == b.records
-    c = pp.simulate_measurements(rho, system, noise_sigma=0.01)
+    c = readout.simulate_measurements(rho, system, noise_sigma=0.01)
     assert c.seed is not None
-    d = pp.simulate_measurements(rho, system, noise_sigma=0.01, seed=c.seed)
+    d = readout.simulate_measurements(rho, system, noise_sigma=0.01, seed=c.seed)
     assert c.records == d.records
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(InputError):
-            pp.simulate_measurements(rho, system, noise_sigma=bad)
+            readout.simulate_measurements(rho, system, noise_sigma=bad)
 
 
 def test_seeded_noise_is_pinned():
     # exact seeded amplitudes; a change in noise draw order or scaling moves them
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
-    records = pp.simulate_measurements(rho, system, noise_sigma=0.01, seed=31).records
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    records = readout.simulate_measurements(rho, system, noise_sigma=0.01, seed=31).records
     pinned = {
         0: (-0.044160688153160085 + 0.029482987464647215j),
         1: (0.06782472742022805 - 0.1086038598667247j),
@@ -189,18 +190,18 @@ def test_records_match_an_independent_forward_model():
     # 2 (U rho U+)[k-1, m-1] with U built from spin operators, not the cached stack
     for n, system in SYSTEMS_BY_SIZE.items():
         rho = random_deviation(np.random.default_rng(100 + n), n)
-        records = pp.simulate_measurements(rho, system).records
+        records = readout.simulate_measurements(rho, system).records
         keys = []
         for setting in itertools.product(("none", "x90", "y90"), repeat=n):
             H = sum(
-                ((np.pi / 2) * pp.spin_op(i, pulse[0], n)
+                ((np.pi / 2) * core.spin_op(i, pulse[0], n)
                  for i, pulse in enumerate(setting, start=1) if pulse != "none"),
                 np.zeros((2**n, 2**n)),
             )
-            U = pp.expm_unitary(H)
+            U = core.expm_unitary(H)
             after = U @ rho @ U.conj().T
             for spin in range(1, n + 1):
-                for m, k in pp.transitions_of_spin(spin, n):
+                for m, k in readout.transitions_of_spin(spin, n):
                     keys.append((setting, (m, k), 2 * after[k - 1, m - 1]))
         assert [(r.setting, r.transition) for r in records] == [key[:2] for key in keys]
         got = np.array([r.amplitude for r in records])
@@ -210,12 +211,12 @@ def test_records_match_an_independent_forward_model():
 
 def test_measurements_are_linear_in_the_state():
     for preset in ("chloroform", "hetero-3"):
-        system = pp.get_preset(preset)
+        system = presets.get_preset(preset)
         rng = np.random.default_rng(21)
         rho1, rho2 = random_deviation(rng, system.n_spins), random_deviation(rng, system.n_spins)
-        mixed = pp.simulate_measurements(0.3 * rho1 + 1.7 * rho2, system)
-        m1 = pp.simulate_measurements(rho1, system)
-        m2 = pp.simulate_measurements(rho2, system)
+        mixed = readout.simulate_measurements(0.3 * rho1 + 1.7 * rho2, system)
+        m1 = readout.simulate_measurements(rho1, system)
+        m2 = readout.simulate_measurements(rho2, system)
         assert len(mixed.records) == 3**system.n_spins * system.n_spins * system.dim // 2
         for rec, r1, r2 in zip(mixed.records, m1.records, m2.records):
             assert rec.amplitude == pytest.approx(
@@ -227,12 +228,12 @@ def test_measurements_are_linear_in_the_state():
 # reconstruction
 
 def test_round_trip_reconstruction_is_exact():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     rng = np.random.default_rng(13)
     for _ in range(25):
         rho = random_deviation(rng, 2)
-        measured = pp.simulate_measurements(rho, system)
-        result = pp.reconstruct(measured, system, reference=rho)
+        measured = readout.simulate_measurements(rho, system)
+        result = readout.reconstruct(measured, system, reference=rho)
         assert result.max_rel_error < 1e-10
         assert result.settings_used == 9
         assert result.residual_norm < 1e-9
@@ -240,44 +241,57 @@ def test_round_trip_reconstruction_is_exact():
 
 
 def test_round_trip_single_spin():
-    system = pp.SpinSystem(gamma=(1.0,))
+    system = core.SpinSystem(gamma=(1.0,))
     rng = np.random.default_rng(17)
     rho = random_deviation(rng, 1)
-    measured = pp.simulate_measurements(rho, system)
-    result = pp.reconstruct(measured, system, reference=rho)
+    measured = readout.simulate_measurements(rho, system)
+    result = readout.reconstruct(measured, system, reference=rho)
     assert result.max_rel_error < 1e-12
 
 
+def test_reconstruct_rejects_amplitudes_without_a_finite_norm():
+    # tier-1 turns a numpy overflow warning into a failure, so none may be raised
+    system = presets.get_preset("chloroform")
+    full = readout.simulate_measurements(core.thermal_deviation(system), system)
+    for bad in (float("nan"), complex(0.0, float("inf")), 1e160):
+        amplitudes = (bad,) + full.amplitudes[1:]
+        with pytest.raises(InputError):
+            readout.reconstruct(dataclasses.replace(full, amplitudes=amplitudes), system)
+    # squares near the top of the float range still sum to a finite norm
+    scaled = tuple(1e150 * a for a in full.amplitudes)
+    result = readout.reconstruct(dataclasses.replace(full, amplitudes=scaled), system)
+    assert np.isfinite(result.residual_norm)
+
+
 def test_reconstruct_rejects_incomplete_protocols():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     # populations alone cannot pin down coherences, even right after the
     # full protocol has been reconstructed and its design cached
-    full = pp.simulate_measurements(rho, system)
-    assert pp.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
+    full = readout.simulate_measurements(rho, system)
+    assert readout.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
     plain = tuple(rec for rec in full.records if rec.setting == ("none", "none"))
-    only_plain = pp.MeasurementSet.from_records(plain, full.noise_sigma, full.seed)
+    only_plain = readout.MeasurementSet.from_records(plain, full.noise_sigma, full.seed)
     with pytest.raises(ContractError):
-        pp.reconstruct(only_plain, system)
+        readout.reconstruct(only_plain, system)
     with pytest.raises(InputError):
-        pp.reconstruct(pp.MeasurementSet.from_records((), 0.0, None), system)
+        readout.reconstruct(readout.MeasurementSet.from_records((), 0.0, None), system)
 
 
 def test_cached_arrays_are_read_only():
-    system = pp.get_preset("chloroform")
+    system = presets.get_preset("chloroform")
     rho = random_deviation(np.random.default_rng(37), 2)
-    measured = pp.simulate_measurements(rho, system)
-    pp.reconstruct(measured, system)
-    for cached in (basis_operators(2)[14], setting_unitary(("x90", "none"), 2)):
-        with pytest.raises(ValueError):
-            cached[0, 0] = 7.0
+    measured = readout.simulate_measurements(rho, system)
+    readout.reconstruct(measured, system)
+    with pytest.raises(ValueError):
+        basis_operators(2)[14][0, 0] = 7.0
     protocol = measured.protocol
     u, w, _, _ = protocol.factors
     for cached in (protocol.propagators, protocol.which, protocol.row, protocol.col, u, w):
         with pytest.raises(ValueError):
             cached[0] = 1
-    assert pp.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
-    assert pp.simulate_measurements(rho, system) == measured
+    assert readout.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
+    assert readout.simulate_measurements(rho, system) == measured
 
 
 def test_shuffled_records_reconstruct():
@@ -286,22 +300,22 @@ def test_shuffled_records_reconstruct():
         system = SYSTEMS_BY_SIZE[n]
         rng = np.random.default_rng(43 + n)
         rho = random_deviation(rng, n)
-        records = list(pp.simulate_measurements(rho, system).records)
+        records = list(readout.simulate_measurements(rho, system).records)
         rng.shuffle(records)
-        shuffled = pp.MeasurementSet.from_records(records, 0.0, None)
-        result = pp.reconstruct(shuffled, system, reference=rho)
+        shuffled = readout.MeasurementSet.from_records(records, 0.0, None)
+        result = readout.reconstruct(shuffled, system, reference=rho)
         assert result.max_rel_error < 1e-12
         assert result.settings_used == 3**n
 
 
 def test_reconstruct_matches_an_independent_lstsq():
     # the design's column j is the noiseless record of basis operator j
-    for system in (pp.get_preset("chloroform"), pp.get_preset("hetero-3")):
+    for system in (presets.get_preset("chloroform"), presets.get_preset("hetero-3")):
         rho = random_deviation(np.random.default_rng(41), system.n_spins)
-        measured = pp.simulate_measurements(rho, system, noise_sigma=0.05, seed=3)
+        measured = readout.simulate_measurements(rho, system, noise_sigma=0.05, seed=3)
         basis = basis_operators(system.n_spins)
         columns = [
-            [rec.amplitude for rec in pp.simulate_measurements(B, system).records]
+            [rec.amplitude for rec in readout.simulate_measurements(B, system).records]
             for B in basis
         ]
         A = np.array(columns).T
@@ -309,7 +323,7 @@ def test_reconstruct_matches_an_independent_lstsq():
         amps = np.array([rec.amplitude for rec in measured.records])
         y = np.concatenate((amps.real, amps.imag))
         x, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-        result = pp.reconstruct(measured, system)
+        result = readout.reconstruct(measured, system)
         assert result.rank == rank == len(basis)
         np.testing.assert_allclose(
             result.reconstructed, np.tensordot(x, np.array(basis), axes=1), rtol=0, atol=1e-12
@@ -320,13 +334,13 @@ def test_reconstruct_matches_an_independent_lstsq():
 
 
 def test_reconstruct_rejects_levels_out_of_range():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
-    measured = pp.simulate_measurements(rho, system)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    measured = readout.simulate_measurements(rho, system)
     for bad in ((0, 3), (2, 5)):
         records = (measured.records[0]._replace(transition=bad),) + measured.records[1:]
         with pytest.raises(InputError):
-            pp.reconstruct(pp.MeasurementSet.from_records(records, 0.0, None), system)
+            readout.reconstruct(readout.MeasurementSet.from_records(records, 0.0, None), system)
 
 
 def test_records_come_back_with_their_protocol():
@@ -335,28 +349,28 @@ def test_records_come_back_with_their_protocol():
     for n, sigma, seed in ((2, 0.0, None), (3, 0.01, 5)):
         system = SYSTEMS_BY_SIZE[n]
         rho = random_deviation(np.random.default_rng(53 + n), n)
-        measured = pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
-        rebuilt = pp.MeasurementSet.from_records(measured.records, measured.noise_sigma, measured.seed)
+        measured = readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
+        rebuilt = readout.MeasurementSet.from_records(measured.records, measured.noise_sigma, measured.seed)
         assert rebuilt.protocol is measured.protocol
         assert rebuilt == measured
-        a, b = pp.reconstruct(measured, system), pp.reconstruct(rebuilt, system)
+        a, b = readout.reconstruct(measured, system), readout.reconstruct(rebuilt, system)
         assert np.array_equal(a.reconstructed, b.reconstructed)
         assert a.residual_norm == b.residual_norm
 
 
 def test_reconstruct_rejects_records_of_another_spin_count():
     for made_on, read_as in (("chloroform", "hetero-3"), ("hetero-3", "chloroform")):
-        system = pp.get_preset(made_on)
-        measured = pp.simulate_measurements(pp.thermal_deviation(system), system)
+        system = presets.get_preset(made_on)
+        measured = readout.simulate_measurements(core.thermal_deviation(system), system)
         with pytest.raises(InputError):
-            pp.reconstruct(measured, pp.get_preset(read_as))
+            readout.reconstruct(measured, presets.get_preset(read_as))
 
 
 SYSTEMS_BY_SIZE = {
-    1: pp.SpinSystem(gamma=(1.0,)),
-    2: pp.get_preset("chloroform"),
-    3: pp.get_preset("hetero-3"),
-    4: pp.SpinSystem(gamma=(1.4048, 1.4048, 5.5857, 5.5857)),  # CCHH analogue
+    1: core.SpinSystem(gamma=(1.0,)),
+    2: presets.get_preset("chloroform"),
+    3: presets.get_preset("hetero-3"),
+    4: core.SpinSystem(gamma=(1.4048, 1.4048, 5.5857, 5.5857)),  # CCHH analogue
 }
 
 
@@ -366,7 +380,7 @@ def test_full_protocols_round_trip_at_full_rank():
     for n, cond in ((1, 1.0), (2, 1.5**0.5), (3, 3**0.5), (4, 6.75**0.5)):
         system = SYSTEMS_BY_SIZE[n]
         rho = random_deviation(rng, n)
-        result = pp.reconstruct(pp.simulate_measurements(rho, system), system, reference=rho)
+        result = readout.reconstruct(readout.simulate_measurements(rho, system), system, reference=rho)
         assert result.max_rel_error < 1e-10
         assert result.settings_used == 3**n
         assert result.rank == 4**n - 1
@@ -391,20 +405,20 @@ def test_reconstruct_inverts_simulate(case):
     n, rho = case
     assume(np.max(np.abs(rho)) > 1e-3)  # the relative error needs a nonzero reference
     system = SYSTEMS_BY_SIZE[n]
-    result = pp.reconstruct(pp.simulate_measurements(rho, system), system, reference=rho)
+    result = readout.reconstruct(readout.simulate_measurements(rho, system), system, reference=rho)
     assert result.max_rel_error < 1e-10
     assert result.settings_used == 3**n
 
 
 def test_reconstruction_error_grows_with_noise():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     means = []
     for sigma in (0.0, 0.005, 0.01, 0.02):
         errs = []
         for seed in range(25):
-            measured = pp.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
-            errs.append(pp.reconstruct(measured, system, reference=rho).max_rel_error)
+            measured = readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
+            errs.append(readout.reconstruct(measured, system, reference=rho).max_rel_error)
         means.append(np.mean(errs))
     assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -420,9 +434,9 @@ def test_basis_operators_are_orthogonal():
 
 
 def test_render_stick_svg():
-    system = pp.get_preset("chloroform")
-    rho, _ = pp.prepare_pseudo_pure(system, 1)
-    spectra = [pp.readout_spectrum(rho, spin, system, "x90") for spin in (1, 2)]
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    spectra = [readout.readout_spectrum(rho, spin, system, "x90") for spin in (1, 2)]
     svg = render_stick_svg(spectra)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert svg.count("spin") >= 2
