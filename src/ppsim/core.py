@@ -5,7 +5,9 @@ Conventions used throughout the package:
 - Basis states are labeled by bit strings with spin 1 as the most
   significant bit.  Energy levels are numbered from 1, so for two spins
   |00> -> 1, |01> -> 2, |10> -> 3, |11> -> 4.
-- Spin operators are one-half the Pauli matrices (eigenvalues +-1/2).
+- :func:`generator` builds every pulse: angle a on the line (m, k) adds
+  a * sigma_axis/2 into the 2x2 block of levels m and k, and a hard pulse
+  on a spin is that sum over every line of the spin.
 - A deviation matrix is the traceless part of a density matrix, in the
   units where thermal equilibrium reads sum_i gamma_i * sigma_z(spin i).
   The uniform background is invisible to every readout modeled here and
@@ -14,6 +16,7 @@ Conventions used throughout the package:
   command-line boundaries.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -115,9 +118,7 @@ def level_of(bits: str) -> int:
 
 def bits_of(level: int, n_spins: int) -> str:
     """Basis label for a 1-based level, e.g. (2, 2) -> '01'."""
-    if not 1 <= level <= 2**n_spins:
-        raise InputError(f"level {level} out of range 1..{2**n_spins}")
-    return format(level - 1, f"0{n_spins}b")
+    return format(_check_level(level, n_spins) - 1, f"0{n_spins}b")
 
 
 def _check_level(level: int, n_spins: int) -> int:
@@ -142,48 +143,19 @@ def flipped_spin(m: int, k: int, n_spins: int) -> int:
     return n_spins - d.bit_length() + 1
 
 
-def _pauli(axis: str) -> np.ndarray:
-    try:
-        return PAULI[axis]
-    except KeyError:
-        raise InputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}") from None
+def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
+    """All single-quantum transitions (m, k) that flip the given spin.
+
+    m runs over levels with the spin in state 0; k is the partner level.
+    """
+    if not 1 <= spin <= n_spins:
+        raise InputError(f"spin index {spin} out of range 1..{n_spins}")
+    stride = 2 ** (n_spins - spin)
+    return [(m0 + 1, m0 + stride + 1) for m0 in range(2**n_spins) if not m0 & stride]
 
 
 # ---------------------------------------------------------------------------
 # operators
-
-def spin_op(i: int, axis: str, n_spins: int) -> np.ndarray:
-    """Spin operator sigma_axis/2 on spin i (1-based), identity elsewhere."""
-    if not 1 <= i <= n_spins:
-        raise InputError(f"spin index {i} out of range 1..{n_spins}")
-    sig = _pauli(axis)
-    op = np.eye(2 ** (i - 1), dtype=complex)
-    op = np.kron(op, sig / 2)
-    return np.kron(op, np.eye(2 ** (n_spins - i), dtype=complex))
-
-
-def transition_op(m: int, k: int, axis: str, n_spins: int) -> np.ndarray:
-    """Single-transition operator acting only in the two-level subspace (m, k).
-
-    The 2x2 block between levels m and k is sigma_axis/2 with the block rows
-    ordered (m, k); every other entry is zero.  Levels are 1-based and need
-    not be adjacent or single-quantum here; selection rules are the caller's
-    concern.
-    """
-    _check_level(m, n_spins)
-    _check_level(k, n_spins)
-    if m == k:
-        raise InputError(f"transition needs two distinct levels, got ({m}, {k})")
-    sig = _pauli(axis)
-    dim = 2**n_spins
-    out = np.zeros((dim, dim), dtype=complex)
-    a, b = m - 1, k - 1
-    out[a, a] = sig[0, 0] / 2
-    out[a, b] = sig[0, 1] / 2
-    out[b, a] = sig[1, 0] / 2
-    out[b, b] = sig[1, 1] / 2
-    return out
-
 
 def thermal_deviation(system: SpinSystem) -> np.ndarray:
     """High-temperature equilibrium deviation, sum_i gamma_i * sigma_z(i)."""
@@ -197,15 +169,29 @@ def thermal_deviation(system: SpinSystem) -> np.ndarray:
 
 
 def generator(pulses, n_spins: int) -> np.ndarray:
-    """Hermitian generator for simultaneous single-transition pulses.
+    """Hermitian generator of simultaneous single-transition pulses, for :func:`expm_unitary`.
 
-    pulses: iterable of ((m, k), axis, angle_rad).  The returned matrix is
-    sum_j angle_j * transition_op(m_j, k_j, axis_j); exponentiate with
-    :func:`expm_unitary` to get the pulse propagator.
+    pulses: iterable of ((m, k), axis, angle_rad).  In turn, each adds
+    angle * sigma_axis/2 into the 2x2 block of distinct 1-based levels
+    (m, k), rows in that order; selection rules are the caller's concern.
     """
     out = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
     for (m, k), axis, angle in pulses:
-        out += float(angle) * transition_op(m, k, axis, n_spins)
+        _check_level(m, n_spins)
+        _check_level(k, n_spins)
+        if m == k:
+            raise InputError(f"transition needs two distinct levels, got ({m}, {k})")
+        if axis not in PAULI:
+            raise InputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+        angle = float(angle)
+        if not math.isfinite(angle):
+            raise InputError(f"pulse angle must be finite, got {angle}")
+        a, b = m - 1, k - 1
+        h = angle * (PAULI[axis] / 2)
+        out[a, a] += h[0, 0]
+        out[a, b] += h[0, 1]
+        out[b, a] += h[1, 0]
+        out[b, b] += h[1, 1]
     return out
 
 
@@ -218,6 +204,8 @@ def expm_unitary(hermitian: np.ndarray) -> np.ndarray:
     H = np.asarray(hermitian, dtype=complex)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise InputError(f"generator must be a square matrix, got shape {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise InputError("generator entries must be finite")
     if not is_hermitian(H, tol=HERMITICITY_TOL):
         raise ContractError("generator is not Hermitian to 1e-10")
     w, V = np.linalg.eigh(H)
@@ -231,13 +219,6 @@ def evolve(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
     if U.ndim < 2 or U.shape[-1] != U.shape[-2] or rho.shape[-2:] != U.shape[-2:]:
         raise InputError(f"shape mismatch: state {rho.shape} vs propagator {U.shape}")
     return U @ rho @ U.conj().swapaxes(-1, -2)
-
-
-def coherence_order(j: int, k: int, n_spins: int) -> int:
-    """Net spin-flip number between levels j and k (popcount difference)."""
-    _check_level(j, n_spins)
-    _check_level(k, n_spins)
-    return (k - 1).bit_count() - (j - 1).bit_count()
 
 
 def crush(rho: np.ndarray, mode: str = "all_off_diagonal") -> np.ndarray:

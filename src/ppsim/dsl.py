@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SpinSystem, crush, evolve, expm_unitary, flipped_spin, generator, spin_op
+from .core import SpinSystem, crush, evolve, expm_unitary, flipped_spin, generator, transitions_of_spin
 from .errors import CompileError, InputError, ParseError
 
 CRUSH_KEYWORDS = {"ideal": "all_off_diagonal", "order": "coherence_order"}
@@ -252,18 +252,15 @@ def pretty(program: PulseProgram) -> str:
 # ---------------------------------------------------------------------------
 # compilation
 
-def _compile_block(stmt: Block, system: SpinSystem) -> np.ndarray:
+def _pulses(stmt: Block | HardPulse, n: int) -> list:
+    """The ((m, k), axis, angle_rad) pulses of a rotating statement on n spins."""
+    if isinstance(stmt, HardPulse):
+        spins = range(1, n + 1) if stmt.spin is None else (stmt.spin,)
+        lines = [t for i in spins for t in transitions_of_spin(i, n)]
+        return [(t, stmt.axis, np.radians(stmt.angle_deg)) for t in lines]
     for p in stmt.pulses:
-        flipped_spin(p.m, p.k, system.n_spins)  # selective pulses need resolvable lines
-    pulses = [((p.m, p.k), p.axis, np.radians(p.angle_deg)) for p in stmt.pulses]
-    return expm_unitary(generator(pulses, system.n_spins))
-
-
-def _compile_hard(stmt: HardPulse, system: SpinSystem) -> np.ndarray:
-    n = system.n_spins
-    spins = range(1, n + 1) if stmt.spin is None else (stmt.spin,)
-    H = sum(spin_op(i, stmt.axis, n) for i in spins) * np.radians(stmt.angle_deg)
-    return expm_unitary(H)
+        flipped_spin(p.m, p.k, n)  # selective pulses need resolvable lines
+    return [((p.m, p.k), p.axis, np.radians(p.angle_deg)) for p in stmt.pulses]
 
 
 def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
@@ -275,10 +272,9 @@ def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
     events = []
     for idx, stmt in enumerate(program.statements):
         try:
-            if isinstance(stmt, Block):
-                events.append(Unitary(_compile_block(stmt, system)))
-            elif isinstance(stmt, HardPulse):
-                events.append(Unitary(_compile_hard(stmt, system)))
+            if isinstance(stmt, (Block, HardPulse)):
+                H = generator(_pulses(stmt, system.n_spins), system.n_spins)
+                events.append(Unitary(expm_unitary(H)))
             elif isinstance(stmt, Crush):
                 events.append(CrushEvent(stmt.mode))
             else:

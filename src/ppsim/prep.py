@@ -136,11 +136,11 @@ def _angles_deg(angles_deg, spec: CascadeSpec) -> np.ndarray:
     return angles
 
 
-def _propagator(angles_rad: np.ndarray, spec: CascadeSpec) -> np.ndarray:
-    H = generator(
-        [((s.m, s.k), "x", a) for s, a in zip(spec.steps, angles_rad)], spec.n_spins
-    )
-    return expm_unitary(H)
+def preparation_unitary(spec: CascadeSpec, angles_deg) -> np.ndarray:
+    """Propagator of the simultaneous selective pulses at the given angles."""
+    angles = np.radians(_angles_deg(angles_deg, spec))
+    pulses = [((s.m, s.k), "x", a) for s, a in zip(spec.steps, angles)]
+    return expm_unitary(generator(pulses, spec.n_spins))
 
 
 def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
@@ -150,12 +150,12 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     every non-target population is equal, which is the preparation
     condition.  Angles are degrees, one per cascade step.
     """
-    angles = _angles_deg(angles_deg, spec)
+    U = preparation_unitary(spec, angles_deg)
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
     d_eq = np.real(np.diagonal(thermal_deviation(system)))
     # diag(U rho U+) for diagonal rho needs only |U|^2
-    p = (np.abs(_propagator(np.radians(angles), spec)) ** 2) @ d_eq
+    p = (np.abs(U) ** 2) @ d_eq
     others = [lev for lev in range(1, len(d_eq) + 1) if lev != spec.target]
     return np.array([p[lev - 1] - p[others[0] - 1] for lev in others[1:]])
 
@@ -367,11 +367,6 @@ def solve_angles(
         starts_tried=len(starts),
         converged=tuple(bool(v) for v in ok),
     )
-
-
-def preparation_unitary(spec: CascadeSpec, angles_deg) -> np.ndarray:
-    """Propagator of the simultaneous selective pulses at the given angles."""
-    return _propagator(np.radians(_angles_deg(angles_deg, spec)), spec)
 
 
 def prepare_pseudo_pure(

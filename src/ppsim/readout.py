@@ -1,10 +1,11 @@
 """Simulated readout: stick spectra, tomography, and noise injection.
 
-Reading pulses are ideal hard rotations.  A line amplitude for the
-transition (m, k) is twice the single-quantum coherence rho[k, m] after
-the pulse; for a two-spin weakly coupled system each spin shows a doublet
-at +-J/2 around its carrier, with the +J/2 line belonging to the partner
-spin in state 0 (a labeling convention, nothing downstream depends on it).
+Reading pulses are ideal hard rotations, one :func:`core.generator` pulse
+on each line of the pulsed spin.  A line amplitude for the transition
+(m, k) is twice the single-quantum coherence rho[k, m] after the pulse;
+for a two-spin weakly coupled system each spin shows a doublet at +-J/2
+around its carrier, with the +J/2 line belonging to the partner spin in
+state 0 (a labeling convention, nothing downstream depends on it).
 
 Every amplitude comes from one forward model, :func:`_line_amplitudes`.
 Spectra and measurements apply it to the state; tomography applies it to
@@ -29,11 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PAULI, SpinSystem, evolve, expm_unitary, max_rel_error, spin_op
+from .core import PAULI, SpinSystem, evolve, expm_unitary, generator, max_rel_error, transitions_of_spin
 from .errors import ContractError, InputError
 
 READOUT_PULSES = ("none", "x90", "y90")
-_PULSE_AXIS = {"x90": "x", "y90": "y"}
 MAX_TOMOGRAPHY_SPINS = 4
 
 # Cache sizes, in entries.  The bases of 1 to 4 spins take 1.1 MB
@@ -99,29 +99,19 @@ def _check_tomography_size(n_spins: int) -> None:
         )
 
 
-def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
-    """All single-quantum transitions (m, k) that flip the given spin.
-
-    m runs over levels with the spin in state 0; k is the partner level.
-    """
-    if not 1 <= spin <= n_spins:
-        raise InputError(f"spin index {spin} out of range 1..{n_spins}")
-    stride = 2 ** (n_spins - spin)
-    return [(m0 + 1, m0 + stride + 1) for m0 in range(2**n_spins) if not m0 & stride]
-
-
 def setting_unitary(setting, n_spins: int) -> np.ndarray:
     """Propagator for simultaneous hard readout pulses, one entry per spin."""
     setting = tuple(setting)
     if len(setting) != n_spins:
         raise InputError(f"expected {n_spins} pulse entries, got {len(setting)}")
-    H = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
+    pulses = []
     for i, pulse in enumerate(setting, start=1):
         if pulse not in READOUT_PULSES:
             raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
         if pulse != "none":
-            H += (np.pi / 2) * spin_op(i, _PULSE_AXIS[pulse], n_spins)
-    return expm_unitary(H)
+            # "x90" and "y90" rotate about the axis their name starts with
+            pulses += [(t, pulse[0], np.pi / 2) for t in transitions_of_spin(i, n_spins)]
+    return expm_unitary(generator(pulses, n_spins))
 
 
 class _Protocol:
@@ -272,6 +262,7 @@ def simulate_measurements(
     added to the real and imaginary part of each amplitude.  The seed used
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.  A given seed must be a nonnegative integer.
+    Noise that leaves any amplitude non-finite raises InputError.
     """
     if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
         raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
@@ -287,7 +278,10 @@ def simulate_measurements(
             seed = int(np.random.SeedSequence().entropy) % 2**32
         # one (real, imag) pair per line, drawn in record order
         z = np.random.default_rng(seed).standard_normal((len(amps), 2))
-        amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
+        if not np.isfinite(amps).all():
+            raise InputError(f"noise_sigma {noise_sigma!r} overflows the noisy amplitudes")
     return MeasurementSet(protocol, tuple(amps.tolist()), float(noise_sigma), seed)
 
 

@@ -292,6 +292,8 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
          "--noise", "1e153", "--seed", "1"),
         ("tomo", "--system", "chloroform", "--state", chloroform_state,
          "--noise", "1e308", "--seed", "1"),
+        ("tomo", "--system", "chloroform", "--state", chloroform_state,
+         "--noise", "1.5e307", "--seed", "1"),
         ("spectrum", "--system", str(inf_j), "--state", chloroform_state, "--spin", "1"),
         # finite gammas whose thermal deviation overflows
         ("solve", "--system", str(huge_gamma), "--target", "00"),

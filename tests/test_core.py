@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsim import core, presets
 from ppsim.core import is_hermitian
 from ppsim.errors import ContractError, InputError, NotPseudoPureError
 
-from helpers import is_unitary, projector, thermal_reference
+from helpers import is_unitary, projector, spin_op, thermal_reference
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -76,33 +78,60 @@ def test_spin_system_from_dict_ignores_extra_keys():
 # operators
 
 def test_spin_op_is_half_pauli():
+    # the reference spin operators of tests/helpers.py
     for axis in "xyz":
-        op = core.spin_op(1, axis, 1)
+        op = spin_op(1, axis, 1)
         np.testing.assert_allclose(op, core.PAULI[axis] / 2)
     # commutator [Ix, Iy] = i Iz on either spin of a pair
     for i in (1, 2):
-        ix, iy, iz = (core.spin_op(i, a, 2) for a in "xyz")
+        ix, iy, iz = (spin_op(i, a, 2) for a in "xyz")
         np.testing.assert_allclose(ix @ iy - iy @ ix, 1j * iz, atol=1e-15)
 
 
-def test_transition_op_explicit():
+def test_generator_single_pulse_explicit():
     want = np.zeros((4, 4), dtype=complex)
     want[2, 3] = want[3, 2] = 0.5
-    np.testing.assert_allclose(core.transition_op(3, 4, "x", 2), want)
+    np.testing.assert_allclose(core.generator([((3, 4), "x", 1.0)], 2), want)
     want = np.zeros((4, 4), dtype=complex)
     want[3, 1] = want[1, 3] = 0.5
-    np.testing.assert_allclose(core.transition_op(4, 2, "x", 2), want)
-    with pytest.raises(InputError):
-        core.transition_op(3, 3, "x", 2)
+    np.testing.assert_allclose(core.generator([((4, 2), "x", 1.0)], 2), want)
+    for bad in ([((3, 3), "x", 1.0)], [((0, 2), "x", 1.0)], [((1, 5), "x", 1.0)], [((1, 2), "w", 1.0)]):
+        with pytest.raises(InputError):
+            core.generator(bad, 2)
 
 
-def test_transition_ops_factor_through_projectors():
+def test_single_pulses_factor_through_projectors():
     # the (3,4) line is the spin-2 flip inside the spin-1 down manifold,
     # and the (4,2) line is the spin-1 flip inside the spin-2 down manifold
-    lhs = projector(1, "-", 2) @ core.spin_op(2, "x", 2)
-    np.testing.assert_allclose(core.transition_op(3, 4, "x", 2), lhs, atol=1e-15)
-    lhs = core.spin_op(1, "x", 2) @ projector(2, "-", 2)
-    np.testing.assert_allclose(core.transition_op(4, 2, "x", 2), lhs, atol=1e-15)
+    lhs = projector(1, "-", 2) @ spin_op(2, "x", 2)
+    np.testing.assert_allclose(core.generator([((3, 4), "x", 1.0)], 2), lhs, atol=1e-15)
+    lhs = spin_op(1, "x", 2) @ projector(2, "-", 2)
+    np.testing.assert_allclose(core.generator([((4, 2), "x", 1.0)], 2), lhs, atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    st.sampled_from("xyz"),
+    st.floats(-1e300, 1e300, allow_nan=False),
+)
+def test_hard_pulse_is_the_sum_over_a_spins_lines(size_and_spin, axis, theta):
+    # the identity every hard pulse rests on: theta * I_axis(spin) is the sum
+    # of single-transition pulses over transitions_of_spin, entry for entry
+    n, i = size_and_spin
+    lines = core.transitions_of_spin(i, n)
+    got = core.generator([(t, axis, theta) for t in lines], n)
+    assert np.array_equal(got, theta * spin_op(i, axis, n))
+
+
+def test_generator_rejects_non_finite_angles():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(InputError, match="finite"):
+            core.generator([((1, 2), "x", bad)], 1)
+        with pytest.raises(InputError, match="finite"):
+            core.expm_unitary(np.array([[0.0, bad], [bad, 0.0]]))
+    # a huge but finite angle is not mistaken for a non-finite one
+    assert np.all(np.isfinite(core.expm_unitary(core.generator([((1, 2), "x", 1e300)], 1))))
 
 
 def test_thermal_deviation_diagonals():
@@ -140,7 +169,7 @@ def test_expm_unitary_is_unitary():
 
 def test_expm_unitary_single_spin_closed_form():
     beta = 0.7345
-    U = core.expm_unitary(beta * core.spin_op(1, "x", 1))
+    U = core.expm_unitary(beta * spin_op(1, "x", 1))
     want = np.array(
         [
             [np.cos(beta / 2), -1j * np.sin(beta / 2)],
@@ -188,21 +217,13 @@ def test_two_level_rotation_closed_form():
         beta = float(rng.uniform(0, 4 * np.pi))
         d = rng.standard_normal(dim)
         rho = np.diag(d).astype(complex)
-        U = core.expm_unitary(beta * core.transition_op(int(m), int(k), "x", n))
+        U = core.expm_unitary(core.generator([((int(m), int(k)), "x", beta)], n))
         out = np.real(np.diagonal(core.evolve(rho, U)))
         c2, s2 = np.cos(beta / 2) ** 2, np.sin(beta / 2) ** 2
         want = d.copy()
         want[m - 1] = c2 * d[m - 1] + s2 * d[k - 1]
         want[k - 1] = s2 * d[m - 1] + c2 * d[k - 1]
         np.testing.assert_allclose(out, want, atol=1e-12)
-
-
-def test_coherence_order():
-    assert core.coherence_order(1, 4, 2) == 2
-    assert core.coherence_order(2, 3, 2) == 0
-    for j in range(1, 5):
-        for k in range(1, 5):
-            assert core.coherence_order(j, k, 2) == -core.coherence_order(k, j, 2)
 
 
 def test_crush_modes():
@@ -217,8 +238,8 @@ def test_crush_modes():
     np.testing.assert_allclose(core.crush(kept, "coherence_order"), kept)
     for j in range(4):
         for k in range(4):
-            order = core.coherence_order(j + 1, k + 1, 2)
-            if order == 0:
+            # coherence order: the net number of spins flipped from level j to k
+            if j.bit_count() == k.bit_count():
                 assert kept[j, k] == rho[j, k]
             else:
                 assert kept[j, k] == 0
@@ -240,14 +261,14 @@ def test_coupled_three_level_spectrum():
     # equal angles on the (3,4) and (4,2) lines couple levels 2, 3 and 4
     # through level 4; the block eigenvalues are 0 and +-beta/sqrt(2)
     beta = 1.2345
-    H = beta * (core.transition_op(3, 4, "x", 2) + core.transition_op(4, 2, "x", 2))
+    H = core.generator([((3, 4), "x", beta), ((4, 2), "x", beta)], 2)
     eig = np.sort(np.linalg.eigvalsh(H))
     np.testing.assert_allclose(eig, [-beta / np.sqrt(2), 0, 0, beta / np.sqrt(2)], atol=1e-12)
     U = core.expm_unitary(H)
     assert abs(U[3, 3]) ** 2 == pytest.approx(np.cos(beta / np.sqrt(2)) ** 2, abs=1e-12)
     # the root of 3 cos^2(theta) = 1 is where the shared level equalizes
     beta_root = np.sqrt(2) * np.arccos(1 / np.sqrt(3))
-    H = beta_root * (core.transition_op(3, 4, "x", 2) + core.transition_op(4, 2, "x", 2))
+    H = core.generator([((3, 4), "x", beta_root), ((4, 2), "x", beta_root)], 2)
     U = core.expm_unitary(H)
     assert abs(U[3, 3]) ** 2 == pytest.approx(1 / 3, abs=1e-14)
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,12 +158,22 @@ def test_compile_preparation_program():
 
 
 def test_compile_hard_pulse_is_kron_of_rotations():
-    system = presets.get_preset("homonuclear-2")
-    seq = dsl.compile(dsl.parse("hard all x 90"), system)
-    single = core.expm_unitary((np.pi / 2) * core.spin_op(1, "x", 1))
-    np.testing.assert_allclose(seq.events[0].op, np.kron(single, single), atol=1e-12)
-    seq = dsl.compile(dsl.parse("hard 2 x 90"), system)
-    np.testing.assert_allclose(seq.events[0].op, np.kron(np.eye(2), single), atol=1e-12)
+    for preset in ("homonuclear-2", "hetero-3"):
+        system = presets.get_preset(preset)
+        n = system.n_spins
+        for axis in "xyz":
+            for angle in (90.0, -37.5):
+                # exp(-i a sigma/2) in closed form, one factor per spin
+                a = np.radians(angle)
+                single = np.cos(a / 2) * np.eye(2) - 1j * np.sin(a / 2) * core.PAULI[axis]
+                seq = dsl.compile(dsl.parse(f"hard all {axis} {angle}"), system)
+                want = functools.reduce(np.kron, [single] * n)
+                np.testing.assert_allclose(seq.events[0].op, want, atol=1e-12)
+                for spin in range(1, n + 1):
+                    seq = dsl.compile(dsl.parse(f"hard {spin} {axis} {angle}"), system)
+                    factors = [single if i == spin else np.eye(2) for i in range(1, n + 1)]
+                    want = functools.reduce(np.kron, factors)
+                    np.testing.assert_allclose(seq.events[0].op, want, atol=1e-12)
 
 
 def test_compile_rejects_unresolvable_lines():

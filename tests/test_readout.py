@@ -11,6 +11,8 @@ from ppsim import core, prep, presets, readout
 from ppsim.errors import ContractError, InputError
 from ppsim.readout import basis_operators, render_stick_svg, setting_unitary
 
+from helpers import spin_op
+
 
 def random_deviation(rng, n_spins):
     dim = 2**n_spins
@@ -27,16 +29,16 @@ def amplitudes(spectrum):
 # lines and settings
 
 def test_transitions_of_spin():
-    assert readout.transitions_of_spin(1, 2) == [(1, 3), (2, 4)]
-    assert readout.transitions_of_spin(2, 2) == [(1, 2), (3, 4)]
-    assert readout.transitions_of_spin(1, 3) == [(1, 5), (2, 6), (3, 7), (4, 8)]
+    assert core.transitions_of_spin(1, 2) == [(1, 3), (2, 4)]
+    assert core.transitions_of_spin(2, 2) == [(1, 2), (3, 4)]
+    assert core.transitions_of_spin(1, 3) == [(1, 5), (2, 6), (3, 7), (4, 8)]
     with pytest.raises(InputError):
-        readout.transitions_of_spin(3, 2)
+        core.transitions_of_spin(3, 2)
 
 
 def test_setting_unitary():
     np.testing.assert_allclose(setting_unitary(("none", "none"), 2), np.eye(4), atol=1e-15)
-    single = core.expm_unitary((np.pi / 2) * core.spin_op(1, "x", 1))
+    single = core.expm_unitary((np.pi / 2) * spin_op(1, "x", 1))
     np.testing.assert_allclose(
         setting_unitary(("x90", "x90"), 2), np.kron(single, single), atol=1e-12
     )
@@ -171,6 +173,16 @@ def test_measurement_noise_is_reproducible():
             readout.simulate_measurements(rho, system, noise_sigma=bad)
 
 
+def test_noise_that_overflows_an_amplitude_is_rejected():
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    for sigma in (1e308, 1.5e307):
+        with pytest.raises(InputError, match="overflows"):
+            readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=1)
+    amps = readout.simulate_measurements(rho, system, noise_sigma=1e300, seed=1).amplitudes
+    assert len(amps) == 36 and np.all(np.isfinite(amps))
+
+
 def test_seeded_noise_is_pinned():
     # exact seeded amplitudes; a change in noise draw order or scaling moves them
     system = presets.get_preset("chloroform")
@@ -194,14 +206,14 @@ def test_records_match_an_independent_forward_model():
         keys = []
         for setting in itertools.product(("none", "x90", "y90"), repeat=n):
             H = sum(
-                ((np.pi / 2) * core.spin_op(i, pulse[0], n)
+                ((np.pi / 2) * spin_op(i, pulse[0], n)
                  for i, pulse in enumerate(setting, start=1) if pulse != "none"),
                 np.zeros((2**n, 2**n)),
             )
             U = core.expm_unitary(H)
             after = U @ rho @ U.conj().T
             for spin in range(1, n + 1):
-                for m, k in readout.transitions_of_spin(spin, n):
+                for m, k in core.transitions_of_spin(spin, n):
                     keys.append((setting, (m, k), 2 * after[k - 1, m - 1]))
         assert [(r.setting, r.transition) for r in records] == [key[:2] for key in keys]
         got = np.array([r.amplitude for r in records])
