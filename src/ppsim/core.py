@@ -174,24 +174,30 @@ def generator(pulses, n_spins: int) -> np.ndarray:
     pulses: iterable of ((m, k), axis, angle_rad).  In turn, each adds
     angle * sigma_axis/2 into the 2x2 block of distinct 1-based levels
     (m, k), rows in that order; selection rules are the caller's concern.
+    Finite angles whose sum overflows an entry raise InputError.
     """
     out = np.zeros((2**n_spins, 2**n_spins), dtype=complex)
-    for (m, k), axis, angle in pulses:
-        _check_level(m, n_spins)
-        _check_level(k, n_spins)
-        if m == k:
-            raise InputError(f"transition needs two distinct levels, got ({m}, {k})")
-        if axis not in PAULI:
-            raise InputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-        angle = float(angle)
-        if not math.isfinite(angle):
-            raise InputError(f"pulse angle must be finite, got {angle}")
-        a, b = m - 1, k - 1
-        h = angle * (PAULI[axis] / 2)
-        out[a, a] += h[0, 0]
-        out[a, b] += h[0, 1]
-        out[b, a] += h[1, 0]
-        out[b, b] += h[1, 1]
+    try:
+        # only the sums into out can overflow: each angle is finite and halved
+        with np.errstate(over="raise"):
+            for (m, k), axis, angle in pulses:
+                _check_level(m, n_spins)
+                _check_level(k, n_spins)
+                if m == k:
+                    raise InputError(f"transition needs two distinct levels, got ({m}, {k})")
+                if axis not in PAULI:
+                    raise InputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+                angle = float(angle)
+                if not math.isfinite(angle):
+                    raise InputError(f"pulse angle must be finite, got {angle}")
+                a, b = m - 1, k - 1
+                h = angle * (PAULI[axis] / 2)
+                out[a, a] += h[0, 0]
+                out[a, b] += h[0, 1]
+                out[b, a] += h[1, 0]
+                out[b, b] += h[1, 1]
+    except FloatingPointError:
+        raise InputError("summed pulse angles overflow the generator") from None
     return out
 
 

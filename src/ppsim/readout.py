@@ -13,11 +13,12 @@ the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
 
 The fixed parts are built once and cached as read-only arrays: each
-register size's basis and one protocol per list of records keyed
-(setting, transition).  A protocol stacks its settings' propagators and
-gather indices, and factors its design by SVD only when first
-reconstructed.  A MeasurementSet is its protocol and one amplitude per
-record, so a reconstruction looks nothing up.
+register size's basis and one protocol per settings list, which reads
+every line of every spin under each setting (a spectrum is one setting,
+cut to one spin's lines).  A protocol stacks its settings' propagators
+and its lines' gather indices, and factors its design by SVD only when
+first reconstructed.  A MeasurementSet is its protocol and one amplitude
+per record, so a reconstruction looks nothing up.
 """
 
 import functools
@@ -37,14 +38,14 @@ READOUT_PULSES = ("none", "x90", "y90")
 MAX_TOMOGRAPHY_SPINS = 4
 
 # Cache sizes, in entries.  The bases of 1 to 4 spins take 1.1 MB
-# together.  A protocol of R records over S settings on n spins takes
-# 16*S*4**n bytes of propagators and about 100*R bytes of indices and keys,
-# plus 8*(2R + 4**n)*(4**n - 1) bytes of SVD factors once reconstructed
-# (only n <= 4 is): 0.4 MB for the full 3-spin protocol and 11.6 MB for
-# the full 4-spin one.  The full protocols of 1 to 4 spins are also kept
-# apart from the LRU, 12 MB together.  A spectrum is one setting, so 16
-# spectra take at most 16 MB (8 spins); the worst case, 16 reconstructed
-# caller-built 4-spin record lists of full length, is 186 MB.
+# together.  A protocol of S settings on n spins takes 16*S*4**n bytes of
+# propagators, plus 8*(2R + 4**n)*(4**n - 1) bytes of SVD factors for its
+# R = S*n*2**(n-1) records once reconstructed (only n <= 4 is): 0.4 MB for
+# the full 3-spin protocol and 11.4 MB for the full 4-spin one.  A spectrum
+# is one setting, so 16 spectra take at most 16 MB (8 spins); one spin
+# count reaches at most 2n + 2 settings lists (its spectra and its full
+# protocol).  The worst case, 16 reconstructed 4-spin settings lists of 81
+# settings each, is 183 MB.
 # _line_amplitudes conjugates as many states at once as keep a block
 # within _CONJUGATION_BLOCK matrices, and at least one (a 1 MB block for
 # the 4-spin design).
@@ -115,25 +116,20 @@ def setting_unitary(setting, n_spins: int) -> np.ndarray:
 
 
 class _Protocol:
-    """The state-independent part of reading out records keyed (setting, (m, k)).
+    """The state-independent part of reading every line under each setting.
 
-    Cached per key list; compares by identity.
+    Cached per settings list and compared by identity.  Records run over
+    settings, then spins, then transitions_of_spin order.
     """
 
-    def __init__(self, n_spins: int, keys: tuple):
-        dim = 2**n_spins
-        self.n_spins = n_spins
-        self.settings, self.transitions = zip(*keys)
-        m, k = np.array(self.transitions, dtype=int).reshape(-1, 2).T
-        if np.any((m < 1) | (m > dim) | (k < 1) | (k > dim)):
-            raise InputError(f"transition levels must lie in 1..{dim}")
-        index: dict[tuple[str, ...], int] = {}
-        which = np.array([index.setdefault(s, len(index)) for s in self.settings], dtype=int)
-        # one propagator per distinct setting, in order of first use; each
-        # record reads the coherence [k - 1, m - 1] after propagator which
-        propagators = np.array([setting_unitary(s, n_spins) for s in index])
+    def __init__(self, n_spins: int, settings: tuple):
+        self.n_spins, self.settings = n_spins, settings
+        lines = [transitions_of_spin(spin, n_spins) for spin in range(1, n_spins + 1)]
+        self.transitions = tuple(itertools.chain(*lines))
+        # each line reads the coherence [k - 1, m - 1] after every propagator
+        m, k = np.array(self.transitions).T
         self.row, self.col = _read_only(k - 1), _read_only(m - 1)
-        self.propagators, self.which = _read_only(propagators), _read_only(which)
+        self.propagators = _read_only(np.array([setting_unitary(s, n_spins) for s in settings]))
 
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -163,27 +159,10 @@ class MeasurementSet:
     noise_sigma: float
     seed: int | None
 
-    @classmethod
-    def from_records(cls, records, noise_sigma: float = 0.0, seed: int | None = None) -> "MeasurementSet":
-        """Records (setting, transition, amplitude) in any order, on len(setting) spins.
-
-        Equal keys in equal order share one cached protocol and its design.
-        Raises InputError on no records, more spins than tomography takes, a
-        bad setting or a transition level out of range.
-        """
-        records = tuple(records)
-        if not records:
-            raise InputError("no measurements to reconstruct from")
-        keys = tuple((tuple(rec.setting), tuple(rec.transition)) for rec in records)
-        n_spins = len(keys[0][0])
-        _check_tomography_size(n_spins)
-        amplitudes = tuple(complex(rec.amplitude) for rec in records)
-        return cls(_protocol(n_spins, keys), amplitudes, noise_sigma, seed)
-
     @property
     def records(self) -> tuple[Measurement, ...]:
-        p = self.protocol
-        return tuple(map(Measurement, p.settings, p.transitions, self.amplitudes))
+        keys = itertools.product(self.protocol.settings, self.protocol.transitions)
+        return tuple(Measurement(s, t, a) for (s, t), a in zip(keys, self.amplitudes))
 
 
 def _line_amplitudes(states, protocol: _Protocol) -> np.ndarray:
@@ -195,24 +174,20 @@ def _line_amplitudes(states, protocol: _Protocol) -> np.ndarray:
     states = np.asarray(states, dtype=complex)
     flat = states.reshape(-1, 1, *states.shape[-2:])
     step = max(1, _CONJUGATION_BLOCK // len(protocol.propagators))
-    out = np.empty((len(flat), len(protocol.which)), dtype=complex)
+    out = np.empty((len(flat), len(protocol.propagators) * len(protocol.row)), dtype=complex)
     for i in range(0, len(flat), step):
         after = evolve(flat[i:i + step], protocol.propagators)
-        out[i:i + step] = 2 * after[:, protocol.which, protocol.row, protocol.col]
-    return out.reshape(states.shape[:-2] + protocol.which.shape)
+        out[i:i + step] = 2 * after[..., protocol.row, protocol.col].reshape(len(after), -1)
+    return out.reshape(states.shape[:-2] + out.shape[-1:])
 
 
-def _line_freqs(spin: int, system: SpinSystem) -> dict[tuple[int, int], float] | None:
-    # doublet positions exist only for the weakly coupled two-spin case
+def _line_freqs(system: SpinSystem) -> tuple[float, float] | None:
+    # doublet positions exist only for the weakly coupled two-spin case; a
+    # spin's first line in transitions_of_spin order has its partner in state 0
     if system.n_spins != 2 or system.j_hz is None:
         return None
     j = system.j_hz[0][1]
-    partner = 2 if spin == 1 else 1
-    out = {}
-    for m, k in transitions_of_spin(spin, 2):
-        partner_bit = format(m - 1, "02b")[partner - 1]
-        out[(m, k)] = j / 2 if partner_bit == "0" else -j / 2
-    return out
+    return j / 2, -j / 2
 
 
 def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str = "x90") -> StickSpectrum:
@@ -228,11 +203,10 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
     transitions = transitions_of_spin(spin, n)
-    amps = _line_amplitudes(rho, _protocol(n, tuple((setting, t) for t in transitions)))
-    freqs = _line_freqs(spin, system)
-    lines = tuple(
-        SpectralLine(freqs[t] if freqs else None, complex(a), t) for t, a in zip(transitions, amps)
-    )
+    # the protocol reads each spin's 2**(n-1) lines in turn
+    amps = _line_amplitudes(rho, _protocol(n, (setting,))).reshape(n, -1)[spin - 1]
+    freqs = _line_freqs(system) or [None] * len(transitions)
+    lines = tuple(SpectralLine(f, complex(a), t) for t, a, f in zip(transitions, amps, freqs))
     return StickSpectrum(spin=spin, lines=lines)
 
 
@@ -240,13 +214,6 @@ def tomography_settings(n_spins: int) -> list[tuple[str, ...]]:
     """Every per-spin combination of readout pulses, 3**n settings, n <= 4."""
     _check_tomography_size(n_spins)
     return list(itertools.product(READOUT_PULSES, repeat=n_spins))
-
-
-@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
-def _tomography_protocol(n_spins: int) -> _Protocol:
-    # records run over settings, then spins, then transitions
-    lines = [t for spin in range(1, n_spins + 1) for t in transitions_of_spin(spin, n_spins)]
-    return _protocol(n_spins, tuple((s, t) for s in tomography_settings(n_spins) for t in lines))
 
 
 def simulate_measurements(
@@ -271,7 +238,7 @@ def simulate_measurements(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
-    protocol = _tomography_protocol(system.n_spins)
+    protocol = _protocol(system.n_spins, tuple(tomography_settings(system.n_spins)))
     amps = _line_amplitudes(rho, protocol)
     if noise_sigma > 0:
         if seed is None:
@@ -333,7 +300,7 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     return TomographyResult(
         reconstructed=rho,
         residual_norm=misfit,
-        settings_used=len(protocol.propagators),
+        settings_used=len(protocol.settings),
         rank=rank,
         condition_number=condition_number,
         max_rel_error=err,

@@ -134,6 +134,23 @@ def test_generator_rejects_non_finite_angles():
     assert np.all(np.isfinite(core.expm_unitary(core.generator([((1, 2), "x", 1e300)], 1))))
 
 
+def test_generator_rejects_angles_that_sum_past_the_float_range():
+    # tier-1 turns a numpy overflow warning into a failure, so none may be raised
+    overflowing = (
+        ([((1, 2), "z", 1.7e308)] * 3, 1),
+        ([((1, 2), "x", 1.7e308)] * 3, 1),
+        ([((2, 4), "y", -1.7e308)] * 3, 2),
+        # three lines share level 1's diagonal entry
+        ([((1, 2), "z", 1.7e308), ((1, 3), "z", 1.7e308), ((1, 5), "z", 1.7e308)], 3),
+    )
+    for pulses, n in overflowing:
+        with pytest.raises(InputError, match="overflow"):
+            core.generator(pulses, n)
+    # two pulses on one line whose sum stays finite add up as usual
+    H = core.generator([((1, 2), "z", 8e307)] * 2, 1)
+    assert np.array_equal(H, np.diag([8e307, -8e307]).astype(complex))
+
+
 def test_thermal_deviation_diagonals():
     np.testing.assert_allclose(
         np.diagonal(core.thermal_deviation(presets.get_preset("homonuclear-2"))),

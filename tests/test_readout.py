@@ -158,6 +158,21 @@ def test_noiseless_measurements_match_spectra():
         assert rec.amplitude == pytest.approx(line.amplitude, abs=1e-12)
 
 
+def test_spectra_are_slices_of_the_tomography_records():
+    # a spectrum reads the same lines under the same setting as tomography does
+    for n, system in SYSTEMS_BY_SIZE.items():
+        rho = random_deviation(np.random.default_rng(70 + n), n)
+        records = {(r.setting, r.transition): r.amplitude
+                   for r in readout.simulate_measurements(rho, system).records}
+        for spin in range(1, n + 1):
+            for pulse in readout.READOUT_PULSES:
+                setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
+                lines = readout.readout_spectrum(rho, spin, system, pulse).lines
+                assert [line.transition for line in lines] == core.transitions_of_spin(spin, n)
+                for line in lines:
+                    assert line.amplitude == records[(setting, line.transition)]
+
+
 def test_measurement_noise_is_reproducible():
     system = presets.get_preset("chloroform")
     rho, _ = prep.prepare_pseudo_pure(system, 1)
@@ -282,12 +297,11 @@ def test_reconstruct_rejects_incomplete_protocols():
     # full protocol has been reconstructed and its design cached
     full = readout.simulate_measurements(rho, system)
     assert readout.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
-    plain = tuple(rec for rec in full.records if rec.setting == ("none", "none"))
-    only_plain = readout.MeasurementSet.from_records(plain, full.noise_sigma, full.seed)
+    plain = readout._protocol(2, (("none", "none"),))
+    # the ("none", "none") setting comes first, with its 4 lines
+    only_plain = readout.MeasurementSet(plain, full.amplitudes[:4], 0.0, None)
     with pytest.raises(ContractError):
         readout.reconstruct(only_plain, system)
-    with pytest.raises(InputError):
-        readout.reconstruct(readout.MeasurementSet.from_records((), 0.0, None), system)
 
 
 def test_cached_arrays_are_read_only():
@@ -299,25 +313,11 @@ def test_cached_arrays_are_read_only():
         basis_operators(2)[14][0, 0] = 7.0
     protocol = measured.protocol
     u, w, _, _ = protocol.factors
-    for cached in (protocol.propagators, protocol.which, protocol.row, protocol.col, u, w):
+    for cached in (protocol.propagators, protocol.row, protocol.col, u, w):
         with pytest.raises(ValueError):
             cached[0] = 1
     assert readout.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
     assert readout.simulate_measurements(rho, system) == measured
-
-
-def test_shuffled_records_reconstruct():
-    # records in any order go through the keyed design, not the cached readout order
-    for n in (2, 3):
-        system = SYSTEMS_BY_SIZE[n]
-        rng = np.random.default_rng(43 + n)
-        rho = random_deviation(rng, n)
-        records = list(readout.simulate_measurements(rho, system).records)
-        rng.shuffle(records)
-        shuffled = readout.MeasurementSet.from_records(records, 0.0, None)
-        result = readout.reconstruct(shuffled, system, reference=rho)
-        assert result.max_rel_error < 1e-12
-        assert result.settings_used == 3**n
 
 
 def test_reconstruct_matches_an_independent_lstsq():
@@ -345,31 +345,6 @@ def test_reconstruct_matches_an_independent_lstsq():
         assert result.condition_number == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
-def test_reconstruct_rejects_levels_out_of_range():
-    system = presets.get_preset("chloroform")
-    rho, _ = prep.prepare_pseudo_pure(system, 1)
-    measured = readout.simulate_measurements(rho, system)
-    for bad in ((0, 3), (2, 5)):
-        records = (measured.records[0]._replace(transition=bad),) + measured.records[1:]
-        with pytest.raises(InputError):
-            readout.reconstruct(readout.MeasurementSet.from_records(records, 0.0, None), system)
-
-
-def test_records_come_back_with_their_protocol():
-    # a simulated set rebuilt from its records finds the cached protocol, so
-    # no second design is factored, and reconstructs bit for bit the same
-    for n, sigma, seed in ((2, 0.0, None), (3, 0.01, 5)):
-        system = SYSTEMS_BY_SIZE[n]
-        rho = random_deviation(np.random.default_rng(53 + n), n)
-        measured = readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
-        rebuilt = readout.MeasurementSet.from_records(measured.records, measured.noise_sigma, measured.seed)
-        assert rebuilt.protocol is measured.protocol
-        assert rebuilt == measured
-        a, b = readout.reconstruct(measured, system), readout.reconstruct(rebuilt, system)
-        assert np.array_equal(a.reconstructed, b.reconstructed)
-        assert a.residual_norm == b.residual_norm
-
-
 def test_reconstruct_rejects_records_of_another_spin_count():
     for made_on, read_as in (("chloroform", "hetero-3"), ("hetero-3", "chloroform")):
         system = presets.get_preset(made_on)
@@ -395,6 +370,26 @@ def test_full_protocols_round_trip_at_full_rank():
         result = readout.reconstruct(readout.simulate_measurements(rho, system), system, reference=rho)
         assert result.max_rel_error < 1e-10
         assert result.settings_used == 3**n
+        assert result.rank == 4**n - 1
+        assert result.condition_number == pytest.approx(cond, rel=1e-9)
+
+
+def test_settings_subsets_reconstruct_at_full_rank():
+    # fewer settings than 3**n can still pin down every product operator
+    cases = (
+        (1, (("none",), ("x90",)), 2**0.5),
+        (2, (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none")), 2.0),
+    )
+    for n, subset, cond in cases:
+        system = SYSTEMS_BY_SIZE[n]
+        rho = random_deviation(np.random.default_rng(61 + n), n)
+        full = readout.simulate_measurements(rho, system)
+        amplitudes = tuple(r.amplitude for s in subset for r in full.records if r.setting == s)
+        measured = readout.MeasurementSet(readout._protocol(n, subset), amplitudes, 0.0, None)
+        assert [r.setting for r in measured.records[::n * 2 ** (n - 1)]] == list(subset)
+        result = readout.reconstruct(measured, system, reference=rho)
+        assert result.max_rel_error < 1e-10
+        assert result.settings_used == len(subset)
         assert result.rank == 4**n - 1
         assert result.condition_number == pytest.approx(cond, rel=1e-9)
 
