@@ -256,14 +256,13 @@ def _cmd_tomo(args, system: SpinSystem) -> str:
 
 
 def _cmd_hogg(args, system: SpinSystem) -> str:
-    if system.n_spins != hogg.N_VARS:
-        raise InputError(f"the search runs on {hogg.N_VARS} spins, system has {system.n_spins}")
     formula = hogg.parse_formula(args.formula)
+    hogg.search_program(formula, system.n_spins)  # check the formula before any solve
     if args.state:
         rho = load_state(args.state, system)
     else:
         rho, _ = prep.prepare_pseudo_pure(system, target=1)
-    rho_final, weights = hogg.hogg_run(rho, formula)
+    rho_final, weights = hogg.hogg_run(rho, formula, system)
     n = system.n_spins
     payload = {
         "formula": hogg.formula_text(formula),

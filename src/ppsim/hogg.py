@@ -1,14 +1,21 @@
-"""Single-step quantum search for maximally constrained 1-SAT on two variables.
+"""One-step quantum search for maximally constrained 1-SAT, as a hard-pulse program.
 
-The circuit is W, then a diagonal phase R encoding clause conflicts, then a
-mixing operator M = W D W:
+T. Hogg, Phys. Rev. Lett. 80 (1998) 2473: for a formula with exactly one
+literal on each of n variables, the circuit M R W maps |0...0> to the
+unique satisfying assignment with probability 1, where W is the Walsh
+transform, R[s, s] = i ** (clauses s violates) and M = W D W with
+D[r, r] = i ** (weight(r) - 1), weight being the Hamming weight.  Each
+factor acts on one spin at a time, so the search is four layers of hard
+pulses that equal those factors up to a global phase:
 
-    R[s, s] = i ** conflicts(s)        D[r, r] = i ** (weight(r) - 1)
+    1. hard all y 90                                  W, with layer 2
+    2. hard all x 180
+    3. hard j z -90 for a clause Vj, +90 for !Vj      R
+    4. hard all x 90                                  M
 
-with W the two-spin Walsh transform and weight the Hamming weight.  For any
-formula with exactly one clause per variable, M R W maps |00> to the unique
-satisfying assignment with probability 1, so a single run read from the
-pseudo-pure |00> state answers the problem.
+:func:`search_program` writes that program and :func:`hogg_run` runs it
+through ``dsl.compile`` on a pseudo-pure |0...0> state, so a single run
+read from the pure part answers the problem.
 
 Bit value 1 means the variable is true, and variable 1 is the most
 significant bit, so the assignment for V1 and V2 both true is |11>.
@@ -19,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bits_of, evolve, pure_part
+from . import dsl
+# evolve is not called here, but perfbench/tracing.py patches hogg.evolve by name
+from .core import SpinSystem, evolve, pure_part  # noqa: F401
 from .errors import ContractError, InputError
 
 _LITERAL = re.compile(r"^(!?)[Vv](\d+)$")
-
-#: Number of variables; the mixing phases are specific to two.
-N_VARS = 2
 
 
 @dataclass(frozen=True)
@@ -37,17 +43,13 @@ class OneSatFormula:
     def __post_init__(self):
         seen = set()
         for var, negated in self.clauses:
-            if not 1 <= var <= N_VARS:
-                raise InputError(f"variable V{var} out of range 1..{N_VARS}")
+            if var < 1:
+                raise InputError(f"variable V{var} out of range, variables start at V1")
             if var in seen:
                 raise InputError(f"variable V{var} appears in more than one clause")
             if not isinstance(negated, bool):
                 raise InputError("negated flag must be a bool")
             seen.add(var)
-
-    @property
-    def maximally_constrained(self) -> bool:
-        return len(self.clauses) == N_VARS
 
 
 def parse_formula(text: str) -> OneSatFormula:
@@ -68,51 +70,31 @@ def formula_text(formula: OneSatFormula) -> str:
     return "&".join(("!" if neg else "") + f"V{var}" for var, neg in formula.clauses)
 
 
-def conflicts(assignment: str, formula: OneSatFormula) -> int:
-    """Number of clauses violated by a bitstring assignment (1 = true)."""
-    if len(assignment) != N_VARS or any(c not in "01" for c in assignment):
-        raise InputError(f"assignment must be {N_VARS} bits, got {assignment!r}")
-    count = 0
-    for var, negated in formula.clauses:
-        value = assignment[var - 1] == "1"
-        if value == negated:
-            count += 1
-    return count
-
-
 def satisfying_assignment(formula: OneSatFormula) -> str:
-    if not formula.maximally_constrained:
-        raise InputError("formula is not maximally constrained; no unique solution")
+    """The unique solution of a formula with one literal on each of V1..Vn, n = clause count."""
     bits = {var: "0" if negated else "1" for var, negated in formula.clauses}
-    return "".join(bits[v] for v in range(1, N_VARS + 1))
+    if not bits or set(bits) != set(range(1, len(bits) + 1)):
+        raise InputError(
+            "formula is not maximally constrained: it needs one literal on each of V1..Vn"
+        )
+    return "".join(bits[v] for v in range(1, len(bits) + 1))
 
 
-def walsh(n_spins: int) -> np.ndarray:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    out = np.array([[1]], dtype=complex)
-    for _ in range(n_spins):
-        out = np.kron(out, h)
-    return out
+def search_program(formula: OneSatFormula, n_spins: int) -> dsl.PulseProgram:
+    """The search as hard pulses on n_spins spins; the formula must have n_spins variables."""
+    n_vars = len(satisfying_assignment(formula))
+    if n_vars != n_spins:
+        raise InputError(
+            f"the formula fixes {n_vars} variables but the system has {n_spins} spins"
+        )
+    oracle = [dsl.HardPulse(var, "z", 90.0 if neg else -90.0) for var, neg in formula.clauses]
+    walsh = [dsl.HardPulse(None, "y", 90.0), dsl.HardPulse(None, "x", 180.0)]
+    return dsl.PulseProgram((*walsh, *oracle, dsl.HardPulse(None, "x", 90.0)))
 
 
-def phase_oracle(formula: OneSatFormula) -> np.ndarray:
-    phases = [1j ** conflicts(bits_of(lev, N_VARS), formula) for lev in range(1, 2**N_VARS + 1)]
-    return np.diag(np.array(phases, dtype=complex))
-
-
-def mixing() -> np.ndarray:
-    w = walsh(N_VARS)
-    weight = np.array([lev.bit_count() for lev in range(2**N_VARS)])
-    d = np.diag(1j ** (weight - 1)).astype(complex)
-    return w @ d @ w
-
-
-def search_unitary(formula: OneSatFormula) -> np.ndarray:
-    """The full one-step circuit: superpose, phase, mix."""
-    return mixing() @ phase_oracle(formula) @ walsh(N_VARS)
-
-
-def hogg_run(rho_pp: np.ndarray, formula: OneSatFormula) -> tuple[np.ndarray, np.ndarray]:
+def hogg_run(
+    rho_pp: np.ndarray, formula: OneSatFormula, system: SpinSystem
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the search on a pseudo-pure |00..0> deviation matrix.
 
     Returns the final deviation matrix and the per-assignment weights read
@@ -120,13 +102,12 @@ def hogg_run(rho_pp: np.ndarray, formula: OneSatFormula) -> tuple[np.ndarray, np
     The uniform background is invariant under the circuit, so the weights
     are exactly the pure state's populations and sum to 1.
     """
-    if not formula.maximally_constrained:
-        raise InputError("search needs a maximally constrained formula (one clause per variable)")
+    program = search_program(formula, system.n_spins)
     part = pure_part(np.asarray(rho_pp, dtype=complex))
     if part.target != 1:
         raise ContractError(
             f"input must be pseudo-pure at level 1, found target level {part.target}"
         )
-    rho_final = evolve(rho_pp, search_unitary(formula))
+    rho_final = dsl.run(dsl.compile(program, system), rho_pp)
     weights = (np.real(np.diagonal(rho_final)) - part.uniform_coeff) / part.pure_coeff
     return rho_final, weights

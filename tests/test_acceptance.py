@@ -183,11 +183,12 @@ def test_criterion_07b_three_spin_heteronuclear_solver():
 
 
 def test_criterion_08_search_finds_every_solution():
-    rho, _ = prep.prepare_pseudo_pure(presets.get_preset("chloroform"), 1)
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     worst = 1.0
     for text in ("V1&V2", "V1&!V2", "!V1&V2", "!V1&!V2"):
         formula = hogg.parse_formula(text)
-        _, weights = hogg.hogg_run(rho, formula)
+        _, weights = hogg.hogg_run(rho, formula, system)
         level = core.level_of(hogg.satisfying_assignment(formula))
         worst = min(worst, float(weights[level - 1]))
     report(8, abs(worst - 1.0) < 1e-10, f"smallest solution weight {worst:.12f}")

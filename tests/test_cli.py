@@ -167,14 +167,30 @@ def test_hogg_prepares_when_no_state_given(capsys):
     assert json.loads(out)["probabilities"]["11"] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_hogg_rejects_other_spin_counts_before_solving(capsys, monkeypatch):
+def test_hogg_on_three_spins(capsys):
+    code, out, _ = run_cli(capsys, "hogg", "--system", "hetero-3", "--formula", "!V1&V2&!V3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["solution"] == "010"
+    assert data["probabilities"]["010"] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("system, formula, message", [
+    ("chloroform", "V1", "fixes 1 variables but the system has 2"),
+    ("chloroform", "", "not maximally constrained"),
+    ("chloroform", "V1&V3", "not maximally constrained"),
+    ("homonuclear-3", "V1&V2", "fixes 2 variables but the system has 3"),
+], ids=["chloroform-V1", "chloroform-empty", "chloroform-V1&V3", "homonuclear-3-V1&V2"])
+def test_hogg_rejects_other_spin_counts_before_solving(
+    capsys, monkeypatch, system, formula, message
+):
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_angles called")
 
     monkeypatch.setattr(prep, "solve_angles", no_solve)
-    code, _, err = run_cli(capsys, "hogg", "--system", "homonuclear-3", "--formula", "V1&V2")
+    code, _, err = run_cli(capsys, "hogg", "--system", system, "--formula", formula)
     assert code == 1
-    assert "has 3" in error_payload(err)["message"]
+    assert message in error_payload(err)["message"]
 
 
 def test_plot_emits_svg(capsys, chloroform_state, tmp_path):
