@@ -101,8 +101,9 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -183,7 +184,7 @@ def _cmd_solve(args, system: SpinSystem) -> str:
 
 def _cmd_prepare(args, system: SpinSystem) -> str:
     target = _target_level(args.target, system)
-    angles = _parse_angles(args.angles) if args.angles else None
+    angles = _parse_angles(args.angles) if args.angles is not None else None
     rho, solution = prep.prepare_pseudo_pure(system, target, angles)
     payload = {
         "target_level": target,
@@ -258,7 +259,7 @@ def _cmd_tomo(args, system: SpinSystem) -> str:
 def _cmd_hogg(args, system: SpinSystem) -> str:
     formula = hogg.parse_formula(args.formula)
     hogg.search_program(formula, system.n_spins)  # check the formula before any solve
-    if args.state:
+    if args.state is not None:
         rho = load_state(args.state, system)
     else:
         rho, _ = prep.prepare_pseudo_pure(system, target=1)

@@ -16,7 +16,9 @@ Sequential statements are separate unitaries, which is a physically
 different program from putting the pulses in one block.
 """
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,57 +62,31 @@ class PulseProgram:
     statements: tuple[Statement, ...]
     lines: tuple[int, ...] = field(default=(), compare=False)
 
-    def line_of(self, index: int) -> int | None:
-        return self.lines[index] if index < len(self.lines) else None
-
-
-@dataclass(frozen=True, eq=False)
-class Unitary:
-    op: np.ndarray
-
-
-@dataclass(frozen=True)
-class CrushEvent:
-    mode: str
-
 
 @dataclass(frozen=True, eq=False)
 class ChannelSequence:
-    events: tuple
+    events: tuple[np.ndarray | Crush, ...]
     dim: int
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Token:
-    __slots__ = ("text", "line", "col")
+class _Token(NamedTuple):
+    text: str
+    line: int
+    col: int
 
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
+
+_TOKEN = re.compile(r"[{};]|[^\s{};]+")
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-            elif ch in "{};":
-                tokens.append(_Token(ch, lineno, col + 1))
-                col += 1
-            else:
-                end = col
-                while end < len(line) and not line[end].isspace() and line[end] not in "{};":
-                    end += 1
-                tokens.append(_Token(line[col:end], lineno, col + 1))
-                col = end
-    return tokens
+    return [
+        _Token(m.group(), lineno, m.start() + 1)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        for m in _TOKEN.finditer(raw.split("#", 1)[0])
+    ]
 
 
 class _Parser:
@@ -264,7 +240,7 @@ def _pulses(stmt: Block | HardPulse, n: int) -> list:
 
 
 def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
-    """Lower a program to an ordered list of unitaries and crusher events.
+    """Lower a program to an ordered list of propagators and Crush statements.
 
     Input errors raised while lowering a statement come back as CompileError
     naming the statement and its source line.
@@ -274,15 +250,14 @@ def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
         try:
             if isinstance(stmt, (Block, HardPulse)):
                 H = generator(_pulses(stmt, system.n_spins), system.n_spins)
-                events.append(Unitary(expm_unitary(H)))
+                events.append(expm_unitary(H))
             elif isinstance(stmt, Crush):
-                events.append(CrushEvent(stmt.mode))
+                events.append(stmt)
             else:
                 raise InputError(f"unknown statement type {type(stmt).__name__}")
         except InputError as exc:
-            line = program.line_of(idx)
-            where = f"statement {idx + 1}" + (f" (line {line})" if line else "")
-            raise CompileError(f"{where}: {exc}") from exc
+            line = f" (line {program.lines[idx]})" if idx < len(program.lines) else ""
+            raise CompileError(f"statement {idx + 1}{line}: {exc}") from exc
     return ChannelSequence(tuple(events), system.dim)
 
 
@@ -292,8 +267,5 @@ def run(seq: ChannelSequence, rho0: np.ndarray) -> np.ndarray:
     if rho.shape != (seq.dim, seq.dim):
         raise InputError(f"state shape {rho.shape} does not match sequence dim {seq.dim}")
     for event in seq.events:
-        if isinstance(event, Unitary):
-            rho = evolve(rho, event.op)
-        else:
-            rho = crush(rho, event.mode)
+        rho = crush(rho, event.mode) if isinstance(event, Crush) else evolve(rho, event)
     return rho

@@ -38,7 +38,8 @@ NEWTON_BYTES = 3 * 2**19
 #: Peak bytes per start and per dim**2 of a Newton block of 64 or more
 #: starts, measured with tracemalloc at 3 and 4 spins (about 122-128).
 _ROW_BYTES_PER_LEVEL2 = 128
-#: Most trial points one line-search call evaluates, whatever the block size.
+#: A line-search call tries TRIAL_ROWS // live step scales, at least one, on every
+#: live start, so it holds at most max(TRIAL_ROWS, live starts) trial points.
 TRIAL_ROWS = 64
 #: Line-search scales of a Newton step: 1, 1/2, ..., the last one above 1e-6.
 _STEP_SCALES = 0.5 ** np.arange(20)
@@ -260,8 +261,8 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
         live[i[~solved]] = False
         i, step = i[solved], step[solved]
         norm = np.linalg.norm(r[i], axis=1)
-        # try the scales in order, several per call while few rows remain,
-        # so that one call never holds more than TRIAL_ROWS trial points
+        # try the scales in order, several per call while few rows remain, so
+        # that one call holds at most max(TRIAL_ROWS, i.size) trial points
         tried = 0
         while i.size and tried < len(_STEP_SCALES):
             lams = _STEP_SCALES[tried : tried + max(1, TRIAL_ROWS // i.size)]

@@ -290,6 +290,9 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         ("prepare", "--system", "chloroform", "--target", "00", "--angles", "1,bad"),
         ("prepare", "--system", "chloroform", "--target", "00", "--angles", "nan,10"),
         ("prepare", "--system", "chloroform", "--target", "00", "--angles", "10,inf"),
+        # an empty value is a bad value, not an absent option
+        ("prepare", "--system", "chloroform", "--target", "00", "--angles", ""),
+        ("hogg", "--system", "chloroform", "--formula", "V1&V2", "--state", ""),
         ("solve", "--system", "chloroform"),
         ("solve", "--system", "chloroform", "--target", "00", "--tol", "nan"),
         ("solve", "--system", "chloroform", "--target", "00", "--tol", "inf"),
@@ -352,6 +355,18 @@ def test_exit_code_for_parse_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--system", "chloroform", "--program", str(bad))
     assert code == 1
     assert "degenerate transition" in error_payload(err)["message"]
+
+
+def test_unreadable_state_is_reported_as_a_read_failure(capsys, tmp_path):
+    missing, latin1 = tmp_path / "missing.json", tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"matrix": "\xe9"}')
+    for path, start in ((missing, f"cannot read {missing}: "),
+                        (latin1, f"{latin1} is not UTF-8 text: ")):
+        code, _, err = run_cli(capsys, "hogg", "--system", "chloroform", "--formula", "V1&V2",
+                               "--state", str(path))
+        assert code == 1
+        message = error_payload(err)["message"]
+        assert message.startswith(start) and "JSON" not in message, message
 
 
 def test_exit_code_for_malformed_state(capsys, tmp_path):

@@ -53,7 +53,7 @@ def test_parse_preparation_program():
         (dsl.SelPulse(3, 4, "x", 127.13), dsl.SelPulse(2, 4, "x", 186.01))
     )
     assert crush_stmt == dsl.Crush("all_off_diagonal")
-    assert program.line_of(0) == 1 and program.line_of(1) == 2
+    assert program.lines == (1, 2)
 
 
 def test_parse_empty_and_comments():
@@ -144,6 +144,46 @@ def test_pretty_round_trip_generated_programs(stmts):
     assert repr(parsed.statements) == repr(program.statements)
 
 
+# every line break str.splitlines honours ("\r\n" is one), and blanks that break no line
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+BLANKS = (" ", "\t", "\u00a0", "\u3000")
+KEYWORDS = ("block", "sel", "hard", "crush", "ideal", "order")
+comment_text = st.text(st.characters(exclude_categories=("Cs",),
+                                     exclude_characters="".join(LINE_BREAKS)))
+separator_parts = st.lists(
+    st.sampled_from(BLANKS + LINE_BREAKS)
+    | st.builds(lambda text, end: "#" + text + end, comment_text, st.sampled_from(LINE_BREAKS)),
+    min_size=1, max_size=4,
+)
+unknown_words = st.text(st.characters(exclude_categories=("Cs",)), min_size=1).filter(
+    lambda w: w.split() == [w] and not set(w) & set("{};#") and w not in KEYWORDS
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(any_statements, max_size=4), st.data(), unknown_words)
+def test_parse_positions_under_any_layout(stmts, data, word):
+    program = dsl.PulseProgram(tuple(stmts))
+    tokens = dsl.pretty(program).split()
+    text, line, col = "", 1, 1
+    for i in range(len(tokens) + 1):  # a separator before each token and before word
+        for part in data.draw(separator_parts):
+            if part[-1] not in "".join(LINE_BREAKS):
+                col += len(part)
+            elif not (part == "\n" and text.endswith("\r")):  # "\r" then "\n" is one break
+                line, col = line + 1, 1
+            text += part
+        if i < len(tokens):
+            text += tokens[i]
+            col += len(tokens[i])
+    parsed = dsl.parse(text)
+    assert parsed == program and repr(parsed.statements) == repr(program.statements)
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text + word)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert f"unknown keyword {word!r}" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -151,9 +191,8 @@ def test_compile_preparation_program():
     system = presets.get_preset("chloroform")
     seq = dsl.compile(dsl.parse(PREP_PROGRAM), system)
     assert len(seq.events) == 2
-    assert isinstance(seq.events[0], dsl.Unitary)
-    assert isinstance(seq.events[1], dsl.CrushEvent)
-    U = seq.events[0].op
+    U, crush_stmt = seq.events
+    assert crush_stmt == dsl.Crush("all_off_diagonal")
     np.testing.assert_allclose(U @ U.conj().T, np.eye(4), atol=1e-12)
 
 
@@ -168,12 +207,12 @@ def test_compile_hard_pulse_is_kron_of_rotations():
                 single = np.cos(a / 2) * np.eye(2) - 1j * np.sin(a / 2) * core.PAULI[axis]
                 seq = dsl.compile(dsl.parse(f"hard all {axis} {angle}"), system)
                 want = functools.reduce(np.kron, [single] * n)
-                np.testing.assert_allclose(seq.events[0].op, want, atol=1e-12)
+                np.testing.assert_allclose(seq.events[0], want, atol=1e-12)
                 for spin in range(1, n + 1):
                     seq = dsl.compile(dsl.parse(f"hard {spin} {axis} {angle}"), system)
                     factors = [single if i == spin else np.eye(2) for i in range(1, n + 1)]
                     want = functools.reduce(np.kron, factors)
-                    np.testing.assert_allclose(seq.events[0].op, want, atol=1e-12)
+                    np.testing.assert_allclose(seq.events[0], want, atol=1e-12)
 
 
 def test_compile_rejects_unresolvable_lines():
@@ -193,8 +232,8 @@ def test_compile_block_simultaneity_matters():
     system = presets.get_preset("homonuclear-2")
     together = dsl.compile(dsl.parse("block { sel 3 4 x 90 ; sel 4 2 x 90 }"), system)
     apart = dsl.compile(dsl.parse("sel 3 4 x 90\nsel 4 2 x 90"), system)
-    combined = apart.events[1].op @ apart.events[0].op
-    assert np.max(np.abs(together.events[0].op - combined)) > 1e-2
+    combined = apart.events[1] @ apart.events[0]
+    assert np.max(np.abs(together.events[0] - combined)) > 1e-2
 
 
 def test_compile_is_deterministic():
@@ -202,10 +241,10 @@ def test_compile_is_deterministic():
     a = dsl.compile(dsl.parse(PREP_PROGRAM), system)
     b = dsl.compile(dsl.parse(PREP_PROGRAM), system)
     for ea, eb in zip(a.events, b.events):
-        if isinstance(ea, dsl.Unitary):
-            assert np.array_equal(ea.op, eb.op)
-        else:
+        if isinstance(ea, dsl.Crush):
             assert ea == eb
+        else:
+            assert np.array_equal(ea, eb)
 
 
 # ---------------------------------------------------------------------------

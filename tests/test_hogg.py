@@ -35,7 +35,7 @@ def program_unitary(formula: hogg.OneSatFormula, n_spins: int) -> np.ndarray:
     seq = dsl.compile(hogg.search_program(formula, n_spins), core.SpinSystem((1.0,) * n_spins))
     U = np.eye(2**n_spins, dtype=complex)
     for event in seq.events:
-        U = event.op @ U
+        U = event @ U
     return U
 
 

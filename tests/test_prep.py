@@ -215,16 +215,24 @@ def test_solver_result_does_not_depend_on_the_block_size(monkeypatch):
 
 def test_newton_block_decomposes_each_point_once(monkeypatch):
     fun, spec = batched_residual(presets.get_preset("hetero-3"), 1)
-    x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), 2), dtype=float))
     eigh_rows, evaluated, jacobians = [], [], []
     real_eigh, real_evaluate, real_jacobian = np.linalg.eigh, fun.evaluate, fun.jacobian
     monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_rows.append(len(a)) or real_eigh(a))
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
     monkeypatch.setattr(fun, "jacobian", lambda w, V: jacobians.append(len(w)) or real_jacobian(w, V))
-    prep._newton_block(fun, x0, 1e-10)
-    # the first evaluation holds the starts, every later one trial points
-    assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
-    assert sum(eigh_rows) == sum(evaluated)
+    # 2**6 = TRIAL_ROWS grid starts, and the first full block of the 3**6 default grid
+    for per_dim, starts in ((2, 2**6), (3, prep._block_rows(7))):
+        x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim)[:starts], dtype=float))
+        for calls in (eigh_rows, evaluated, jacobians):
+            calls.clear()
+        prep._newton_block(fun, x0, 1e-10)
+        # the first evaluation holds the starts, every later one trial points
+        assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
+        assert sum(eigh_rows) == sum(evaluated)
+        # a line-search call holds at most max(TRIAL_ROWS, live starts) trial points,
+        # so more than TRIAL_ROWS once a block has more starts than that
+        assert max(evaluated[1:]) <= max(prep.TRIAL_ROWS, len(x0))
+        assert (max(evaluated[1:]) > prep.TRIAL_ROWS) == (len(x0) > prep.TRIAL_ROWS)
 
 
 def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
