@@ -35,8 +35,10 @@ MAX_ITER = 60
 #: grow as starts x dim**2 over the dim = 2**n - 1 non-target levels, so 3
 #: spins run 250 starts a block and 4 spins 54.
 NEWTON_BYTES = 3 * 2**19
-#: Peak bytes per start and per dim**2 of a Newton block of 64 or more
-#: starts, measured with tracemalloc at 3 and 4 spins (about 122-128).
+#: Peak bytes per start and per dim**2 of a Newton block of 54 or more
+#: starts, measured with tracemalloc at 3 and 4 spins (about 122-128).  The
+#: Jacobian's dim x dim temporaries are about 120 of them; a residual's Gram
+#: kernel holds about 20.
 _ROW_BYTES_PER_LEVEL2 = 128
 #: A line-search call tries TRIAL_ROWS // live step scales, at least one, on every
 #: live start, so it holds at most max(TRIAL_ROWS, live starts) trial points.
@@ -165,16 +167,24 @@ class _BatchedResidual:
     """Residuals of one cascade at a stack of angle vectors, with exact Jacobians.
 
     Only the non-target levels take part; the target keeps its population.
-    On them the x-pulse generator H = sum_j theta_j E_j is real symmetric,
-    with E_j the sigma_x/2 block of step j, so one batched real eigh
-    H = V diag(w) V^T gives every propagator.  The same (w, V) give the exact
-    derivative dU/dtheta_j = V (G o V^T E_j V) V^T, where G holds the divided
-    differences of exp(-i w) (Najfeld & Havel, Adv. Appl. Math. 16 (1995)
-    321), written as G_pq = -i exp(-i (w_p + w_q)/2) sinc((w_p - w_q)/2) so
-    that it stays exact at degenerate eigenvalues.  Residual rows whose angles
-    are not finite come back as NaN.  This path is the solver's own;
-    :func:`residual` stays on ``core.generator`` and ``core.expm_unitary`` to
-    check its roots.
+    Every step flips one spin, so it joins a level of the target's bit-count
+    parity (side a, 2**(n-1) - 1 levels) to one of the other parity (side b,
+    2**(n-1) levels), and the x-pulse generator is H = [[0, B], [B^T, 0]]
+    with B real, B_ab = theta_j / 2 for step j.  Residuals take one batched
+    eigh of the Gram matrix B B^T = u diag(s**2) u^T, which is 3 x 3 at 3
+    spins.  With W = u^T B the propagator is [[C1, -i S], [-i S^T, C2]] with
+    C1 = u cos(s) u^T, S = u (sin(s)/s) W and C2 = I - W^T ((1 - cos s)/s**2) W,
+    all real, so the populations are sums of their squares.  Jacobians take
+    one eigh H = V diag(w) V^T and the exact derivative
+    dU/dtheta_j = V (G o V^T E_j V) V^T, with E_j the sigma_x/2 block of step
+    j and G the divided differences of exp(-i w) (Najfeld & Havel, Adv. Appl.
+    Math. 16 (1995) 321), G_pq = -i exp(-i (w_p + w_q)/2) sinc((w_p - w_q)/2),
+    exact at degenerate eigenvalues and taken in real arithmetic.  The Gram
+    route squares B, so its round-off grows as eps * |theta|**2, against
+    eps * |theta| for an eigh of H.  Residual rows whose angles are not
+    finite come back as NaN.  This path is the solver's own;
+    :func:`residual` stays on ``core.generator`` and ``core.expm_unitary``
+    to check its roots.
     """
 
     def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
@@ -184,39 +194,65 @@ class _BatchedResidual:
         self.m = np.array([row[s.m] for s in spec.steps])
         self.k = np.array([row[s.k] for s in spec.steps])
         self.d = d_eq[np.array(others) - 1]
+        parity = lambda lev: (lev - 1).bit_count() % 2
+        on_b = np.array([parity(lev) != parity(spec.target) for lev in others])
+        self.rows_a, self.rows_b = np.flatnonzero(~on_b), np.flatnonzero(on_b)
+        # each step's two ends, as positions within their own side
+        pos = np.empty(len(others), dtype=int)
+        pos[self.rows_a], pos[self.rows_b] = np.arange(len(self.rows_a)), np.arange(len(self.rows_b))
+        self.a = pos[np.where(on_b[self.m], self.k, self.m)]
+        self.b = pos[np.where(on_b[self.m], self.m, self.k)]
+        self.d_a, self.d_b = self.d[self.rows_a], self.d[self.rows_b]
 
-    def evaluate(self, theta: np.ndarray):
-        """(B, k) residuals at (B, k) angles in radians, and the eigh (w, V) behind them."""
+    def evaluate(self, theta: np.ndarray) -> np.ndarray:
+        """(N, k) residuals at (N, k) angles in radians."""
         bad = ~np.all(np.isfinite(theta), axis=1)
         # eigh may raise LinAlgError on non-finite input, which would end the
         # whole block: evaluate those rows at 0, then blank them
         theta = np.where(bad[:, None], 0.0, theta)
+        B = np.zeros((len(theta), len(self.d_a), len(self.d_b)))
+        B[:, self.a, self.b] = 0.5 * theta
+        lam, u = np.linalg.eigh(B @ B.transpose(0, 2, 1))
+        s = np.sqrt(np.maximum(lam, 0.0))[:, :, None]
+        ut = u.transpose(0, 2, 1)
+        W = ut @ B
+        # np.sinc(x) = sin(pi x)/(pi x), so s = 0 needs no special case:
+        # sin(s)/s = sinc(s/pi) and (1 - cos s)/s**2 = sinc(s/(2 pi))**2 / 2
+        sinc = np.sinc(s / [np.pi, 2 * np.pi])
+        # side a's rows of |U|: [C1 | S], in one product
+        top = u @ np.concatenate([np.cos(s) * ut, sinc[:, :, :1] * W], axis=2)
+        C2 = np.eye(len(self.d_b)) - W.transpose(0, 2, 1) @ (0.5 * sinc[:, :, 1:] ** 2 * W)
+        # diag(U D U+) for the diagonal thermal state D needs only |U|^2
+        top *= top
+        C1_2, S_2 = top[:, :, : len(self.d_a)], top[:, :, len(self.d_a) :]
+        p = np.empty((len(theta), len(self.d)))
+        p[:, self.rows_a] = C1_2 @ self.d_a + S_2 @ self.d_b
+        p[:, self.rows_b] = self.d_a @ S_2 + (C2 * C2) @ self.d_b
+        r = p[:, 1:] - p[:, :1]
+        r[bad] = np.nan
+        return r
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """(N, k, k) exact Jacobians at (N, k) finite angles in radians."""
         H = np.zeros((len(theta), len(self.d), len(self.d)))
         H[:, self.m, self.k] = H[:, self.k, self.m] = 0.5 * theta
         w, V = np.linalg.eigh(H)
-        # diag(U D U+) for the diagonal thermal state D needs only |U|^2
-        p = (np.abs(self._propagators(w, V)) ** 2) @ self.d
-        r = p[:, 1:] - p[:, :1]
-        r[bad] = np.nan
-        return r, w, V
-
-    @staticmethod
-    def _propagators(w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return (V * np.exp(-1j * w)[:, None, :]) @ V.transpose(0, 2, 1)
-
-    def jacobian(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """(B, k, k) exact Jacobians from the (w, V) that :meth:`evaluate` returned."""
-        U = self._propagators(w, V)
-        G = -1j * np.exp(-0.5j * (w[:, :, None] + w[:, None, :])) * np.sinc(
-            (w[:, :, None] - w[:, None, :]) / (2 * np.pi)
-        )
-        # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa = 2 Re (V (G o V^T E_j V) Y)_aa with
-        # Y = V^T D U+, where 2 V^T E_j V = C + C^T for C = outer(V[m_j], V[k_j])
-        Y = V.transpose(0, 2, 1) @ (self.d[:, None] * U.conj())
+        Vt = V.transpose(0, 2, 1)
+        # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa
+        #   = sum_pqs V_ap K_pq Q_qs V_as sinc_pq sin(w_s - (w_p + w_q)/2)
+        # with K = 2 V^T E_j V = C + C^T for C = outer(V[m_j], V[k_j]) and
+        # Q = V^T D V; splitting the sine leaves two real products per step
+        half = 0.5 * (w[:, :, None] + w[:, None, :])
+        sinc = np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
+        Gc, Gs = sinc * np.cos(half), sinc * np.sin(half)
+        Q = Vt @ (self.d[:, None] * V)
+        Ys = Q @ (np.sin(w)[:, :, None] * Vt)
+        Yc = Q @ (np.cos(w)[:, :, None] * Vt)
         dp = np.empty((len(w), len(self.m), len(self.d)))
         for j, (m, k) in enumerate(zip(self.m, self.k)):
             C = V[:, m, :, None] * V[:, k, None, :]
-            dp[:, j] = np.einsum("baq,bqa->ba", V, (G * (C + C.transpose(0, 2, 1))) @ Y).real
+            K = C + C.transpose(0, 2, 1)
+            dp[:, j] = np.einsum("baq,bqa->ba", V, (K * Gc) @ Ys - (K * Gs) @ Yc)
         return (dp[:, :, 1:] - dp[:, :, :1]).transpose(0, 2, 1)
 
 
@@ -241,12 +277,10 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     the Newton step scaled by the first of 1, 1/2, ... (down to 1e-6) that
     lowers ||r||, and stop on a singular Jacobian, a stalled line search, a
     trial point without a finite residual, or after MAX_ITER iterations.
-    Each row's current point keeps the eigendecomposition it was evaluated
-    with, so its Jacobian costs no second eigh.
     """
     x = np.array(x0, dtype=float)
     k = x.shape[1]
-    r, w, V = fun.evaluate(x)
+    r = fun.evaluate(x)
     ok = np.zeros(len(x), dtype=bool)
     live = np.all(np.isfinite(r), axis=1)
     for _ in range(MAX_ITER):
@@ -257,7 +291,7 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
         i = i[~done]
         if not i.size:
             break
-        step, solved = _newton_steps(fun.jacobian(w[i], V[i]), r[i])
+        step, solved = _newton_steps(fun.jacobian(x[i]), r[i])
         live[i[~solved]] = False
         i, step = i[solved], step[solved]
         norm = np.linalg.norm(r[i], axis=1)
@@ -268,10 +302,7 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             lams = _STEP_SCALES[tried : tried + max(1, TRIAL_ROWS // i.size)]
             tried += len(lams)
             trial = x[i, None] + lams[:, None] * step[:, None]
-            r_trial, w_trial, V_trial = (
-                a.reshape(*trial.shape[:2], *a.shape[1:])
-                for a in fun.evaluate(trial.reshape(-1, k))
-            )
+            r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
             finite = np.all(np.isfinite(r_trial), axis=2)
             better = finite & (np.linalg.norm(r_trial, axis=2) < norm[:, None])
             # each row stops at its first scale that helps or is not finite
@@ -282,7 +313,6 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             take = better[rows, first]
             moved, best = i[rows[take]], (rows[take], first[take])
             x[moved], r[moved] = trial[best], r_trial[best]
-            w[moved], V[moved] = w_trial[best], V_trial[best]
             live[i[rows[~take]]] = False
             i, step, norm = i[~hit], step[~hit], norm[~hit]
         live[i] = False
@@ -310,8 +340,8 @@ def solve_angles(
 
     Multi-start damped Newton on :func:`residual`, with exact Jacobians,
     advancing starts in lockstep blocks as large as NEWTON_BYTES of
-    temporaries allows, and decomposing each accepted point once for both
-    its residual and its Jacobian.  Starts are a uniform grid interior to
+    temporaries allows, through :class:`_BatchedResidual`'s real kernels.
+    Starts are a uniform grid interior to
     (0, 360) degrees per dimension (5 points per dimension up to 2 steps, 3
     up to 6, then 1; at most MAX_GRID_STARTS in all).  Flipping the sign of
     any angle leaves the residual unchanged, so converged roots are reported

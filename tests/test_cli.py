@@ -69,6 +69,44 @@ def test_prepare_matches_golden_diagonal(capsys):
     assert data["pure_part"]["target"] == 1
 
 
+#: The angles_deg text `prepare` prints for every pseudo-pure preset and
+#: target (homonuclear-2 has no pseudo-pure state at 01 or 10).  The first
+#: root the solver picks is part of the output contract, so a solver change
+#: may move Newton paths in round-off but not these bytes.
+PREPARED_ANGLES = {
+    ("chloroform", "00"): "[127.1329076,186.0093389]",
+    ("chloroform", "01"): "[146.4297642,119.9678108]",
+    ("chloroform", "10"): "[146.4297642,119.9678108]",
+    ("chloroform", "11"): "[186.0093389,127.1329076]",
+    ("homonuclear-2", "00"): "[77.40784246,77.40784246]",
+    ("homonuclear-2", "11"): "[77.40784246,77.40784246]",
+    ("homonuclear-3", "000"): "[211.9282222,176.5484085,228.5522819,127.3781795,95.31189716,107.2473189]",
+    ("homonuclear-3", "001"): "[324.697525,234.4811676,278.2281123,354.65005,344.1401953,226.162494]",
+    ("homonuclear-3", "010"): "[85.02317336,49.03823952,184.9430841,267.2501412,215.4340503,152.2703827]",
+    ("homonuclear-3", "011"): "[186.299103,272.7964049,226.4660108,254.4197123,184.1761544,81.60909841]",
+    ("homonuclear-3", "100"): "[186.2991029,272.7964049,226.4660108,254.4197123,184.1761544,81.60909841]",
+    ("homonuclear-3", "101"): "[85.02317336,49.03823952,184.9430841,267.2501412,215.4340503,152.2703827]",
+    ("homonuclear-3", "110"): "[324.697525,234.4811676,278.2281123,354.65005,344.1401953,226.162494]",
+    ("homonuclear-3", "111"): "[107.2473189,95.31189716,127.3781795,228.5522819,176.5484085,211.9282222]",
+    ("hetero-3", "000"): "[201.8887011,258.8275596,313.4021048,364.307746,295.3639269,234.1764998]",
+    ("hetero-3", "001"): "[281.664671,276.7243157,306.5642692,297.6577817,348.5511287,192.2937387]",
+    ("hetero-3", "010"): "[260.3176715,403.5087636,341.7039716,313.2167866,334.697837,176.9922705]",
+    ("hetero-3", "011"): "[217.9719398,284.9653451,369.0180971,291.6956006,350.0280978,214.5192972]",
+    ("hetero-3", "100"): "[217.9719398,284.9653451,369.0180971,291.6956006,350.0280978,214.5192972]",
+    ("hetero-3", "101"): "[260.3176715,403.5087636,341.7039716,313.2167866,334.697837,176.9922705]",
+    ("hetero-3", "110"): "[281.664671,276.7243157,306.5642692,297.6577817,348.5511287,192.2937387]",
+    ("hetero-3", "111"): "[234.1764998,295.3639269,364.307746,313.4021048,258.8275596,201.8887011]",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREPARED_ANGLES))
+def test_prepare_prints_the_pinned_first_root(capsys, case):
+    name, target = case
+    code, out, _ = run_cli(capsys, "prepare", "--system", name, "--target", target)
+    assert code == 0
+    assert f'"angles_deg":{PREPARED_ANGLES[case]},' in out
+
+
 def test_prepare_with_explicit_angles(capsys):
     code, out, _ = run_cli(
         capsys,

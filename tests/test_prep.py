@@ -147,11 +147,10 @@ def test_batched_jacobian_matches_central_differences(gamma, target):
     rng = np.random.default_rng(len(gamma) * 10 + spec.target)
     # theta = 0 and equal angles give degenerate eigenvalues
     theta = np.vstack([np.zeros(k), np.full(k, 1.3), rng.uniform(-8.0, 8.0, (4, k))])
-    _, w, V = fun.evaluate(theta)
-    J = fun.jacobian(w, V)
+    J = fun.jacobian(theta)
     h = 1e-5
     central = np.stack(
-        [(fun.evaluate(theta + h * e)[0] - fun.evaluate(theta - h * e)[0]) / (2 * h)
+        [(fun.evaluate(theta + h * e) - fun.evaluate(theta - h * e)) / (2 * h)
          for e in np.eye(k)],
         axis=2,
     )
@@ -167,7 +166,7 @@ def test_batched_residual_matches_residual(name):
         fun, spec = batched_residual(system, target)
         theta = rng.uniform(-12.0, 12.0, (5, len(spec.steps)))
         want = [prep.residual(np.degrees(t), system, spec) for t in theta]
-        np.testing.assert_allclose(fun.evaluate(theta)[0], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fun.evaluate(theta), want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,6 +187,70 @@ def test_residual_is_invariant_under_angle_sign_flips(case, angles, signs):
     np.testing.assert_allclose(
         prep.residual(flipped, system, spec), prep.residual(theta, system, spec), rtol=0, atol=1e-12
     )
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random cascade tree at 2-4 spins, signed gammas over six decades, and angles."""
+    n = draw(st.integers(2, 4))
+    target = draw(st.sampled_from(range(1, 2**n + 1)))
+    lines = [(lev, ((lev - 1) ^ (1 << b)) + 1) for lev in range(1, 2**n + 1) for b in range(n)]
+    lines = [(m, k) for m, k in lines if m < k and target not in (m, k)]
+    # Kruskal over shuffled lines: a uniform choice among orders, not among trees
+    parent = list(range(2**n + 1))
+
+    def root(lev):
+        while parent[lev] != lev:
+            lev = parent[lev]
+        return lev
+
+    steps = []
+    for m, k in draw(st.permutations(lines)):
+        if root(m) != root(k):
+            parent[root(m)] = root(k)
+            steps.append(CascadeStep(*((m, k) if draw(st.booleans()) else (k, m))))
+    spec = CascadeSpec(target, tuple(steps), n)
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    decades = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    system = core.SpinSystem(gamma=tuple(s * 10.0**e for s, e in zip(signs, decades)))
+    k = len(steps)
+    base = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(["zero", "equal", "random", "some zero", "1e-9", "1e3"]))
+    theta = {
+        "zero": np.zeros(k),
+        "equal": np.full(k, base[0]),
+        "random": base,
+        "some zero": np.where(np.arange(k) % 2 == 0, 0.0, base),
+        "1e-9": 1e-9 * base,
+        "1e3": 1e3 * base,
+    }[kind]
+    return system, spec, theta
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_batched_kernel_matches_residual_on_any_tree(case):
+    system, spec, theta = case
+    d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
+    scale = np.max(np.abs(d_eq))
+    fun = prep._BatchedResidual(spec, d_eq)
+    # the Gram route squares B, so its round-off grows as eps * |theta|**2
+    # against eps * |theta| for residual's eigh; up to |theta| of about 17
+    # radians the bound is the flat 1e-12 * max|d|
+    tol = scale * max(1e-12, 16 * np.finfo(float).eps * np.max(np.abs(theta)) ** 2)
+    np.testing.assert_allclose(
+        fun.evaluate(theta[None])[0], prep.residual(np.degrees(theta), system, spec), rtol=0, atol=tol
+    )
+    # central differences of the independent residual, whose round-off over h
+    # stays below about 4e-8 * max|d| even at 1e3-scaled angles
+    h = 1e-4
+    central = np.stack(
+        [(prep.residual(np.degrees(theta + h * e), system, spec)
+          - prep.residual(np.degrees(theta - h * e), system, spec)) / (2 * h)
+         for e in np.eye(len(theta))],
+        axis=1,
+    )
+    np.testing.assert_allclose(fun.jacobian(theta[None])[0], central, rtol=0, atol=1e-7 * scale)
 
 
 def test_newton_block_failures_stay_in_their_own_start():
@@ -215,20 +278,33 @@ def test_solver_result_does_not_depend_on_the_block_size(monkeypatch):
 
 def test_newton_block_decomposes_each_point_once(monkeypatch):
     fun, spec = batched_residual(presets.get_preset("hetero-3"), 1)
-    eigh_rows, evaluated, jacobians = [], [], []
+    # hetero-3 target 1 has 3 non-target levels of the target's parity and 4 of the other
+    eigh_shapes, evaluated, jacobians = [], [], []
     real_eigh, real_evaluate, real_jacobian = np.linalg.eigh, fun.evaluate, fun.jacobian
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: eigh_rows.append(len(a)) or real_eigh(a))
+
+    def eigh(a):
+        eigh_shapes.append(a.shape)
+        return real_eigh(a)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Newton block decomposes only with eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
-    monkeypatch.setattr(fun, "jacobian", lambda w, V: jacobians.append(len(w)) or real_jacobian(w, V))
+    monkeypatch.setattr(fun, "jacobian", lambda t: jacobians.append(len(t)) or real_jacobian(t))
     # 2**6 = TRIAL_ROWS grid starts, and the first full block of the 3**6 default grid
     for per_dim, starts in ((2, 2**6), (3, prep._block_rows(7))):
         x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim)[:starts], dtype=float))
-        for calls in (eigh_rows, evaluated, jacobians):
+        for calls in (eigh_shapes, evaluated, jacobians):
             calls.clear()
         prep._newton_block(fun, x0, 1e-10)
         # the first evaluation holds the starts, every later one trial points
         assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
-        assert sum(eigh_rows) == sum(evaluated)
+        # each evaluated row costs one 3x3 Gram eigh, each Jacobian row one 7x7 eigh
+        assert {shape[1:] for shape in eigh_shapes} == {(3, 3), (7, 7)}
+        assert sum(n for n, *rest in eigh_shapes if rest == [3, 3]) == sum(evaluated)
+        assert sum(n for n, *rest in eigh_shapes if rest == [7, 7]) == sum(jacobians)
         # a line-search call holds at most max(TRIAL_ROWS, live starts) trial points,
         # so more than TRIAL_ROWS once a block has more starts than that
         assert max(evaluated[1:]) <= max(prep.TRIAL_ROWS, len(x0))
@@ -276,6 +352,19 @@ def test_first_root_is_pinned(case):
     spec = prep.default_cascade(system.n_spins, target)
     first = prep.solve_angles(system, spec).roots[0]
     np.testing.assert_allclose(first, FIRST_ROOTS[case], rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("target", [1, 8])
+def test_first_root_survives_scaled_gammas(target):
+    # scaling every gamma scales the residual and leaves its roots alone; the
+    # Gram kernel's round-off grows with max|d|, and at 1e3 (max|d| about 8e3
+    # for hetero-3) it must still stay under the absolute newton_tol
+    system = presets.get_preset("hetero-3")
+    spec = prep.default_cascade(system.n_spins, target)
+    first = prep.solve_angles(system, spec).roots[0]
+    for k in (1e2, 1e3):
+        scaled = core.SpinSystem(gamma=tuple(k * g for g in system.gamma), j_hz=system.j_hz)
+        np.testing.assert_allclose(prep.solve_angles(scaled, spec).roots[0], first, rtol=0, atol=1e-8)
 
 
 def test_solver_finds_homonuclear_root():
