@@ -346,9 +346,11 @@ def solve_angles(
     up to 6, then 1; at most MAX_GRID_STARTS in all).  Flipping the sign of
     any angle leaves the residual unchanged, so converged roots are reported
     as |theta|, deduplicated at 0.01 degrees componentwise, and sorted by
-    largest component, then lexicographically.  Each returned root is
-    checked once more through :func:`residual` and kept only if its
-    max |residual| < newton_tol; ``residual_norms`` are the solver's own.
+    largest component, then lexicographically, both rounded to 1e-6
+    degrees.  Each returned root is checked once more through
+    :func:`residual` and kept only if its max |residual| < newton_tol;
+    ``residual_norms`` are the solver's own.  When that check rejects every
+    candidate, the NoSolutionError says how many and gives the smallest.
     Components are reported wherever Newton lands them, so some may exceed
     360.
     """
@@ -382,16 +384,22 @@ def solve_angles(
         if not kept or np.min(np.max(np.abs(folded[kept] - deg), axis=1)) >= DEDUP_TOL_DEG:
             kept.append(i)
     # the batched path is the solver's own; hold each root to residual's promise
-    kept = [i for i in kept if np.max(np.abs(residual(folded[i], system, spec))) < newton_tol]
+    checks = {i: np.max(np.abs(residual(folded[i], system, spec))) for i in kept}
+    kept = [i for i in kept if checks[i] < newton_tol]
     if not kept:
-        raise NoSolutionError(
-            f"no root found from {len(starts)} starts; best residual {np.min(worst):.3e}"
+        why = (
+            f"residual rejected {len(checks)} candidate(s), smallest max|residual| "
+            f"{min(checks.values()):.3e}" if checks else f"best residual {np.min(worst):.3e}"
         )
+        raise NoSolutionError(f"no root found from {len(starts)} starts; {why}")
     roots = [tuple(float(v) for v in folded[i]) for i in kept]
     norms = [float(folded_norms[i]) for i in kept]
     # smallest largest angle first, so prepare_pseudo_pure picks a tame
-    # vector and every root inside [0, 360) comes before the rest
-    order = sorted(range(len(roots)), key=lambda i: (max(roots[i]), roots[i]))
+    # vector and every root inside [0, 360) comes before the rest; mirror
+    # roots tie on the largest angle up to round-off, so compare at 1e-6 deg
+    order = sorted(
+        range(len(roots)), key=lambda i: [round(v, 6) for v in (max(roots[i]), *roots[i])]
+    )
     return SolverResult(
         roots=tuple(roots[i] for i in order),
         residual_norms=tuple(norms[i] for i in order),

@@ -12,13 +12,13 @@ Spectra and measurements apply it to the state; tomography applies it to
 the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
 
-The fixed parts are built once and cached as read-only arrays: each
-register size's basis and one protocol per settings list, which reads
-every line of every spin under each setting (a spectrum is one setting,
-cut to one spin's lines).  A protocol stacks its settings' propagators
-and its lines' gather indices, and factors its design by SVD only when
-first reconstructed.  A MeasurementSet is its protocol and one amplitude
-per record, so a reconstruction looks nothing up.
+A protocol reads every line of every spin under each setting of a list.
+It stacks its settings' propagators and its lines' gather indices, and
+factors its design by SVD only when first reconstructed.  Each register
+size's basis and full tomography protocol are built once and cached as
+read-only arrays; a spectrum builds its one-setting protocol on each call
+and cuts it to one spin's lines.  A MeasurementSet is its protocol and one
+amplitude per record, so a reconstruction looks nothing up.
 """
 
 import functools
@@ -36,21 +36,6 @@ from .errors import ContractError, InputError
 
 READOUT_PULSES = ("none", "x90", "y90")
 MAX_TOMOGRAPHY_SPINS = 4
-
-# Cache sizes, in entries.  The bases of 1 to 4 spins take 1.1 MB
-# together.  A protocol of S settings on n spins takes 16*S*4**n bytes of
-# propagators, plus 8*(2R + 4**n)*(4**n - 1) bytes of SVD factors for its
-# R = S*n*2**(n-1) records once reconstructed (only n <= 4 is): 0.4 MB for
-# the full 3-spin protocol and 11.4 MB for the full 4-spin one.  A spectrum
-# is one setting, so 16 spectra take at most 16 MB (8 spins); one spin
-# count reaches at most 2n + 2 settings lists (its spectra and its full
-# protocol).  The worst case, 16 reconstructed 4-spin settings lists of 81
-# settings each, is 183 MB.
-# _line_amplitudes conjugates as many states at once as keep a block
-# within _CONJUGATION_BLOCK matrices, and at least one (a 1 MB block for
-# the 4-spin design).
-_PROTOCOL_CACHE = 16
-_CONJUGATION_BLOCK = 256
 
 
 class SpectralLine(NamedTuple):
@@ -118,8 +103,8 @@ def setting_unitary(setting, n_spins: int) -> np.ndarray:
 class _Protocol:
     """The state-independent part of reading every line under each setting.
 
-    Cached per settings list and compared by identity.  Records run over
-    settings, then spins, then transitions_of_spin order.
+    Compared by identity.  Records run over settings, then spins, then
+    transitions_of_spin order.
     """
 
     def __init__(self, n_spins: int, settings: tuple):
@@ -139,7 +124,7 @@ class _Protocol:
         real and imaginary parts.  With A = U diag(s) Vt, u is U and w is
         Vt.T / s, both cut to lstsq's rank, so lstsq(A, y) = w @ (u.T @ y).
         """
-        A = _line_amplitudes(_basis(self.n_spins), self)
+        A = np.array([_line_amplitudes(B, self) for B in _basis(self.n_spins)])
         design = np.concatenate((A.real, A.imag), axis=1).T
         u, s, vt = np.linalg.svd(design, full_matrices=False)
         rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
@@ -147,7 +132,10 @@ class _Protocol:
         return _read_only(u[:, :rank]), _read_only(w), rank, float(s[0] / s[rank - 1])
 
 
-_protocol = functools.lru_cache(maxsize=_PROTOCOL_CACHE)(_Protocol)
+@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
+def _protocol(n_spins: int) -> _Protocol:
+    """The full tomography protocol of a register size, 3**n settings."""
+    return _Protocol(n_spins, tuple(tomography_settings(n_spins)))
 
 
 @dataclass(frozen=True)
@@ -165,20 +153,9 @@ class MeasurementSet:
         return tuple(Measurement(s, t, a) for (s, t), a in zip(keys, self.amplitudes))
 
 
-def _line_amplitudes(states, protocol: _Protocol) -> np.ndarray:
-    """Line amplitudes 2 (U rho U+)[k-1, m-1], one per record of the protocol.
-
-    states is one density matrix or a stack of them; the record axis is
-    appended last.  A block of states is conjugated by every setting at once.
-    """
-    states = np.asarray(states, dtype=complex)
-    flat = states.reshape(-1, 1, *states.shape[-2:])
-    step = max(1, _CONJUGATION_BLOCK // len(protocol.propagators))
-    out = np.empty((len(flat), len(protocol.propagators) * len(protocol.row)), dtype=complex)
-    for i in range(0, len(flat), step):
-        after = evolve(flat[i:i + step], protocol.propagators)
-        out[i:i + step] = 2 * after[..., protocol.row, protocol.col].reshape(len(after), -1)
-    return out.reshape(states.shape[:-2] + out.shape[-1:])
+def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
+    """Line amplitudes 2 (U rho U+)[k-1, m-1] of one state, one per record of the protocol."""
+    return 2 * evolve(rho, protocol.propagators)[:, protocol.row, protocol.col].ravel()
 
 
 def _line_freqs(system: SpinSystem) -> tuple[float, float] | None:
@@ -204,7 +181,7 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
     transitions = transitions_of_spin(spin, n)
     # the protocol reads each spin's 2**(n-1) lines in turn
-    amps = _line_amplitudes(rho, _protocol(n, (setting,))).reshape(n, -1)[spin - 1]
+    amps = _line_amplitudes(rho, _Protocol(n, (setting,))).reshape(n, -1)[spin - 1]
     freqs = _line_freqs(system) or [None] * len(transitions)
     lines = tuple(SpectralLine(f, complex(a), t) for t, a, f in zip(transitions, amps, freqs))
     return StickSpectrum(spin=spin, lines=lines)
@@ -238,7 +215,7 @@ def simulate_measurements(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
-    protocol = _protocol(system.n_spins, tuple(tomography_settings(system.n_spins)))
+    protocol = _protocol(system.n_spins)
     amps = _line_amplitudes(rho, protocol)
     if noise_sigma > 0:
         if seed is None:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ def test_canonical_json_is_stable():
     assert canonical_json(payload) == '{"a":{"x":true,"y":null},"b":[1,0.5],"c":"text"}'
     assert canonical_json(-0.0) == "0"
     assert canonical_json(1 / 3) == "0.3333333333"
+    for bad in (float("nan"), {1, 2}):
+        with pytest.raises(errors.ContractError):
+            canonical_json(bad)
 
 
 def test_matrix_round_trip():
@@ -311,6 +315,16 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
                               '{"gamma": [1' + "0" * 5000 + ', 2]}']):
         not_numbers.append(tmp_path / f"not_numbers_{i}.json")
         not_numbers[-1].write_text(text)
+    five_spins = tmp_path / "five_spins.json"
+    five_spins.write_text(json.dumps({"gamma": [1] * 5}))
+    ragged_j = tmp_path / "ragged_j.json"
+    ragged_j.write_text('{"gamma": [1, 2], "j_hz": [[0, 1], [1, 0], [0, 0]]}')
+    one_spin_state = write_state(tmp_path, np.eye(2), "one_spin_state.json")
+    # a 2x2 matrix whose entries are triples, not [re, im] pairs
+    triples = tmp_path / "triples.json"
+    triples.write_text(json.dumps([[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]))
+    program = tmp_path / "flip.pp"
+    program.write_text("hard all x 180\n")
     text_state = tmp_path / "text_state.json"
     text_state.write_text(json.dumps(
         {"matrix": [[["6.99" if i == j == 0 else 0, 0] for j in range(4)] for i in range(4)]}
@@ -375,6 +389,12 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         *(("solve", "--system", str(path), "--target", "00") for path in not_numbers),
         ("spectrum", "--system", "chloroform", "--state", str(text_state), "--spin", "1"),
         ("tomo", "--system", "chloroform", "--state", str(text_state)),
+        # a basis state with the wrong number of bits, a state of the wrong
+        # size, a matrix without [re, im] entries, a j_hz that is not n x n
+        ("run", "--system", "chloroform", "--program", str(program), "--initial", "0101"),
+        ("spectrum", "--system", str(five_spins), "--state", one_spin_state, "--spin", "1"),
+        ("spectrum", "--system", "chloroform", "--state", str(triples), "--spin", "1"),
+        ("solve", "--system", str(ragged_j), "--target", "00"),
     ]
     for argv in cases:
         code, _, err = run_cli(capsys, *argv)
@@ -422,6 +442,22 @@ def test_exit_code_for_no_solution(capsys):
     )
     assert code == 2
     assert error_payload(err)["code"] == 2
+
+
+def test_no_root_after_the_recheck_says_what_it_rejected(capsys):
+    # at --tol 1e-300 Newton still lands a start on residual 0, but the
+    # re-check through prep.residual holds it to the same bound and rejects it
+    code, _, err = run_cli(
+        capsys, "solve", "--system", "homonuclear-2", "--target", "10", "--tol", "1e-300"
+    )
+    assert code == 2
+    message = error_payload(err)["message"]
+    found = re.fullmatch(
+        r"no root found from 25 starts; residual rejected (\d+) candidate\(s\), "
+        r"smallest max\|residual\| (\S+)", message
+    )
+    assert found, message
+    assert int(found[1]) >= 1 and float(found[2]) > 1e-300
 
 
 def test_exit_code_for_contract_violations(capsys, tmp_path):

@@ -66,6 +66,11 @@ def test_spin_system_validation():
     assert core.SpinSystem((1, np.float32(2))).gamma == (1.0, 2.0)
 
 
+def test_get_preset_names_the_known_presets():
+    with pytest.raises(InputError, match="unknown preset 'nope'; known presets: chloroform"):
+        presets.get_preset("nope")
+
+
 def test_spin_system_from_dict_ignores_extra_keys():
     data = {"gamma": [1.4048, 5.5857], "j_hz": [[0, 214.95], [214.95, 0]],
             "labels": ["C"], "larmor_mhz": [float("nan")], "note": "chloroform"}

@@ -226,6 +226,14 @@ def test_compile_rejects_unresolvable_lines():
         dsl.compile(dsl.parse("hard 3 x 90"), system)
 
 
+def test_pretty_and_compile_reject_foreign_statements():
+    program = dsl.PulseProgram(statements=(dsl.parse("crush").statements[0], "sel 3 4 x 90"))
+    with pytest.raises(InputError, match="unknown statement type str"):
+        dsl.pretty(program)
+    with pytest.raises(CompileError, match="statement 2: unknown statement type str"):
+        dsl.compile(program, presets.get_preset("chloroform"))
+
+
 def test_compile_block_simultaneity_matters():
     # one block is a single exponential; consecutive one-pulse statements
     # multiply two exponentials, a different operator for non-commuting lines

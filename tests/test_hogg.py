@@ -52,6 +52,8 @@ def test_parse_formula():
         hogg.parse_formula("V0")
     with pytest.raises(InputError):
         hogg.parse_formula("V1&V1")
+    with pytest.raises(InputError):
+        hogg.OneSatFormula(clauses=((1, 0),))
 
 
 def test_conflicts():

@@ -124,6 +124,8 @@ def test_residual_input_checks():
         prep.residual((1.0, 2.0), presets.get_preset("homonuclear-3"), spec)
     with pytest.raises(InputError):
         prep.residual((float("nan"), 2.0), presets.get_preset("homonuclear-2"), spec)
+    with pytest.raises(InputError):
+        prep.solve_angles(presets.get_preset("homonuclear-3"), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +329,22 @@ def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
     monkeypatch.setattr(prep, "_newton_block", lenient)
     # without the re-check (10, 20) would be one more root
     assert prep.solve_angles(system, spec).roots == honest.roots
+
+
+def test_mirror_roots_keep_one_order_under_round_off(monkeypatch):
+    # homonuclear-2 target 10's two roots are mirror images, so their largest
+    # angles tie in exact arithmetic; round-off of either sign, and either
+    # order out of Newton, must give the same root list
+    system, spec = presets.get_preset("homonuclear-2"), prep.default_cascade(2, 3)
+    low, high = 137.76583056821565, 332.5961365893801
+    for eps in (1e-9, -1e-9):
+        pair = [(low, high), (high + eps, low)]
+        for fed in (pair, pair[::-1]):
+            monkeypatch.setattr(prep, "_newton_block", lambda fun, x0, tol, fed=fed: (
+                np.radians(fed), np.zeros((2, 2)), np.ones(2, dtype=bool)))
+            # the re-check through residual still runs; 1e-8 clears the perturbation
+            roots = prep.solve_angles(system, spec, newton_tol=1e-8).roots
+            assert [r[0] < r[1] for r in roots] == [True, False], (eps, fed)
 
 
 #: roots[0] of the default solve: folded onto |theta|, smallest largest angle.

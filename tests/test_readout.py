@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,8 @@ def test_readout_input_checks():
         readout.readout_spectrum(np.eye(4), 1, system, "x180")
     with pytest.raises(InputError):
         readout.readout_spectrum(np.eye(8), 1, system, "x90")
+    with pytest.raises(InputError):
+        readout.simulate_measurements(np.eye(8), system)
     rho = core.thermal_deviation(system)
     for sigma in (0.0, 0.1):
         for seed in (-1, 1.5, "7", True, False):
@@ -171,6 +174,23 @@ def test_spectra_are_slices_of_the_tomography_records():
                 assert [line.transition for line in lines] == core.transitions_of_spin(spin, n)
                 for line in lines:
                     assert line.amplitude == records[(setting, line.transition)]
+
+
+def test_one_cached_protocol_per_register_size():
+    # tomography caches one full protocol per register size; a spectrum builds
+    # its own one-setting protocol and leaves the cache alone
+    for n, system in SYSTEMS_BY_SIZE.items():
+        measured = readout.simulate_measurements(core.thermal_deviation(system), system)
+        assert measured.protocol is readout._protocol(n)
+        assert len(measured.protocol.settings) == 3**n
+    info = readout._protocol.cache_info()
+    assert (info.maxsize, info.currsize) == (readout.MAX_TOMOGRAPHY_SPINS, 4)
+    system = presets.get_preset("hetero-3")
+    rho = core.thermal_deviation(system)
+    for spin in (1, 2, 3):
+        for pulse in readout.READOUT_PULSES:
+            readout.readout_spectrum(rho, spin, system, pulse)
+    assert readout._protocol.cache_info() == info
 
 
 def test_measurement_noise_is_reproducible():
@@ -297,7 +317,7 @@ def test_reconstruct_rejects_incomplete_protocols():
     # full protocol has been reconstructed and its design cached
     full = readout.simulate_measurements(rho, system)
     assert readout.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
-    plain = readout._protocol(2, (("none", "none"),))
+    plain = readout._Protocol(2, (("none", "none"),))
     # the ("none", "none") setting comes first, with its 4 lines
     only_plain = readout.MeasurementSet(plain, full.amplitudes[:4], 0.0, None)
     with pytest.raises(ContractError):
@@ -385,7 +405,7 @@ def test_settings_subsets_reconstruct_at_full_rank():
         rho = random_deviation(np.random.default_rng(61 + n), n)
         full = readout.simulate_measurements(rho, system)
         amplitudes = tuple(r.amplitude for s in subset for r in full.records if r.setting == s)
-        measured = readout.MeasurementSet(readout._protocol(n, subset), amplitudes, 0.0, None)
+        measured = readout.MeasurementSet(readout._Protocol(n, subset), amplitudes, 0.0, None)
         assert [r.setting for r in measured.records[::n * 2 ** (n - 1)]] == list(subset)
         result = readout.reconstruct(measured, system, reference=rho)
         assert result.max_rel_error < 1e-10
@@ -449,3 +469,10 @@ def test_render_stick_svg():
     assert svg.count("spin") >= 2
     with pytest.raises(InputError):
         render_stick_svg([])
+    # without line frequencies the sticks are spaced evenly across the panel
+    system = presets.get_preset("hetero-3")
+    spectrum = readout.readout_spectrum(core.thermal_deviation(system), 3, system, "x90")
+    assert all(line.freq_hz is None for line in spectrum.lines)
+    svg = render_stick_svg([spectrum])
+    xs = [float(x) for x in re.findall(r'<line x1="([0-9.]+)"[^>]*stroke="steelblue"', svg)]
+    np.testing.assert_allclose(xs, [40 + 560 * i / 5 for i in range(1, 5)], atol=0.01)
