@@ -31,18 +31,6 @@ from .errors import InputError, NoSolutionError, NotPseudoPureError
 DEDUP_TOL_DEG = 0.01
 #: Newton iterations per start.
 MAX_ITER = 60
-#: Bytes one lockstep Newton block may hold in per-start temporaries.  They
-#: grow as starts x dim**2 over the dim = 2**n - 1 non-target levels, so 3
-#: spins run 250 starts a block and 4 spins 54.
-NEWTON_BYTES = 3 * 2**19
-#: Peak bytes per start and per dim**2 of a Newton block of 54 or more
-#: starts, measured with tracemalloc at 3 and 4 spins (about 122-128).  The
-#: Jacobian's dim x dim temporaries are about 120 of them; a residual's Gram
-#: kernel holds about 20.
-_ROW_BYTES_PER_LEVEL2 = 128
-#: A line-search call tries TRIAL_ROWS // live step scales, at least one, on every
-#: live start, so it holds at most max(TRIAL_ROWS, live starts) trial points.
-TRIAL_ROWS = 64
 #: Line-search scales of a Newton step: 1, 1/2, ..., the last one above 1e-6.
 _STEP_SCALES = 0.5 ** np.arange(20)
 #: Largest number of grid starts solve_angles will build.
@@ -237,6 +225,9 @@ class _BatchedResidual:
         H = np.zeros((len(theta), len(self.d), len(self.d)))
         H[:, self.m, self.k] = H[:, self.k, self.m] = 0.5 * theta
         w, V = np.linalg.eigh(H)
+        # the first Jacobian over every start is a solve's memory peak, so
+        # dead dim x dim temporaries are freed as soon as they are used
+        del H
         Vt = V.transpose(0, 2, 1)
         # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa
         #   = sum_pqs V_ap K_pq Q_qs V_as sinc_pq sin(w_s - (w_p + w_q)/2)
@@ -245,6 +236,7 @@ class _BatchedResidual:
         half = 0.5 * (w[:, :, None] + w[:, None, :])
         sinc = np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
         Gc, Gs = sinc * np.cos(half), sinc * np.sin(half)
+        del half, sinc
         Q = Vt @ (self.d[:, None] * V)
         Ys = Q @ (np.sin(w)[:, :, None] * Vt)
         Yc = Q @ (np.cos(w)[:, :, None] * Vt)
@@ -296,10 +288,10 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
         i, step = i[solved], step[solved]
         norm = np.linalg.norm(r[i], axis=1)
         # try the scales in order, several per call while few rows remain, so
-        # that one call holds at most max(TRIAL_ROWS, i.size) trial points
+        # that one call holds at most as many trial points as there are starts
         tried = 0
         while i.size and tried < len(_STEP_SCALES):
-            lams = _STEP_SCALES[tried : tried + max(1, TRIAL_ROWS // i.size)]
+            lams = _STEP_SCALES[tried : tried + max(1, len(x) // i.size)]
             tried += len(lams)
             trial = x[i, None] + lams[:, None] * step[:, None]
             r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
@@ -320,11 +312,6 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     return x, r, ok
 
 
-def _block_rows(dim: int) -> int:
-    """Starts per Newton block: as many as NEWTON_BYTES holds at dim levels."""
-    return max(1, NEWTON_BYTES // (_ROW_BYTES_PER_LEVEL2 * dim * dim))
-
-
 def _grid_starts(k: int, per_dim: int) -> list[tuple[float, ...]]:
     pts = [i * 360.0 / (per_dim + 1) for i in range(1, per_dim + 1)]
     return list(itertools.product(pts, repeat=k))
@@ -339,11 +326,14 @@ def solve_angles(
     """Find pulse-angle vectors equalizing the non-target populations.
 
     Multi-start damped Newton on :func:`residual`, with exact Jacobians,
-    advancing starts in lockstep blocks as large as NEWTON_BYTES of
-    temporaries allows, through :class:`_BatchedResidual`'s real kernels.
+    advancing every start in one lockstep block through
+    :class:`_BatchedResidual`'s real kernels; no kernel call holds more
+    rows than there are starts, so MAX_GRID_STARTS also bounds memory.
     Starts are a uniform grid interior to
     (0, 360) degrees per dimension (5 points per dimension up to 2 steps, 3
-    up to 6, then 1; at most MAX_GRID_STARTS in all).  Flipping the sign of
+    up to 6, then 1; at most MAX_GRID_STARTS in all).  ``newton_tol`` is
+    absolute: the largest |population difference| a root may leave, in the
+    units of the gammas, and strict, so 0 accepts no root.  Flipping the sign of
     any angle leaves the residual unchanged, so converged roots are reported
     as |theta|, deduplicated at 0.01 degrees componentwise, and sorted by
     largest component, then lexicographically, both rounded to 1e-6
@@ -371,9 +361,7 @@ def solve_angles(
 
     fun = _BatchedResidual(spec, np.real(np.diagonal(thermal_deviation(system))))
     x0 = np.radians(np.array(starts, dtype=float))
-    rows = _block_rows(len(fun.d))
-    blocks = [_newton_block(fun, x0[b : b + rows], newton_tol) for b in range(0, len(x0), rows)]
-    x, r, ok = (np.concatenate(parts) for parts in zip(*blocks))
+    x, r, ok = _newton_block(fun, x0, newton_tol)
     worst = np.max(np.abs(r), axis=1)
 
     # a diagonal +-1 similarity flips the sign of any angle of a cascade,
@@ -389,7 +377,8 @@ def solve_angles(
     if not kept:
         why = (
             f"residual rejected {len(checks)} candidate(s), smallest max|residual| "
-            f"{min(checks.values()):.3e}" if checks else f"best residual {np.min(worst):.3e}"
+            f"{min(checks.values()):.3e}" if checks
+            else f"best residual {np.min(worst):.3e} is not below the tolerance {newton_tol:.3e}"
         )
         raise NoSolutionError(f"no root found from {len(starts)} starts; {why}")
     roots = [tuple(float(v) for v in folded[i]) for i in kept]

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -267,15 +269,26 @@ def test_newton_block_failures_stay_in_their_own_start():
     np.testing.assert_allclose(x[[0, 2]], alone, rtol=0, atol=1e-12)
 
 
-def test_solver_result_does_not_depend_on_the_block_size(monkeypatch):
-    # every start follows its own iteration, whichever starts share its block
-    system, spec = presets.get_preset("homonuclear-3"), prep.default_cascade(3, 1)
-    default = prep.solve_angles(system, spec, grid_per_dim=2)
-    assert prep._block_rows(7) >= default.starts_tried == 64
-    for rows in (1, 5):
-        monkeypatch.setattr(prep, "NEWTON_BYTES", rows * prep._ROW_BYTES_PER_LEVEL2 * 7 * 7)
-        assert prep._block_rows(7) == rows
-        assert repr(prep.solve_angles(system, spec, grid_per_dim=2)) == repr(default)
+@functools.cache
+def lockstep_grid(name):
+    """Kernel, 64 grid starts and their one-block run, for name at target 1."""
+    fun, spec = batched_residual(presets.get_preset(name), 1)
+    x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), 2), dtype=float))
+    return fun, x0, prep._newton_block(fun, x0, 1e-10)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["homonuclear-3", "hetero-3"]),
+    st.lists(st.integers(0, 63), min_size=1, max_size=64, unique=True),
+)
+def test_a_start_follows_the_same_path_whichever_starts_share_its_block(name, rows):
+    # a start's Newton path does not depend on the other starts in the lockstep,
+    # so one block over every start stands in for any split of them
+    fun, x0, full = lockstep_grid(name)
+    alone = prep._newton_block(fun, x0[rows], 1e-10)
+    for whole, part in zip(full, alone):
+        assert whole[rows].tobytes() == part.tobytes()
 
 
 def test_newton_block_decomposes_each_point_once(monkeypatch):
@@ -295,9 +308,9 @@ def test_newton_block_decomposes_each_point_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
     monkeypatch.setattr(fun, "jacobian", lambda t: jacobians.append(len(t)) or real_jacobian(t))
-    # 2**6 = TRIAL_ROWS grid starts, and the first full block of the 3**6 default grid
-    for per_dim, starts in ((2, 2**6), (3, prep._block_rows(7))):
-        x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim)[:starts], dtype=float))
+    # the 2**6 and the full 3**6 default grids
+    for per_dim in (2, 3):
+        x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
         for calls in (eigh_shapes, evaluated, jacobians):
             calls.clear()
         prep._newton_block(fun, x0, 1e-10)
@@ -307,10 +320,8 @@ def test_newton_block_decomposes_each_point_once(monkeypatch):
         assert {shape[1:] for shape in eigh_shapes} == {(3, 3), (7, 7)}
         assert sum(n for n, *rest in eigh_shapes if rest == [3, 3]) == sum(evaluated)
         assert sum(n for n, *rest in eigh_shapes if rest == [7, 7]) == sum(jacobians)
-        # a line-search call holds at most max(TRIAL_ROWS, live starts) trial points,
-        # so more than TRIAL_ROWS once a block has more starts than that
-        assert max(evaluated[1:]) <= max(prep.TRIAL_ROWS, len(x0))
-        assert (max(evaluated[1:]) > prep.TRIAL_ROWS) == (len(x0) > prep.TRIAL_ROWS)
+        # a line-search call holds at most as many trial points as there are starts
+        assert max(evaluated[1:]) <= len(x0)
 
 
 def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
