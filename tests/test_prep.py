@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ppsim import core, prep, presets
@@ -231,30 +231,70 @@ def kernel_cases(draw):
     return system, spec, theta
 
 
-@settings(max_examples=150, deadline=None)
-@given(kernel_cases())
-def test_batched_kernel_matches_residual_on_any_tree(case):
-    system, spec, theta = case
-    d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
-    scale = np.max(np.abs(d_eq))
-    fun = prep._BatchedResidual(spec, d_eq)
-    # the Gram route squares B, so its round-off grows as eps * |theta|**2
-    # against eps * |theta| for residual's eigh; up to |theta| of about 17
-    # radians the bound is the flat 1e-12 * max|d|
-    tol = scale * max(1e-12, 16 * np.finfo(float).eps * np.max(np.abs(theta)) ** 2)
-    np.testing.assert_allclose(
-        fun.evaluate(theta[None])[0], prep.residual(np.degrees(theta), system, spec), rtol=0, atol=tol
-    )
-    # central differences of the independent residual, whose round-off over h
-    # stays below about 4e-8 * max|d| even at 1e3-scaled angles
-    h = 1e-4
-    central = np.stack(
-        [(prep.residual(np.degrees(theta + h * e), system, spec)
-          - prep.residual(np.degrees(theta - h * e), system, spec)) / (2 * h)
-         for e in np.eye(len(theta))],
-        axis=1,
-    )
-    np.testing.assert_allclose(fun.jacobian(theta[None])[0], central, rtol=0, atol=1e-7 * scale)
+#: A 3-spin target-1 spider: three two-step legs from level 8.  At equal
+#: angles theta its B has the singular values theta/2 * (2, 1, 1).
+SPIDER_3_STEPS = tuple(
+    CascadeStep(m, k) for m, k in ((8, 4), (4, 3), (8, 6), (6, 2), (8, 7), (7, 5))
+)
+
+
+def block_degeneracies(spec, theta):
+    """Which of 'rank-deficient' and 'repeated' the singular values of B show.
+
+    They are the largest 2**(n-1) - 1 eigenvalues of the x-pulse generator on
+    the non-target levels, taken here through core.generator, not the kernel.
+    """
+    pulses = [((s.m, s.k), "x", a) for s, a in zip(spec.steps, theta)]
+    keep = [lev for lev in range(2**spec.n_spins) if lev != spec.target - 1]
+    H = core.generator(pulses, spec.n_spins)[np.ix_(keep, keep)]
+    sigma = np.linalg.eigvalsh(H)[-(2 ** (spec.n_spins - 1) - 1):]
+    tol = 1e-12 * max(1.0, sigma[-1])
+    found = set()
+    if sigma[0] <= tol:
+        found.add("rank-deficient")
+    if np.any((np.diff(sigma) <= tol) & (sigma[1:] > tol)):
+        found.add("repeated")
+    return found
+
+
+def test_batched_kernel_matches_residual_on_any_tree():
+    hetero3 = presets.get_preset("hetero-3")
+    seen = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    # B = 0 is rank-deficient; equal angles on the spider repeat a singular value
+    @example((hetero3, prep.default_cascade(3, 1), np.zeros(6)))
+    @example((hetero3, CascadeSpec(1, SPIDER_3_STEPS, 3), np.full(6, 1.3)))
+    def check(case):
+        system, spec, theta = case
+        seen.update(block_degeneracies(spec, theta))
+        d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
+        scale = np.max(np.abs(d_eq))
+        fun = prep._BatchedResidual(spec, d_eq)
+        # the Gram route squares B, so its round-off grows as eps * |theta|**2
+        # against eps * |theta| for residual's eigh; up to |theta| of about 17
+        # radians the bound is the flat 1e-12 * max|d|
+        tol = scale * max(1e-12, 16 * np.finfo(float).eps * np.max(np.abs(theta)) ** 2)
+        np.testing.assert_allclose(
+            fun.evaluate(theta[None])[0], prep.residual(np.degrees(theta), system, spec),
+            rtol=0, atol=tol,
+        )
+        # central differences of the independent residual, whose round-off over h
+        # stays below about 4e-8 * max|d| even at 1e3-scaled angles
+        h = 1e-4
+        central = np.stack(
+            [(prep.residual(np.degrees(theta + h * e), system, spec)
+              - prep.residual(np.degrees(theta - h * e), system, spec)) / (2 * h)
+             for e in np.eye(len(theta))],
+            axis=1,
+        )
+        np.testing.assert_allclose(fun.jacobian(theta[None])[0], central, rtol=0, atol=1e-7 * scale)
+
+    check()
+    # the Jacobian builds H's eigenbasis from an SVD of B, whose null space
+    # and repeated singular values are where a wrong basis would show
+    assert seen >= {"rank-deficient", "repeated"}
 
 
 def test_newton_block_failures_stay_in_their_own_start():
@@ -294,34 +334,88 @@ def test_a_start_follows_the_same_path_whichever_starts_share_its_block(name, ro
 def test_newton_block_decomposes_each_point_once(monkeypatch):
     fun, spec = batched_residual(presets.get_preset("hetero-3"), 1)
     # hetero-3 target 1 has 3 non-target levels of the target's parity and 4 of the other
-    eigh_shapes, evaluated, jacobians = [], [], []
-    real_eigh, real_evaluate, real_jacobian = np.linalg.eigh, fun.evaluate, fun.jacobian
+    shapes, evaluated, jacobians = {"eigh": [], "svd": []}, [], []
+    real_evaluate, real_jacobian = fun.evaluate, fun.jacobian
 
-    def eigh(a):
-        eigh_shapes.append(a.shape)
-        return real_eigh(a)
+    def counted(name, want):
+        real = getattr(np.linalg, name)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the Newton block decomposes only with eigh")
+        def decompose(a, *args, **kwargs):
+            assert a.shape[1:] == want, f"{name} of a {a.shape[1:]} matrix"
+            shapes[name].append(len(a))
+            return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, name, decompose)
+
+    counted("eigh", (3, 3))
+    counted("svd", (3, 4))
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
     monkeypatch.setattr(fun, "jacobian", lambda t: jacobians.append(len(t)) or real_jacobian(t))
     # the 2**6 and the full 3**6 default grids
     for per_dim in (2, 3):
         x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
-        for calls in (eigh_shapes, evaluated, jacobians):
+        for calls in (shapes["eigh"], shapes["svd"], evaluated, jacobians):
             calls.clear()
         prep._newton_block(fun, x0, 1e-10)
         # the first evaluation holds the starts, every later one trial points
         assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
-        # each evaluated row costs one 3x3 Gram eigh, each Jacobian row one 7x7 eigh
-        assert {shape[1:] for shape in eigh_shapes} == {(3, 3), (7, 7)}
-        assert sum(n for n, *rest in eigh_shapes if rest == [3, 3]) == sum(evaluated)
-        assert sum(n for n, *rest in eigh_shapes if rest == [7, 7]) == sum(jacobians)
+        # each evaluated row costs one 3x3 Gram eigh, each Jacobian row one 3x4 svd of B,
+        # and no other decomposition runs
+        assert sum(shapes["eigh"]) == sum(evaluated)
+        assert sum(shapes["svd"]) == sum(jacobians)
         # a line-search call holds at most as many trial points as there are starts
         assert max(evaluated[1:]) <= len(x0)
+
+
+class Halving:
+    """r(x) = x with the Jacobian 2, so each Newton step halves |r| exactly."""
+
+    def __init__(self):
+        self.jacobians = 0
+
+    def evaluate(self, x):
+        return np.array(x, dtype=float)
+
+    def jacobian(self, x):
+        self.jacobians += 1
+        return np.full((len(x), 1, 1), 2.0)
+
+
+def test_a_start_live_after_max_iter_converges_only_below_tol():
+    # both starts are still above tol when the last iteration begins, so both
+    # are live after MAX_ITER iterations; 1 then ends at 2**-MAX_ITER, below
+    # tol, and 2 at twice that, above it
+    fun, tol = Halving(), 1.5 * 0.5**prep.MAX_ITER
+    x, r, ok = prep._newton_block(fun, np.array([[1.0], [2.0]]), tol)
+    assert fun.jacobians == prep.MAX_ITER
+    assert x[:, 0].tolist() == [0.5**prep.MAX_ITER, 2 * 0.5**prep.MAX_ITER]
+    assert ok.tolist() == [True, False]
+
+
+DEFAULT_CASES = [
+    (name, target)
+    for name in ("chloroform", "homonuclear-2", "homonuclear-3", "hetero-3")
+    for target in range(1, presets.get_preset(name).dim + 1)
+]
+
+
+@functools.cache
+def default_solve(name, target):
+    """The default solve of a preset at a target, and its number of Jacobian calls."""
+    system = presets.get_preset(name)
+    calls, real = [], prep._BatchedResidual.jacobian
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prep._BatchedResidual, "jacobian",
+                      lambda fun, theta: calls.append(len(theta)) or real(fun, theta))
+        result = prep.solve_angles(system, prep.default_cascade(system.n_spins, target))
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("case", DEFAULT_CASES)
+def test_default_solve_makes_at_most_max_iter_jacobian_calls(case):
+    # one Jacobian call per lockstep iteration, over whichever starts are live
+    result, jacobians = default_solve(*case)
+    assert result.roots and 0 < jacobians <= prep.MAX_ITER
 
 
 def test_solve_angles_drops_a_root_that_residual_rejects(monkeypatch):
@@ -376,10 +470,7 @@ FIRST_ROOTS = {
 
 @pytest.mark.parametrize("case", sorted(FIRST_ROOTS))
 def test_first_root_is_pinned(case):
-    name, target = case
-    system = presets.get_preset(name)
-    spec = prep.default_cascade(system.n_spins, target)
-    first = prep.solve_angles(system, spec).roots[0]
+    first = default_solve(*case)[0].roots[0]
     np.testing.assert_allclose(first, FIRST_ROOTS[case], rtol=0, atol=1e-6)
 
 
@@ -390,7 +481,7 @@ def test_first_root_survives_scaled_gammas(target):
     # for hetero-3) it must still stay under the absolute newton_tol
     system = presets.get_preset("hetero-3")
     spec = prep.default_cascade(system.n_spins, target)
-    first = prep.solve_angles(system, spec).roots[0]
+    first = default_solve("hetero-3", target)[0].roots[0]
     for k in (1e2, 1e3):
         scaled = core.SpinSystem(gamma=tuple(k * g for g in system.gamma), j_hz=system.j_hz)
         np.testing.assert_allclose(prep.solve_angles(scaled, spec).roots[0], first, rtol=0, atol=1e-8)
