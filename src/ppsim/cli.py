@@ -308,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", _cmd_solve, "find pulse angles equalizing non-target populations")
     p.add_argument("--target", required=True, help="target basis state, e.g. 00")
     p.add_argument("--grid", type=int, default=None, help="grid starts per dimension")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="largest |population difference| a root may leave, absolute, in gamma units")
+    p.add_argument("--tol", type=float, default=1e-11,
+                   help="bound on a root's |population differences|, relative to the largest thermal population")
 
     p = add("prepare", _cmd_prepare, "prepare a pseudo-pure deviation matrix")
     p.add_argument("--target", required=True, help="target basis state, e.g. 00")

@@ -31,9 +31,15 @@ from .errors import InputError, NoSolutionError, NotPseudoPureError
 DEDUP_TOL_DEG = 0.01
 #: Newton iterations per start.  Over the 16 three-spin default solves with a
 #: cap of 60, starts that converge need a median of 9 iterations and 38 at the
-#: 99th percentile; 40 keeps those and ends the rare start that wanders off
-#: to huge angles and creeps there on tiny steps.
+#: 99th percentile; 40 keeps those.  Most starts that cannot converge end
+#: sooner, on the progress test below.
 MAX_ITER = 40
+#: MINPACK hybrj's progress test (More, Garbow & Hillstrom, User Guide for
+#: MINPACK-1, ANL-80-74, 1980, info = 4): a start ends unconverged after
+#: SLOW_ITERS consecutive iterations that each cut ||r||**2 by less than the
+#: fraction SLOW_CUT.
+SLOW_CUT = 0.1
+SLOW_ITERS = 5
 #: Line-search scales of a Newton step: 1, 1/2, ..., the last one above 1e-6.
 _STEP_SCALES = 0.5 ** np.arange(20)
 #: Largest number of grid starts solve_angles will build.
@@ -304,22 +310,26 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     Each row follows the single-start rule: converge once max|r| < tol, take
     the Newton step scaled by the first of 1, 1/2, ... (down to 1e-6) that
     lowers ||r||, and stop on a singular Jacobian, a stalled line search, a
-    trial point without a finite residual, or after MAX_ITER iterations; a
-    row still live then converges only if its last max|r| < tol.  Each
-    iteration makes one Jacobian call over the live rows, so a block makes
-    at most MAX_ITER.
+    trial point without a finite residual, SLOW_ITERS consecutive accepted
+    steps that each cut ||r||**2 by less than SLOW_CUT, or after MAX_ITER
+    iterations.  The convergence test comes first, so a row whose slow step
+    took it below tol converges, and a row still live after MAX_ITER
+    iterations converges only if its last max|r| < tol.  Each iteration
+    makes one Jacobian call over the live rows, so a block makes at most
+    MAX_ITER.
     """
     x = np.array(x0, dtype=float)
     k = x.shape[1]
     r = fun.evaluate(x)
     ok = np.zeros(len(x), dtype=bool)
     live = np.isfinite(r).all(axis=1)
+    slow = np.zeros(len(x), dtype=int)
     for _ in range(MAX_ITER):
         i = live.nonzero()[0]
         done = np.abs(r[i]).max(axis=1) < tol
         ok[i[done]] = True
-        live[i[done]] = False
-        i = i[~done]
+        live[i] = ~done & (slow[i] < SLOW_ITERS)
+        i = i[live[i]]
         if not i.size:
             break
         step, solved = _newton_steps(fun.jacobian(x[i]), r[i])
@@ -335,7 +345,8 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             trial = x[i, None] + lams[:, None] * step[:, None]
             r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
             finite = np.isfinite(r_trial).all(axis=2)
-            better = finite & (np.sqrt(np.square(r_trial).sum(axis=2)) < norm[:, None])
+            trial_norm = np.sqrt(np.square(r_trial).sum(axis=2))
+            better = finite & (trial_norm < norm[:, None])
             # each row stops at its first scale that helps or is not finite
             stop = better | ~finite
             hit = stop.any(axis=1)
@@ -344,6 +355,9 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             take = better[rows, first]
             moved, best = i[rows[take]], (rows[take], first[take])
             x[moved], r[moved] = trial[best], r_trial[best]
+            # hybrj's actual reduction 1 - (||r_new|| / ||r||)**2
+            cut = 1 - (trial_norm[best] / norm[rows[take]]) ** 2
+            slow[moved] = np.where(cut < SLOW_CUT, slow[moved] + 1, 0)
             live[i[rows[~take]]] = False
             i, step, norm = i[~hit], step[~hit], norm[~hit]
         live[i] = False
@@ -360,7 +374,7 @@ def solve_angles(
     system: SpinSystem,
     spec: CascadeSpec,
     grid_per_dim: int | None = None,
-    newton_tol: float = 1e-10,
+    newton_tol: float = 1e-11,
 ) -> SolverResult:
     """Find pulse-angle vectors equalizing the non-target populations.
 
@@ -371,14 +385,17 @@ def solve_angles(
     Starts are a uniform grid interior to
     (0, 360) degrees per dimension (5 points per dimension up to 2 steps, 3
     up to 6, then 1; at most MAX_GRID_STARTS in all).  ``newton_tol`` is
-    absolute: the largest |population difference| a root may leave, in the
-    units of the gammas, and strict, so 0 accepts no root.  Flipping the sign of
+    relative: a root may leave no |population difference| as large as
+    newton_tol * max|d|, d the thermal populations, and the bound is strict,
+    so 0 accepts no root.  The solver works on d scaled by a power of two to
+    max|d| in [1/2, 1), which is exact, so scaling every gamma by 2**j returns
+    the same result bit for bit.  Flipping the sign of
     any angle leaves the residual unchanged, so converged roots are reported
     as |theta|, deduplicated at 0.01 degrees componentwise, and sorted by
     largest component, then lexicographically, both rounded to 1e-6
     degrees.  Each returned root is checked once more through
-    :func:`residual` and kept only if its max |residual| < newton_tol;
-    ``residual_norms`` are the solver's own.  When that check rejects every
+    :func:`residual` against the same bound; ``residual_norms`` are the
+    solver's own, in the units of the gammas.  When that check rejects every
     candidate, the NoSolutionError says how many and gives the smallest.
     Components are reported wherever Newton lands them, so some may exceed
     360.
@@ -398,10 +415,21 @@ def solve_angles(
         )
     starts = _grid_starts(k, grid_per_dim)
 
-    fun = _BatchedResidual(spec, np.real(np.diagonal(thermal_deviation(system))))
+    d = np.real(np.diagonal(thermal_deviation(system)))
+    # residuals are linear in d and their roots do not depend on its scale;
+    # a power-of-two scale is exact and keeps the kernel's norms far from
+    # overflow and underflow
+    e = np.frexp(np.max(np.abs(d)))[1]
+    d = np.ldexp(d, -e)
+    tol = newton_tol * np.max(np.abs(d))
+    fun = _BatchedResidual(spec, d)
     x0 = np.radians(np.array(starts, dtype=float))
-    x, r, ok = _newton_block(fun, x0, newton_tol)
-    worst = np.max(np.abs(r), axis=1)
+    x, r, ok = _newton_block(fun, x0, tol)
+    worst = np.ldexp(np.max(np.abs(r), axis=1), e)
+    # a newton_tol above 1 at gammas near the float range can take the bound
+    # to inf, which accepts every point, as such a tolerance asks
+    with np.errstate(over="ignore"):
+        bound = np.ldexp(tol, e)
 
     # a diagonal +-1 similarity flips the sign of any angle of a cascade,
     # which is a tree, and leaves |U|^2 alone, so roots are folded onto |theta|
@@ -412,12 +440,12 @@ def solve_angles(
             kept.append(i)
     # the batched path is the solver's own; hold each root to residual's promise
     checks = {i: np.max(np.abs(residual(folded[i], system, spec))) for i in kept}
-    kept = [i for i in kept if checks[i] < newton_tol]
+    kept = [i for i in kept if checks[i] < bound]
     if not kept:
         why = (
             f"residual rejected {len(checks)} candidate(s), smallest max|residual| "
             f"{min(checks.values()):.3e}" if checks
-            else f"best residual {np.min(worst):.3e} is not below the tolerance {newton_tol:.3e}"
+            else f"best residual {np.min(worst):.3e} is not below the tolerance {bound:.3e}"
         )
         raise NoSolutionError(f"no root found from {len(starts)} starts; {why}")
     roots = [tuple(float(v) for v in folded[i]) for i in kept]

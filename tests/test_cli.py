@@ -281,6 +281,43 @@ def test_system_loading_from_file(capsys, tmp_path):
     assert out == run_cli(capsys, "solve", "--system", "chloroform", "--target", "00")[1]
 
 
+def solve_gammas(capsys, tmp_path, gamma, *options):
+    path = tmp_path / "gammas.json"
+    path.write_text(json.dumps({"gamma": gamma}))
+    code, out, err = run_cli(capsys, "solve", "--system", str(path), "--target", "00", *options)
+    assert code == 0 and err == "", err
+    return json.loads(out)
+
+
+def test_solve_takes_gammas_in_any_units(capsys, tmp_path):
+    # 13C and 1H in rad s^-1 T^-1, whose ratio differs from chloroform's in the
+    # 4th digit; an absolute tolerance found no root here
+    si = solve_gammas(capsys, tmp_path, [6.728e7, 2.675e8])
+    chloroform = solve_gammas(capsys, tmp_path, [1.4048, 5.5857])
+    assert len(si["roots_deg"]) == len(chloroform["roots_deg"]) == 6
+    np.testing.assert_allclose(si["roots_deg"][0], chloroform["roots_deg"][0], rtol=0, atol=1e-3)
+
+
+def test_solve_at_tiny_gammas_finds_the_same_roots(capsys, tmp_path):
+    # an absolute tolerance took every one of the 25 starts for a root here
+    tiny = solve_gammas(capsys, tmp_path, [1e-150, 2e-150])
+    unit = solve_gammas(capsys, tmp_path, [1, 2])
+    assert len(tiny["roots_deg"]) == len(unit["roots_deg"]) == 7
+    np.testing.assert_allclose(tiny["roots_deg"], unit["roots_deg"], rtol=0, atol=1e-4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_at_huge_gammas_finds_roots_without_warnings(capsys, tmp_path):
+    # an absolute tolerance found no root here, and overflowed in the norms at 1e300
+    big = solve_gammas(capsys, tmp_path, [1e150, 2])
+    assert big["roots_deg"]
+    assert solve_gammas(capsys, tmp_path, [1e300, 2])["roots_deg"] == big["roots_deg"]
+    # a tolerance this far above 1 takes the bound past the float range, so
+    # every start is accepted
+    loose = solve_gammas(capsys, tmp_path, [1e300, 2], "--tol", "1e10")
+    assert all(loose["converged"])
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -367,18 +367,25 @@ def test_newton_block_decomposes_each_point_once(monkeypatch):
         assert max(evaluated[1:]) <= len(x0)
 
 
-class Halving:
-    """r(x) = x with the Jacobian 2, so each Newton step halves |r| exactly."""
+class Linear:
+    """r(x) = x with a constant Jacobian, so a full Newton step scales r by 1 - 1/slope."""
 
-    def __init__(self):
-        self.jacobians = 0
+    def __init__(self, slope):
+        self.slope, self.jacobians = slope, 0
 
     def evaluate(self, x):
         return np.array(x, dtype=float)
 
     def jacobian(self, x):
         self.jacobians += 1
-        return np.full((len(x), 1, 1), 2.0)
+        return np.full((len(x), 1, 1), self.slope)
+
+
+class Halving(Linear):
+    """r(x) = x with the Jacobian 2, so each Newton step halves |r| exactly."""
+
+    def __init__(self):
+        super().__init__(2.0)
 
 
 def test_a_start_live_after_max_iter_converges_only_below_tol():
@@ -389,6 +396,52 @@ def test_a_start_live_after_max_iter_converges_only_below_tol():
     x, r, ok = prep._newton_block(fun, np.array([[1.0], [2.0]]), tol)
     assert fun.jacobians == prep.MAX_ITER
     assert x[:, 0].tolist() == [0.5**prep.MAX_ITER, 2 * 0.5**prep.MAX_ITER]
+    assert ok.tolist() == [True, False]
+
+
+def test_a_start_ends_after_slow_iterations():
+    # each full step leaves 0.95 r, so it cuts ||r||**2 by 9.75%, under SLOW_CUT
+    fun = Linear(20.0)
+    x, r, ok = prep._newton_block(fun, np.array([[1.0]]), 1e-3)
+    assert fun.jacobians == prep.SLOW_ITERS
+    np.testing.assert_allclose(x[0, 0], 0.95**prep.SLOW_ITERS, rtol=1e-12)
+    assert not ok[0]
+
+
+def test_a_start_that_keeps_cutting_enough_runs_to_max_iter():
+    # each full step leaves 0.9 r, a cut of 19% in ||r||**2
+    fun = Linear(10.0)
+    x, r, ok = prep._newton_block(fun, np.array([[1.0]]), 1e-3)
+    assert fun.jacobians == prep.MAX_ITER
+    assert not ok[0] and x[0, 0] > 1e-3
+
+
+class FastEveryFifth(Linear):
+    """Slow steps (a 9.75% cut) with every fifth one fast (a 19% cut)."""
+
+    def __init__(self):
+        super().__init__(20.0)
+
+    def jacobian(self, x):
+        self.slope = 10.0 if self.jacobians % 5 == 4 else 20.0
+        return super().jacobian(x)
+
+
+def test_a_fast_step_resets_the_slow_count():
+    # four slow steps take the count to SLOW_ITERS - 1, and the fifth resets it
+    fun = FastEveryFifth()
+    x, r, ok = prep._newton_block(fun, np.array([[1.0]]), 1e-6)
+    assert fun.jacobians == prep.MAX_ITER
+    np.testing.assert_allclose(x[0, 0], (0.95**4 * 0.9) ** (prep.MAX_ITER // 5), rtol=1e-12)
+    assert not ok[0]
+
+
+def test_the_slow_step_that_reaches_tol_converges():
+    # both starts take SLOW_ITERS slow steps; 1 ends at 0.95**5 = 0.774, below
+    # tol, and 1.02 at 0.789, above it, so only the first is a root
+    fun = Linear(20.0)
+    x, r, ok = prep._newton_block(fun, np.array([[1.0], [1.02]]), 0.78)
+    assert fun.jacobians == prep.SLOW_ITERS
     assert ok.tolist() == [True, False]
 
 
@@ -474,17 +527,56 @@ def test_first_root_is_pinned(case):
     np.testing.assert_allclose(first, FIRST_ROOTS[case], rtol=0, atol=1e-6)
 
 
+def scaled(system, c):
+    return core.SpinSystem(gamma=tuple(c * g for g in system.gamma), j_hz=system.j_hz)
+
+
 @pytest.mark.parametrize("target", [1, 8])
 def test_first_root_survives_scaled_gammas(target):
-    # scaling every gamma scales the residual and leaves its roots alone; the
-    # Gram kernel's round-off grows with max|d|, and at 1e3 (max|d| about 8e3
-    # for hetero-3) it must still stay under the absolute newton_tol
+    # scaling every gamma scales the residual and leaves its roots alone
     system = presets.get_preset("hetero-3")
     spec = prep.default_cascade(system.n_spins, target)
     first = default_solve("hetero-3", target)[0].roots[0]
-    for k in (1e2, 1e3):
-        scaled = core.SpinSystem(gamma=tuple(k * g for g in system.gamma), j_hz=system.j_hz)
-        np.testing.assert_allclose(prep.solve_angles(scaled, spec).roots[0], first, rtol=0, atol=1e-8)
+    for k in (1e-100, 1e2, 1e3, 1e100):
+        np.testing.assert_allclose(
+            prep.solve_angles(scaled(system, k), spec).roots[0], first, rtol=0, atol=1e-8
+        )
+
+
+TWO_SPIN_CASES = [case for case in DEFAULT_CASES if presets.get_preset(case[0]).n_spins == 2]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TWO_SPIN_CASES), st.integers(-600, 600))
+def test_a_power_of_two_gamma_scale_changes_no_bit(case, j):
+    # the solver scales the thermal populations by a power of two, which is
+    # exact, so only the residual norms, reported in gamma units, move, by 2**j
+    system, spec = presets.get_preset(case[0]), prep.default_cascade(2, case[1])
+    want = default_solve(*case)[0]
+    got = prep.solve_angles(scaled(system, 2.0**j), spec)
+    assert np.array(got.roots).tobytes() == np.array(want.roots).tobytes()
+    assert np.array(got.residual_norms).tobytes() == np.ldexp(want.residual_norms, j).tobytes()
+    assert (got.converged, got.starts_tried) == (want.converged, want.starts_tried)
+
+
+def in_box(roots):
+    return np.array([r for r in roots if max(r) < 360], dtype=float)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(TWO_SPIN_CASES), st.floats(-200, 200))
+def test_any_gamma_scale_keeps_the_roots_in_the_box(case, log_c):
+    # any other scale changes the round-off of every Newton path; roots inside
+    # [0, 360) keep their number and place, but a start that creeps at about
+    # 1e7 degrees can land on a point within round-off of the bound, so the
+    # count of roots far outside the box is not pinned
+    system, spec = presets.get_preset(case[0]), prep.default_cascade(2, case[1])
+    want = default_solve(*case)[0]
+    got = prep.solve_angles(scaled(system, 10.0**log_c), spec)
+    np.testing.assert_allclose(got.roots[0], want.roots[0], rtol=0, atol=1e-6)
+    boxed = in_box(got.roots)
+    assert boxed.shape == in_box(want.roots).shape
+    np.testing.assert_allclose(boxed, in_box(want.roots), rtol=0, atol=1e-6)
 
 
 def test_solver_finds_homonuclear_root():
