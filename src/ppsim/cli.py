@@ -24,7 +24,7 @@ from .core import (
     bits_of,
     flipped_spin,
     level_of,
-    pure_part,
+    pure_part,  # noqa: F401 -- not called here, but perfbench/tracing.py patches it by name
     thermal_deviation,
 )
 from .errors import (
@@ -193,7 +193,7 @@ def _cmd_prepare(args, system: SpinSystem) -> str:
         "matrix": matrix_to_json(rho),
     }
     try:
-        part = pure_part(rho)
+        part = prep.pure_part_at_scale(rho, system)
         payload["pure_part"] = {
             "uniform_coeff": part.uniform_coeff,
             "pure_coeff": part.pure_coeff,

@@ -202,20 +202,22 @@ def generator(pulses, n_spins: int) -> np.ndarray:
 
 
 def expm_unitary(hermitian: np.ndarray) -> np.ndarray:
-    """exp(-i H) for Hermitian H, via the spectral decomposition.
+    """exp(-i H) for Hermitian H, via the spectral decomposition; H may be a stack.
 
-    H is diagonalized once with eigh, so the result is unitary to machine
-    precision regardless of the norm of H.
+    Each H is diagonalized once with eigh, so the result is unitary to
+    machine precision regardless of the norm of H.  A stack is checked and
+    diagonalized member by member, so each exponential has the same bits as
+    a call on that member alone.
     """
     H = np.asarray(hermitian, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
         raise InputError(f"generator must be a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H)):
         raise InputError("generator entries must be finite")
     if not is_hermitian(H, tol=HERMITICITY_TOL):
         raise ContractError("generator is not Hermitian to 1e-10")
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w)) @ V.conj().T
+    return (V * np.exp(-1j * w)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def evolve(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -297,7 +299,8 @@ def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def is_hermitian(A: np.ndarray, tol: float = 1e-12) -> bool:
+    """Whether A, or every matrix of a stack A, is within tol of its conjugate transpose."""
     A = np.asarray(A)
-    return A.ndim == 2 and A.shape[0] == A.shape[1] and bool(
-        np.max(np.abs(A - A.conj().T)) <= tol
+    return A.ndim >= 2 and A.shape[-1] == A.shape[-2] and bool(
+        np.all(np.abs(A - A.conj().swapaxes(-1, -2)) <= tol)
     )

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dsl
-# evolve is not called here, but perfbench/tracing.py patches hogg.evolve by name
+from . import dsl, prep
+# evolve and pure_part are not called here, but perfbench/tracing.py patches them by name
 from .core import SpinSystem, evolve, pure_part  # noqa: F401
 from .errors import ContractError, InputError
 
@@ -100,10 +100,11 @@ def hogg_run(
     Returns the final deviation matrix and the per-assignment weights read
     from the pure part: (diagonal - uniform background) / pure coefficient.
     The uniform background is invariant under the circuit, so the weights
-    are exactly the pure state's populations and sum to 1.
+    are exactly the pure state's populations and sum to 1.  The pure part
+    is read on the solver's scale, :func:`prep.pure_part_at_scale`.
     """
     program = search_program(formula, system.n_spins)
-    part = pure_part(np.asarray(rho_pp, dtype=complex))
+    part = prep.pure_part_at_scale(rho_pp, system)
     if part.target != 1:
         raise ContractError(
             f"input must be pseudo-pure at level 1, found target level {part.target}"

@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    PurePart,
     SpinSystem,
     _check_level,
     crush,
@@ -129,7 +130,7 @@ def default_cascade(n_spins: int, target: int) -> CascadeSpec:
 
 def _angles_deg(angles_deg, spec: CascadeSpec) -> np.ndarray:
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    if angles.shape != (len(spec.steps),):
+    if angles.ndim > 2 or angles.shape[-1:] != (len(spec.steps),):
         raise InputError(f"expected {len(spec.steps)} angles, got shape {angles.shape}")
     if not np.all(np.isfinite(angles)):
         raise InputError(f"angles must be finite, got {angles.tolist()}")
@@ -137,10 +138,29 @@ def _angles_deg(angles_deg, spec: CascadeSpec) -> np.ndarray:
 
 
 def preparation_unitary(spec: CascadeSpec, angles_deg) -> np.ndarray:
-    """Propagator of the simultaneous selective pulses at the given angles."""
+    """Propagator of the simultaneous selective pulses at the given angles.
+
+    angles_deg is one angle per step, or an (R, k) stack of such vectors for
+    R propagators from one ``expm_unitary`` call.  The generator is the
+    angle-weighted sum of the steps' unit pulses, taken from one
+    ``generator`` call at angle 1: each step owns its two entries, so adding
+    angle * entry into zeros makes the operations ``generator`` makes for
+    the pulses themselves, bit for bit.
+    """
     angles = np.radians(_angles_deg(angles_deg, spec))
-    pulses = [((s.m, s.k), "x", a) for s, a in zip(spec.steps, angles)]
-    return expm_unitary(generator(pulses, spec.n_spins))
+    unit = generator([((s.m, s.k), "x", 1.0) for s in spec.steps], spec.n_spins)
+    m, k = (np.array(spec.steps) - 1).T
+    H = np.zeros(angles.shape[:-1] + unit.shape, dtype=complex)
+    H[..., m, k] += angles * unit[m, k]
+    H[..., k, m] += angles * unit[k, m]
+    return expm_unitary(H)
+
+
+def _population_differences(U: np.ndarray, d_eq: np.ndarray, target: int) -> np.ndarray:
+    # diag(U rho U+) for diagonal rho needs only |U|^2
+    p = (np.abs(U) ** 2) @ d_eq
+    others = [lev - 1 for lev in range(1, len(d_eq) + 1) if lev != target]
+    return p[..., others[1:]] - p[..., others[:1]]
 
 
 def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
@@ -148,16 +168,14 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
 
     l0 is the first non-target level in index order.  The zero vector means
     every non-target population is equal, which is the preparation
-    condition.  Angles are degrees, one per cascade step.
+    condition.  Angles are degrees, one per cascade step; an (R, k) stack
+    of angle vectors gives (R, 2**n - 2) residuals, each with the bits of
+    its own single call.
     """
     U = preparation_unitary(spec, angles_deg)
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
-    d_eq = np.real(np.diagonal(thermal_deviation(system)))
-    # diag(U rho U+) for diagonal rho needs only |U|^2
-    p = (np.abs(U) ** 2) @ d_eq
-    others = [lev for lev in range(1, len(d_eq) + 1) if lev != spec.target]
-    return np.array([p[lev - 1] - p[others[0] - 1] for lev in others[1:]])
+    return _population_differences(U, np.real(np.diagonal(thermal_deviation(system))), spec.target)
 
 
 class _BatchedResidual:
@@ -219,13 +237,18 @@ class _BatchedResidual:
         self.diff = np.zeros((len(others), len(others) - 1))
         self.diff[side[1:], np.arange(len(others) - 1)] = 1.0
         self.diff[side[0]] = -1.0
+        # per-call constants of evaluate
+        self.eye_b = np.eye(len(self.d_b))
+        self.half_turns = np.array([np.pi, 2 * np.pi])
 
     def evaluate(self, theta: np.ndarray) -> np.ndarray:
         """(N, k) residuals at (N, k) angles in radians."""
         bad = ~np.isfinite(theta).all(axis=1)
-        # eigh may raise LinAlgError on non-finite input, which would end the
-        # whole block: evaluate those rows at 0, then blank them
-        theta = np.where(bad[:, None], 0.0, theta)
+        any_bad = bad.any()
+        if any_bad:
+            # eigh may raise LinAlgError on non-finite input, which would end
+            # the whole block: evaluate those rows at 0, then blank them
+            theta = np.where(bad[:, None], 0.0, theta)
         B = np.zeros((len(theta), len(self.d_a), len(self.d_b)))
         B[:, self.a, self.b] = 0.5 * theta
         lam, u = np.linalg.eigh(B @ B.transpose(0, 2, 1))
@@ -234,10 +257,10 @@ class _BatchedResidual:
         W = ut @ B
         # np.sinc(x) = sin(pi x)/(pi x), so s = 0 needs no special case:
         # sin(s)/s = sinc(s/pi) and (1 - cos s)/s**2 = sinc(s/(2 pi))**2 / 2
-        sinc = np.sinc(s / [np.pi, 2 * np.pi])
+        sinc = np.sinc(s / self.half_turns)
         # side a's rows of |U|: [C1 | S], in one product
         top = u @ np.concatenate([np.cos(s) * ut, sinc[:, :, :1] * W], axis=2)
-        C2 = np.eye(len(self.d_b)) - W.transpose(0, 2, 1) @ (0.5 * sinc[:, :, 1:] ** 2 * W)
+        C2 = self.eye_b - W.transpose(0, 2, 1) @ (0.5 * sinc[:, :, 1:] ** 2 * W)
         # diag(U D U+) for the diagonal thermal state D needs only |U|^2
         top *= top
         C1_2, S_2 = top[:, :, : len(self.d_a)], top[:, :, len(self.d_a) :]
@@ -245,7 +268,8 @@ class _BatchedResidual:
         p[:, self.rows_a] = C1_2 @ self.d_a + S_2 @ self.d_b
         p[:, self.rows_b] = self.d_a @ S_2 + (C2 * C2) @ self.d_b
         r = p[:, 1:] - p[:, :1]
-        r[bad] = np.nan
+        if any_bad:
+            r[bad] = np.nan
         return r
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
@@ -319,50 +343,81 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     MAX_ITER.
     """
     x = np.array(x0, dtype=float)
-    k = x.shape[1]
+    n, k = x.shape
     r = fun.evaluate(x)
-    ok = np.zeros(len(x), dtype=bool)
-    live = np.isfinite(r).all(axis=1)
-    slow = np.zeros(len(x), dtype=int)
+    ok = np.zeros(n, dtype=bool)
+    # the live rows in index order, with their x, r and counts of slow steps;
+    # a row's x and r are written back to the full arrays when it ends.  go
+    # marks the live rows that took a step in the last iteration (all of
+    # them before the first)
+    live = np.flatnonzero(np.isfinite(r).all(axis=1))
+    xl, rl, slow = x[live], r[live], np.zeros(len(live), dtype=int)
+    go = np.ones(len(live), dtype=bool)
     for _ in range(MAX_ITER):
-        i = live.nonzero()[0]
-        done = np.abs(r[i]).max(axis=1) < tol
-        ok[i[done]] = True
-        live[i] = ~done & (slow[i] < SLOW_ITERS)
-        i = i[live[i]]
-        if not i.size:
+        done = np.abs(rl).max(axis=1) < tol
+        ok[live[go & done]] = True
+        go &= ~done & (slow < SLOW_ITERS)
+        if not go.all():
+            end = ~go
+            x[live[end]], r[live[end]] = xl[end], rl[end]
+            live, xl, rl, slow, go = live[go], xl[go], rl[go], slow[go], go[go]
+        if not live.size:
             break
-        step, solved = _newton_steps(fun.jacobian(x[i]), r[i])
-        live[i[~solved]] = False
-        i, step = i[solved], step[solved]
-        norm = np.sqrt(np.square(r[i]).sum(axis=1))
+        step, solved = _newton_steps(fun.jacobian(xl), rl)
+        norm = np.sqrt(np.square(rl).sum(axis=1))
+        go = np.zeros(len(live), dtype=bool)
         # try the scales in order, several per call while few rows remain, so
-        # that one call holds at most as many trial points as there are starts
+        # that one call holds at most as many trial points as there are
+        # starts; j holds the rows still searching, as positions in live
+        j = np.flatnonzero(solved)
         tried = 0
-        while i.size and tried < len(_STEP_SCALES):
-            lams = _STEP_SCALES[tried : tried + max(1, len(x) // i.size)]
+        while j.size and tried < len(_STEP_SCALES):
+            lams = _STEP_SCALES[tried : tried + max(1, n // j.size)]
             tried += len(lams)
-            trial = x[i, None] + lams[:, None] * step[:, None]
+            trial = xl[j, None] + lams[:, None] * step[j, None]
             r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
-            finite = np.isfinite(r_trial).all(axis=2)
             trial_norm = np.sqrt(np.square(r_trial).sum(axis=2))
-            better = finite & (trial_norm < norm[:, None])
+            # a finite norm needs a finite residual
+            better = trial_norm < norm[j, None]
             # each row stops at its first scale that helps or is not finite
-            stop = better | ~finite
+            stop = better | ~np.isfinite(r_trial).all(axis=2)
             hit = stop.any(axis=1)
             rows = hit.nonzero()[0]
             first = np.argmax(stop[rows], axis=1)
             take = better[rows, first]
-            moved, best = i[rows[take]], (rows[take], first[take])
-            x[moved], r[moved] = trial[best], r_trial[best]
+            acc, best = j[rows[take]], (rows[take], first[take])
+            xl[acc], rl[acc] = trial[best], r_trial[best]
             # hybrj's actual reduction 1 - (||r_new|| / ||r||)**2
-            cut = 1 - (trial_norm[best] / norm[rows[take]]) ** 2
-            slow[moved] = np.where(cut < SLOW_CUT, slow[moved] + 1, 0)
-            live[i[rows[~take]]] = False
-            i, step, norm = i[~hit], step[~hit], norm[~hit]
-        live[i] = False
-    ok |= live & (np.abs(r).max(axis=1) < tol)
+            cut = 1 - (trial_norm[best] / norm[acc]) ** 2
+            slow[acc] = np.where(cut < SLOW_CUT, slow[acc] + 1, 0)
+            go[acc] = True
+            j = j[~hit]
+    # rows still live after MAX_ITER iterations converge only below tol
+    ok[live[go & (np.abs(rl).max(axis=1) < tol)]] = True
+    x[live], r[live] = xl, rl
     return x, r, ok
+
+
+def _thermal_exponent(d_eq: np.ndarray) -> int:
+    """The e with max|d_eq| in [2**(e-1), 2**e), so d_eq / 2**e is exact and at most 1."""
+    return int(np.frexp(np.max(np.abs(d_eq)))[1])
+
+
+def pure_part_at_scale(rho: np.ndarray, system: SpinSystem) -> PurePart:
+    """``core.pure_part`` of rho / 2**e, with its coefficients scaled back by 2**e.
+
+    2**e is the power of two that solve_angles divides the thermal
+    populations by.  pure_part's tol is absolute; on that scale it is
+    relative to the largest thermal population, so a state of tiny or huge
+    gammas is judged as one of gammas near 1.  Scaling by a power of two is
+    exact, so the coefficients are rho's bit for bit, barring entries below
+    the normal float range.
+    """
+    e = _thermal_exponent(np.diagonal(thermal_deviation(system)))
+    part = pure_part(np.ldexp(np.ascontiguousarray(rho, dtype=complex).view(float), -e).view(complex))
+    return part._replace(
+        uniform_coeff=math.ldexp(part.uniform_coeff, e), pure_coeff=math.ldexp(part.pure_coeff, e)
+    )
 
 
 def _grid_starts(k: int, per_dim: int) -> list[tuple[float, ...]]:
@@ -393,8 +448,9 @@ def solve_angles(
     any angle leaves the residual unchanged, so converged roots are reported
     as |theta|, deduplicated at 0.01 degrees componentwise, and sorted by
     largest component, then lexicographically, both rounded to 1e-6
-    degrees.  Each returned root is checked once more through
-    :func:`residual` against the same bound; ``residual_norms`` are the
+    degrees.  Each returned root is checked once more on
+    :func:`residual`'s dense path, all of them in one stack, against the
+    same bound; ``residual_norms`` are the
     solver's own, in the units of the gammas.  When that check rejects every
     candidate, the NoSolutionError says how many and gives the smallest.
     Components are reported wherever Newton lands them, so some may exceed
@@ -415,12 +471,12 @@ def solve_angles(
         )
     starts = _grid_starts(k, grid_per_dim)
 
-    d = np.real(np.diagonal(thermal_deviation(system)))
+    d_eq = np.real(np.diagonal(thermal_deviation(system)))
     # residuals are linear in d and their roots do not depend on its scale;
     # a power-of-two scale is exact and keeps the kernel's norms far from
     # overflow and underflow
-    e = np.frexp(np.max(np.abs(d)))[1]
-    d = np.ldexp(d, -e)
+    e = _thermal_exponent(d_eq)
+    d = np.ldexp(d_eq, -e)
     tol = newton_tol * np.max(np.abs(d))
     fun = _BatchedResidual(spec, d)
     x0 = np.radians(np.array(starts, dtype=float))
@@ -434,20 +490,27 @@ def solve_angles(
     # a diagonal +-1 similarity flips the sign of any angle of a cascade,
     # which is a tree, and leaves |U|^2 alone, so roots are folded onto |theta|
     folded, folded_norms = np.abs(np.degrees(x[ok])), worst[ok]
+    # each root is compared with the distinct ones before it, held in order
+    # at the top of distinct
     kept: list[int] = []
+    distinct = np.empty_like(folded)
     for i, deg in enumerate(folded):
-        if not kept or np.min(np.max(np.abs(folded[kept] - deg), axis=1)) >= DEDUP_TOL_DEG:
+        if not kept or np.abs(distinct[: len(kept)] - deg).max(axis=1).min() >= DEDUP_TOL_DEG:
+            distinct[len(kept)] = deg
             kept.append(i)
-    # the batched path is the solver's own; hold each root to residual's promise
-    checks = {i: np.max(np.abs(residual(folded[i], system, spec))) for i in kept}
-    kept = [i for i in kept if checks[i] < bound]
-    if not kept:
+    # the batched path is the solver's own; hold each root to residual's
+    # promise, all of them in one stack through the dense exponential
+    U = preparation_unitary(spec, distinct[: len(kept)])
+    checks = np.abs(_population_differences(U, d_eq, spec.target)).max(axis=1)
+    passed = checks < bound
+    if not passed.any():
         why = (
             f"residual rejected {len(checks)} candidate(s), smallest max|residual| "
-            f"{min(checks.values()):.3e}" if checks
+            f"{np.min(checks):.3e}" if len(checks)
             else f"best residual {np.min(worst):.3e} is not below the tolerance {bound:.3e}"
         )
         raise NoSolutionError(f"no root found from {len(starts)} starts; {why}")
+    kept = [i for i, good in zip(kept, passed) if good]
     roots = [tuple(float(v) for v in folded[i]) for i in kept]
     norms = [float(folded_norms[i]) for i in kept]
     # smallest largest angle first, so prepare_pseudo_pure picks a tame
@@ -484,7 +547,7 @@ def prepare_pseudo_pure(
     U = preparation_unitary(spec, angles_deg)
     rho = crush(evolve(thermal_deviation(system), U), "all_off_diagonal")
     if solution is not None:
-        part = pure_part(rho)
+        part = pure_part_at_scale(rho, system)
         if part.target != target:
             raise NotPseudoPureError(
                 f"prepared state is pseudo-pure at level {part.target}, not {target}"

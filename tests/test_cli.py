@@ -318,6 +318,35 @@ def test_solve_at_huge_gammas_finds_roots_without_warnings(capsys, tmp_path):
     assert all(loose["converged"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", [[1e-9, 2e-9], [1e150, 2], [1e300, 2]])
+def test_prepare_and_hogg_at_tiny_and_huge_gammas(capsys, tmp_path, gamma):
+    # pure_part's tol is absolute, so these exited 3: no level stood out at
+    # 1e-9, and round-off spread the non-target populations far beyond it at
+    # 1e150; judged at the solver's power-of-two scale they pass
+    path = tmp_path / "gammas.json"
+    path.write_text(json.dumps({"gamma": gamma}))
+    code, out, err = run_cli(capsys, "prepare", "--system", str(path), "--target", "00")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pure_part"]["target"] == 1
+    code, out, err = run_cli(capsys, "hogg", "--system", str(path), "--formula", "V1&V2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["probabilities"]["11"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_prepare_judges_explicit_angles_against_the_thermal_scale(capsys):
+    # chloroform's largest thermal population is 6.99, in [4, 8), so pure_part's
+    # 1e-6 reads as 8e-6 in gamma units: a spread of 3.1e-6 passes, 3.5e-4 does not
+    def part(angles):
+        code, out, _ = run_cli(capsys, "prepare", "--system", "chloroform", "--target", "00",
+                               "--angles", angles)
+        assert code == 0
+        return json.loads(out)["pure_part"]
+
+    assert part("127.1329,186.0093")["target"] == 1
+    assert part("127.13,186.01") is None
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -208,6 +208,29 @@ def test_expm_unitary_rejects_non_hermitian():
         core.expm_unitary(np.zeros((2, 3)))
 
 
+def test_expm_unitary_of_a_stack_is_each_single_call_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for dim in (2, 4, 8):
+        H = np.array([random_hermitian(rng, dim, scale=3.0) for _ in range(5)])
+        U = core.expm_unitary(H)
+        assert U.shape == H.shape
+        for one, h in zip(U, H):
+            assert one.tobytes() == core.expm_unitary(h).tobytes()
+        assert core.expm_unitary(H.reshape(5, 1, dim, dim)).tobytes() == U.tobytes()
+    # one bad member fails the whole stack, as a call on it alone would
+    skew = H.copy()
+    skew[3, 0, 1] += 1e-6
+    with pytest.raises(ContractError):
+        core.expm_unitary(skew)
+    broken = H.copy()
+    broken[1, 2, 2] = np.nan
+    with pytest.raises(InputError):
+        core.expm_unitary(broken)
+    for shape in ((3, 2, 4), (8,)):
+        with pytest.raises(InputError):
+            core.expm_unitary(np.zeros(shape))
+
+
 def test_evolve_preserves_trace_and_hermiticity():
     rng = np.random.default_rng(7)
     for _ in range(20):

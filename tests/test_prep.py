@@ -9,6 +9,8 @@ from ppsim import core, prep, presets
 from ppsim.errors import InputError, NoSolutionError, NotPseudoPureError
 from ppsim.prep import CascadeSpec, CascadeStep
 
+from helpers import dense_residual, mask_newton_block
+
 HOMO2_ROOT = float(np.degrees(np.sqrt(2) * np.arccos(1 / np.sqrt(3))))
 
 REFERENCE_ANGLES_3SPIN = {
@@ -577,6 +579,97 @@ def test_any_gamma_scale_keeps_the_roots_in_the_box(case, log_c):
     boxed = in_box(got.roots)
     assert boxed.shape == in_box(want.roots).shape
     np.testing.assert_allclose(boxed, in_box(want.roots), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["chloroform", "hetero-3"])
+def test_residual_of_a_stack_is_each_single_call_bit_for_bit(name):
+    # solve_angles re-checks every root in one stack; each row must be what
+    # residual, and one dense generator over the cascade's pulses, give alone
+    system = presets.get_preset(name)
+    spec = prep.default_cascade(system.n_spins, 1)
+    roots = np.array(default_solve(name, 1)[0].roots)
+    stacked = prep.residual(roots, system, spec)
+    assert stacked.shape == (len(roots), system.dim - 2)
+    for root, row in zip(roots, stacked):
+        assert row.tobytes() == prep.residual(root, system, spec).tobytes()
+        assert row.tobytes() == dense_residual(root, system, spec).tobytes()
+    for bad in (roots[:, :-1], roots[None]):
+        with pytest.raises(InputError):
+            prep.residual(bad, system, spec)
+    with pytest.raises(InputError):
+        prep.residual(np.vstack([roots[:1], [np.nan] * roots.shape[1]]), system, spec)
+
+
+class Counted:
+    """A kernel that records the size of every evaluate and jacobian call."""
+
+    def __init__(self, fun):
+        self.fun, self.calls = fun, []
+
+    def evaluate(self, theta):
+        self.calls.append(("evaluate", len(theta)))
+        return self.fun.evaluate(theta)
+
+    def jacobian(self, theta):
+        self.calls.append(("jacobian", len(theta)))
+        return self.fun.jacobian(theta)
+
+
+NEWTON_CASES = [*TWO_SPIN_CASES, ("hetero-3", 1), ("hetero-3", 8), "failures"]
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+def test_newton_block_matches_the_mask_reference(case):
+    # the live set is an index array; the reference rescans a mask, and the
+    # two must make the same kernel calls and return the same bits
+    if case == "failures":
+        # a zero Jacobian at theta = 0 and an infinite start beside two good ones
+        system, spec = presets.get_preset("chloroform"), prep.default_cascade(2, 1)
+        x0 = np.array([[2.0, 3.0], [0.0, 0.0], [1.0, 4.0], [np.inf, 0.0]])
+    else:
+        system = presets.get_preset(case[0])
+        spec = prep.default_cascade(system.n_spins, case[1])
+        per_dim = 5 if len(spec.steps) <= 2 else 3
+        x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
+    d = np.real(np.diagonal(core.thermal_deviation(system)))
+    d = np.ldexp(d, -prep._thermal_exponent(d))
+    runs = []
+    for block in (prep._newton_block, mask_newton_block):
+        fun = Counted(prep._BatchedResidual(spec, d))
+        runs.append((block(fun, x0, 1e-11 * np.max(np.abs(d))), fun.calls))
+    (got, got_calls), (want, want_calls) = runs
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert got_calls == want_calls
+
+
+def test_pure_part_at_scale_has_the_bits_of_pure_part():
+    system = presets.get_preset("chloroform")
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
+    assert prep.pure_part_at_scale(rho, system) == core.pure_part(rho)
+
+
+@pytest.mark.parametrize("gamma", [(1e-9, 2e-9), (1e150, 2.0), (1e300, 2.0)])
+def test_prepare_judges_the_state_on_the_thermal_scale(gamma):
+    # pure_part's absolute tol saw no pure part at 1e-9 and a spread of
+    # round-off far beyond it at 1e150; on the solver's scale both pass
+    system = core.SpinSystem(gamma=gamma)
+    d = np.real(np.diagonal(core.thermal_deviation(system)))
+    for target in range(1, 5):
+        rho, _ = prep.prepare_pseudo_pure(system, target)
+        part = prep.pure_part_at_scale(rho, system)
+        assert part.target == target
+        assert part.pure_coeff == pytest.approx(4 / 3 * d[target - 1], rel=1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4), st.integers(-600, 600))
+def test_a_power_of_two_gamma_scale_scales_the_pure_part_exactly(target, j):
+    system = presets.get_preset("chloroform")
+    want = prep.pure_part_at_scale(prep.prepare_pseudo_pure(system, target)[0], system)
+    big = scaled(system, 2.0**j)
+    got = prep.pure_part_at_scale(prep.prepare_pseudo_pure(big, target)[0], big)
+    assert got == (np.ldexp(want.uniform_coeff, j), np.ldexp(want.pure_coeff, j), target)
 
 
 def test_solver_finds_homonuclear_root():
