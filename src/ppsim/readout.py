@@ -13,12 +13,15 @@ the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
 
 A protocol reads every line of every spin under each setting of a list.
-It stacks its settings' propagators and its lines' gather indices, and
-factors its design by SVD only when first reconstructed.  Each register
-size's basis and full tomography protocol are built once and cached as
-read-only arrays; a spectrum builds its one-setting protocol on each call
-and cuts it to one spin's lines.  A MeasurementSet is its protocol and one
-amplitude per record, so a reconstruction looks nothing up.
+A record is a row product, row k-1 of U times rho dotted with row m-1 of
+U*, so a protocol holds just those rows, left and right, of shape
+(settings, lines, dim).  It factors its design by SVD only when first
+reconstructed, with the basis folded in, so a reconstruction gives rho
+from two matrix-vector products.  Each register size's basis and full
+tomography protocol are built once and cached as read-only arrays; a
+spectrum builds its one-setting protocol on each call and cuts it to one
+spin's lines.  A MeasurementSet is its protocol and one amplitude per
+record, so a reconstruction looks nothing up.
 """
 
 import functools
@@ -31,7 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PAULI, SpinSystem, evolve, expm_unitary, generator, max_rel_error, transitions_of_spin
+# evolve is not called here, but perfbench/tracing.py patches it by name
+from .core import PAULI, SpinSystem, evolve, expm_unitary, generator, max_rel_error, transitions_of_spin  # noqa: F401
 from .errors import ContractError, InputError
 
 READOUT_PULSES = ("none", "x90", "y90")
@@ -111,24 +115,28 @@ class _Protocol:
         self.n_spins, self.settings = n_spins, settings
         lines = [transitions_of_spin(spin, n_spins) for spin in range(1, n_spins + 1)]
         self.transitions = tuple(itertools.chain(*lines))
-        # each line reads the coherence [k - 1, m - 1] after every propagator
+        # a line reads (U rho U+)[k - 1, m - 1], row k - 1 of U rho dotted with row m - 1 of U*
         m, k = np.array(self.transitions).T
-        self.row, self.col = _read_only(k - 1), _read_only(m - 1)
-        self.propagators = _read_only(np.array([setting_unitary(s, n_spins) for s in settings]))
+        propagators = np.array([setting_unitary(s, n_spins) for s in settings])
+        self.left = _read_only(propagators[:, k - 1])
+        self.right = _read_only(propagators[:, m - 1].conj())
 
     @functools.cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, int, float]:
         """Thin SVD factors (u, w, rank, condition_number) of the design A.
 
         Each record's amplitude applied to the basis gives two rows of A, its
-        real and imaginary parts.  With A = U diag(s) Vt, u is U and w is
-        Vt.T / s, both cut to lstsq's rank, so lstsq(A, y) = w @ (u.T @ y).
+        real and imaginary parts.  With A = U diag(s) Vt cut to lstsq's rank,
+        u is U and lstsq(A, y) = Vt.T / s @ (u.T @ y).  w is the basis times
+        Vt.T / s, one row per entry of a dim x dim state, so w @ (u.T @ y)
+        is the least-squares state, flattened.
         """
-        A = np.array([_line_amplitudes(B, self) for B in _basis(self.n_spins)])
+        basis = _basis(self.n_spins)
+        A = np.array([_line_amplitudes(B, self) for B in basis])
         design = np.concatenate((A.real, A.imag), axis=1).T
         u, s, vt = np.linalg.svd(design, full_matrices=False)
         rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
-        w = vt[:rank].T / s[:rank]
+        w = basis.reshape(len(basis), -1).T @ (vt[:rank].T / s[:rank])
         return _read_only(u[:, :rank]), _read_only(w), rank, float(s[0] / s[rank - 1])
 
 
@@ -154,8 +162,27 @@ class MeasurementSet:
 
 
 def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
-    """Line amplitudes 2 (U rho U+)[k-1, m-1] of one state, one per record of the protocol."""
-    return 2 * evolve(rho, protocol.propagators)[:, protocol.row, protocol.col].ravel()
+    """Line amplitudes 2 (U rho U+)[k-1, m-1] of one state, one per record of the protocol.
+
+    Each is 2 (left @ rho) . right, row by row.  left @ rho runs in real
+    arithmetic, with rho's entries as 2x2 blocks [[re, im], [-im, re]]
+    acting on left's interleaved real view, one setting at a time, so a
+    spectrum's product has a tomography setting's shape and equal bits.
+    """
+    dim = len(rho)
+    blocks = np.stack((rho, 1j * rho), axis=1).view(float).reshape(2 * dim, 2 * dim)
+    rows = (protocol.left.view(float) @ blocks).view(complex)
+    return 2 * np.einsum("slb,slb->sl", rows, protocol.right).ravel()
+
+
+def _state(rho, system: SpinSystem) -> np.ndarray:
+    """rho as a complex array, checked against the system before it is read out."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (system.dim, system.dim):
+        raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
+    if not np.isfinite(rho).all():
+        raise InputError("state has a non-finite entry")
+    return rho
 
 
 def _line_freqs(system: SpinSystem) -> tuple[float, float] | None:
@@ -172,12 +199,11 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
 
     pulse is one of 'none', 'x90', 'y90'.  Frequencies are offsets from the
     spin's carrier and are only filled in for two-spin systems with a
-    J coupling; otherwise they are None.
+    J coupling; otherwise they are None.  A state with a non-finite entry
+    raises InputError.
     """
     n = system.n_spins
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (system.dim, system.dim):
-        raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
+    rho = _state(rho, system)
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
     transitions = transitions_of_spin(spin, n)
     # the protocol reads each spin's 2**(n-1) lines in turn
@@ -206,15 +232,14 @@ def simulate_measurements(
     added to the real and imaginary part of each amplitude.  The seed used
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.  A given seed must be a nonnegative integer.
-    Noise that leaves any amplitude non-finite raises InputError.
+    A state with a non-finite entry, and noise that leaves any amplitude
+    non-finite, raise InputError.
     """
     if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
         raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
     if seed is not None and not _in_range(seed, (int, np.integer), math.inf):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (system.dim, system.dim):
-        raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
+    rho = _state(rho, system)
     protocol = _protocol(system.n_spins)
     amps = _line_amplitudes(rho, protocol)
     if noise_sigma > 0:
@@ -271,7 +296,7 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
         if not np.isfinite(y @ y):
             raise InputError("measured amplitudes must be finite with a finite sum of squares")
     c = u.T @ y
-    rho = np.tensordot(w @ c, basis, axes=1)
+    rho = (w @ c).reshape(system.dim, system.dim)
     misfit = float(np.linalg.norm(u @ c - y))
     err = None if reference is None else max_rel_error(rho, np.asarray(reference, dtype=complex))
     return TomographyResult(

@@ -129,6 +129,20 @@ def test_readout_input_checks():
             readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=7)
 
 
+def test_non_finite_states_are_rejected_before_readout():
+    # without the check, a NaN state gives NaN records and noise takes the blame
+    system = presets.get_preset("chloroform")
+    for bad in (float("nan"), float("inf"), complex(0.0, -float("inf"))):
+        rho = core.thermal_deviation(system).astype(complex)
+        rho[1, 2] = bad
+        with pytest.raises(InputError, match="state has a non-finite entry"):
+            readout.simulate_measurements(rho, system)
+        with pytest.raises(InputError, match="state has a non-finite entry"):
+            readout.simulate_measurements(rho, system, noise_sigma=0.1, seed=1)
+        with pytest.raises(InputError, match="state has a non-finite entry"):
+            readout.readout_spectrum(rho, 1, system, "x90")
+
+
 def test_tomography_settings_counts():
     assert len(readout.tomography_settings(1)) == 3
     assert len(readout.tomography_settings(2)) == 9
@@ -333,7 +347,7 @@ def test_cached_arrays_are_read_only():
         basis_operators(2)[14][0, 0] = 7.0
     protocol = measured.protocol
     u, w, _, _ = protocol.factors
-    for cached in (protocol.propagators, protocol.row, protocol.col, u, w):
+    for cached in (protocol.left, protocol.right, u, w):
         with pytest.raises(ValueError):
             cached[0] = 1
     assert readout.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
@@ -392,6 +406,18 @@ def test_full_protocols_round_trip_at_full_rank():
         assert result.settings_used == 3**n
         assert result.rank == 4**n - 1
         assert result.condition_number == pytest.approx(cond, rel=1e-9)
+
+
+def test_reconstructions_are_exactly_hermitian():
+    # each entry and its transpose are read off conjugate rows of w, so they
+    # come out exact conjugates and the diagonal exactly real
+    for n, system in SYSTEMS_BY_SIZE.items():
+        rho = random_deviation(np.random.default_rng(80 + n), n)
+        for sigma in (0.0, 0.05):
+            measured = readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=5)
+            r = readout.reconstruct(measured, system).reconstructed
+            assert np.array_equal(r, r.conj().T)
+            assert not np.diagonal(r).imag.any()
 
 
 def test_settings_subsets_reconstruct_at_full_rank():

@@ -3,12 +3,15 @@
 perfbench/tracing.py lists them in its LAYERS table.  A refactor that drops
 one of those attributes would only surface when a traced benchmark run
 crashes, so the table is checked here.  It is read as a literal from the
-source, without importing or executing the benchmark code.
+source, without importing or executing the benchmark code.  The tracer also
+counts readout records through MeasurementSet.records.
 """
 
 import ast
 import importlib
 from pathlib import Path
+
+from ppsim import readout
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +36,8 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(importlib.import_module(f"ppsim.{module}"), attr, None))
     ]
     assert not missing, missing
+
+
+def test_measurement_sets_expose_their_records():
+    # perfbench/tracing.py counts len(result.records) of each simulate_measurements call
+    assert isinstance(readout.MeasurementSet.records, property)
