@@ -244,7 +244,8 @@ def _cmd_tomo(args, system: SpinSystem) -> str:
     measured = readout.simulate_measurements(
         rho, system, noise_sigma=args.noise, seed=args.seed
     )
-    result = readout.reconstruct(measured, system, reference=rho)
+    # the maximally mixed state has no relative error; it is reported as null
+    result = readout.reconstruct(measured, system, reference=rho if rho.any() else None)
     payload = {
         "matrix": matrix_to_json(result.reconstructed),
         "residual_norm": result.residual_norm,

@@ -163,13 +163,6 @@ def preparation_unitary(spec: CascadeSpec, angles_deg) -> np.ndarray:
     return expm_unitary(H)
 
 
-def _population_differences(U: np.ndarray, d_eq: np.ndarray, target: int) -> np.ndarray:
-    # diag(U rho U+) for diagonal rho needs only |U|^2
-    p = (np.abs(U) ** 2) @ d_eq
-    others = [lev - 1 for lev in range(1, len(d_eq) + 1) if lev != target]
-    return p[..., others[1:]] - p[..., others[:1]]
-
-
 def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     """Population differences p_l - p_l0 over non-target levels l != l0.
 
@@ -182,7 +175,11 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     U = preparation_unitary(spec, angles_deg)
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
-    return _population_differences(U, np.real(np.diagonal(thermal_deviation(system))), spec.target)
+    d_eq = np.real(np.diagonal(thermal_deviation(system)))
+    # diag(U rho U+) for diagonal rho needs only |U|^2
+    p = (np.abs(U) ** 2) @ d_eq
+    others = [lev - 1 for lev in range(1, len(d_eq) + 1) if lev != spec.target]
+    return p[..., others[1:]] - p[..., others[:1]]
 
 
 class _BatchedResidual:
@@ -196,9 +193,11 @@ class _BatchedResidual:
     eigh of the Gram matrix B B^T = u diag(s**2) u^T, which is 3 x 3 at 3
     spins.  With W = u^T B the propagator is [[C1, -i S], [-i S^T, C2]] with
     C1 = u cos(s) u^T, S = u (sin(s)/s) W and C2 = I - W^T ((1 - cos s)/s**2) W,
-    all real, so the populations are sums of their squares.  Jacobians take
-    one full SVD B = u diag(s) v^T, 3 x 4 at 3 spins.  In side order (side
-    a's levels, then side b's) H has the eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2)
+    all real, so the populations are sums of their squares.  Both kernels
+    hold populations in side order, side a's levels then side b's, and map
+    them to the residual's index-order p_l - p_l0 with one matrix, ``diff``.
+    Jacobians take one full SVD B = u diag(s) v^T, 3 x 4 at 3 spins.  In
+    side order H has the eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2)
     and (0, (0, v_0)), with v_0 the last column of v: side b has one level
     more than side a, so B always has that null vector (Golub & Van Loan,
     Matrix Computations, 8.6).  From that eigenbasis H = V diag(w) V^T comes
@@ -216,30 +215,29 @@ class _BatchedResidual:
     """
 
     def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
-        # non-target levels in index order, so the residual's reference is row 0
+        # non-target levels in index order, so the residual's reference is the first
         others = [lev for lev in range(1, len(d_eq) + 1) if lev != spec.target]
         row = {lev: i for i, lev in enumerate(others)}
         m = np.array([row[s.m] for s in spec.steps])
         k = np.array([row[s.k] for s in spec.steps])
-        self.d = d_eq[np.array(others) - 1]
         parity = lambda lev: (lev - 1).bit_count() % 2
         on_b = np.array([parity(lev) != parity(spec.target) for lev in others])
-        self.rows_a, self.rows_b = np.flatnonzero(~on_b), np.flatnonzero(on_b)
-        # each step's two ends, as positions within their own side
+        na = np.count_nonzero(~on_b)
+        # each level's position within its own side
         pos = np.empty(len(others), dtype=int)
-        pos[self.rows_a], pos[self.rows_b] = np.arange(len(self.rows_a)), np.arange(len(self.rows_b))
+        pos[~on_b], pos[on_b] = np.arange(na), np.arange(len(others) - na)
         self.a = pos[np.where(on_b[m], k, m)]
         self.b = pos[np.where(on_b[m], m, k)]
-        self.d_a, self.d_b = self.d[self.rows_a], self.d[self.rows_b]
-        # the Jacobian works in side order, side a's levels first: there
-        # V = diag(u, v) @ basis and w = s @ spectrum give H's eigenpairs from
+        d = d_eq[np.array(others) - 1]
+        self.d_a, self.d_b = d[~on_b], d[on_b]
+        # both kernels work in side order, side a's levels first; in the
+        # Jacobian V = diag(u, v) @ basis and w = s @ spectrum give H's eigenpairs from
         # B = u diag(s) v^T, columns (u_i, v_i)/sqrt 2, (u_i, -v_i)/sqrt 2, (0, v_0)
-        na = len(self.rows_a)
         e, o = np.sqrt(0.5) * np.eye(na), np.zeros((na, 1))
         self.basis = np.block([[e, e, o], [e, -e, o], [o.T, o.T, np.ones((1, 1))]])
         self.spectrum = np.hstack([np.eye(na), -np.eye(na), o])
         self.d_side = np.concatenate([self.d_a, self.d_b])
-        # side-ordered population derivatives to the residual's p_l - p_l0
+        # side-ordered populations to the residual's p_l - p_l0
         side = pos + na * on_b
         self.diff = np.zeros((len(others), len(others) - 1))
         self.diff[side[1:], np.arange(len(others) - 1)] = 1.0
@@ -271,17 +269,16 @@ class _BatchedResidual:
         # diag(U D U+) for the diagonal thermal state D needs only |U|^2
         top *= top
         C1_2, S_2 = top[:, :, : len(self.d_a)], top[:, :, len(self.d_a) :]
-        p = np.empty((len(theta), len(self.d)))
-        p[:, self.rows_a] = C1_2 @ self.d_a + S_2 @ self.d_b
-        p[:, self.rows_b] = self.d_a @ S_2 + (C2 * C2) @ self.d_b
-        r = p[:, 1:] - p[:, :1]
+        # populations in side order, then their differences in index order
+        p = np.concatenate([C1_2 @ self.d_a + S_2 @ self.d_b, self.d_a @ S_2 + (C2 * C2) @ self.d_b], axis=1)
+        r = p @ self.diff
         if any_bad:
             r[bad] = np.nan
         return r
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         """(N, k, k) exact Jacobians at (N, k) finite angles in radians."""
-        na, n = len(self.d_a), len(self.d)
+        na, n = len(self.d_a), len(self.d_side)
         # P = diag(u, v) in side order, with B in its upper right block until
         # the SVD has read it
         P = np.zeros((len(theta), n, n))
@@ -345,63 +342,58 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     steps that each cut ||r||**2 by less than SLOW_CUT, or after MAX_ITER
     iterations.  The convergence test comes first, so a row whose slow step
     took it below tol converges, and a row still live after MAX_ITER
-    iterations converges only if its last max|r| < tol.  Each iteration
-    makes one Jacobian call over the live rows, so a block makes at most
-    MAX_ITER.
+    iterations converges only if its last max|r| < tol.  One boolean mask
+    over all rows says which are live; x, r and the slow-step counts are
+    full-length and updated in place.  Each iteration makes one Jacobian
+    call over the live rows, so a block makes at most MAX_ITER.
     """
     x = np.array(x0, dtype=float)
     n, k = x.shape
     r = fun.evaluate(x)
     ok = np.zeros(n, dtype=bool)
-    # the live rows in index order, with their x, r and counts of slow steps;
-    # a row's x and r are written back to the full arrays when it ends.  go
-    # marks the live rows that took a step in the last iteration (all of
-    # them before the first)
-    live = np.flatnonzero(np.isfinite(r).all(axis=1))
-    xl, rl, slow = x[live], r[live], np.zeros(len(live), dtype=int)
-    go = np.ones(len(live), dtype=bool)
+    live = np.isfinite(r).all(axis=1)
+    slow = np.zeros(n, dtype=int)
     for _ in range(MAX_ITER):
-        done = np.abs(rl).max(axis=1) < tol
-        ok[live[go & done]] = True
-        go &= ~done & (slow < SLOW_ITERS)
-        if not go.all():
-            end = ~go
-            x[live[end]], r[live[end]] = xl[end], rl[end]
-            live, xl, rl, slow, go = live[go], xl[go], rl[go], slow[go], go[go]
-        if not live.size:
+        i = live.nonzero()[0]
+        done = np.abs(r[i]).max(axis=1) < tol
+        ok[i[done]] = True
+        live[i] = ~done & (slow[i] < SLOW_ITERS)
+        i = i[live[i]]
+        if not i.size:
             break
-        step, solved = _newton_steps(fun.jacobian(xl), rl)
-        norm = np.sqrt(np.square(rl).sum(axis=1))
-        go = np.zeros(len(live), dtype=bool)
+        step, solved = _newton_steps(fun.jacobian(x[i]), r[i])
+        live[i[~solved]] = False
+        i, step = i[solved], step[solved]
+        norm = np.sqrt(np.square(r[i]).sum(axis=1))
         # try the scales in order, several per call while few rows remain, so
         # that one call holds at most as many trial points as there are
-        # starts; j holds the rows still searching, as positions in live
-        j = np.flatnonzero(solved)
+        # starts; i holds the rows still searching
         tried = 0
-        while j.size and tried < len(_STEP_SCALES):
-            lams = _STEP_SCALES[tried : tried + max(1, n // j.size)]
+        while i.size and tried < len(_STEP_SCALES):
+            lams = _STEP_SCALES[tried : tried + max(1, n // i.size)]
             tried += len(lams)
-            trial = xl[j, None] + lams[:, None] * step[j, None]
+            trial = x[i, None] + lams[:, None] * step[:, None]
             r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
             trial_norm = np.sqrt(np.square(r_trial).sum(axis=2))
             # a finite norm needs a finite residual
-            better = trial_norm < norm[j, None]
+            better = trial_norm < norm[:, None]
             # each row stops at its first scale that helps or is not finite
             stop = better | ~np.isfinite(r_trial).all(axis=2)
             hit = stop.any(axis=1)
             rows = hit.nonzero()[0]
             first = np.argmax(stop[rows], axis=1)
             take = better[rows, first]
-            acc, best = j[rows[take]], (rows[take], first[take])
-            xl[acc], rl[acc] = trial[best], r_trial[best]
+            acc, best = i[rows[take]], (rows[take], first[take])
+            x[acc], r[acc] = trial[best], r_trial[best]
             # hybrj's actual reduction 1 - (||r_new|| / ||r||)**2
-            cut = 1 - (trial_norm[best] / norm[acc]) ** 2
+            cut = 1 - (trial_norm[best] / norm[rows[take]]) ** 2
             slow[acc] = np.where(cut < SLOW_CUT, slow[acc] + 1, 0)
-            go[acc] = True
-            j = j[~hit]
+            live[i[rows[~take]]] = False
+            i, step, norm = i[~hit], step[~hit], norm[~hit]
+        # a stalled line search ends the rows still searching
+        live[i] = False
     # rows still live after MAX_ITER iterations converge only below tol
-    ok[live[go & (np.abs(rl).max(axis=1) < tol)]] = True
-    x[live], r[live] = xl, rl
+    ok |= live & (np.abs(r).max(axis=1) < tol)
     return x, r, ok
 
 
@@ -507,8 +499,7 @@ def solve_angles(
             kept.append(i)
     # the batched path is the solver's own; hold each root to residual's
     # promise, all of them in one stack through the dense exponential
-    U = preparation_unitary(spec, distinct[: len(kept)])
-    checks = np.abs(_population_differences(U, d_eq, spec.target)).max(axis=1)
+    checks = np.abs(residual(distinct[: len(kept)], system, spec)).max(axis=1)
     passed = checks < bound
     if not passed.any():
         why = (

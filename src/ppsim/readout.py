@@ -146,12 +146,12 @@ def _protocol(n_spins: int) -> _Protocol:
     return _Protocol(n_spins, tuple(tomography_settings(n_spins)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Line amplitudes, amplitudes[i] of the protocol's record i, as columns."""
+    """Line amplitudes, amplitudes[i] of the protocol's record i, as columns; compared by identity."""
 
     protocol: _Protocol
-    amplitudes: tuple[complex, ...]
+    amplitudes: np.ndarray
     noise_sigma: float
     seed: int | None
 
@@ -251,7 +251,7 @@ def simulate_measurements(
             amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
         if not np.isfinite(amps).all():
             raise InputError(f"noise_sigma {noise_sigma!r} overflows the noisy amplitudes")
-    return MeasurementSet(protocol, tuple(amps.tolist()), float(noise_sigma), seed)
+    return MeasurementSet(protocol, _read_only(amps), float(noise_sigma), seed)
 
 
 def basis_operators(n_spins: int) -> list[np.ndarray]:
@@ -289,7 +289,7 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     u, w, rank, condition_number = protocol.factors
     if rank < len(basis):
         raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
-    amps = np.array(measurements.amplitudes, dtype=complex)
+    amps = np.asarray(measurements.amplitudes, dtype=complex)
     y = np.concatenate((amps.real, amps.imag))
     # the misfit ||U c - y|| is at most ||y||, so a finite y.y keeps it finite
     with np.errstate(over="ignore"):

@@ -74,51 +74,48 @@ def dense_residual(angles_deg, system: core.SpinSystem, spec: prep.CascadeSpec) 
     return np.array([p[lev - 1] - p[others[0] - 1] for lev in others[1:]])
 
 
-def mask_newton_block(fun, x0: np.ndarray, tol: float):
-    """prep._newton_block as a boolean mask over the rows, rescanned every iteration.
+def two_spin_roots(system: core.SpinSystem, target: int) -> np.ndarray:
+    """Roots of the default 2-spin cascade with both angles below 360 degrees, from a closed form.
 
-    Every floating-point operation is the one prep._newton_block makes, on
-    the same rows in the same order, so the two return the same bits and
-    make the same kernel calls.
+    On the three non-target levels the pulse block is B = (b1, b2) = theta / 2.
+    With s = |B| and x = b1**2 / s**2 the side-a population and that of the
+    side-b level step 1 joins are
+    p_a = cos(s)**2 d_a + sin(s)**2 (x d_1 + (1 - x) d_2) and
+    p_b1 = sin(s)**2 x d_a + (1 - (1 - cos s) x)**2 d_1 + (1 - cos s)**2 x (1 - x) d_2,
+    d the thermal populations.  The three sum to D = d_a + d_1 + d_2, so a
+    root has p_a = p_b1 = D/3.  The first condition is linear in x, which
+    leaves one equation in s: it is bracketed on 4e5 points of (0, pi sqrt 2]
+    and each bracket bisected, keeping x in [0, 1].  The linear step needs
+    d_1 != d_2 and sin s != 0 at every root, so homonuclear-2 is out of reach.
+    Returns (R, 2) angles in degrees, in no particular order.
     """
-    x = np.array(x0, dtype=float)
-    k = x.shape[1]
-    r = fun.evaluate(x)
-    ok = np.zeros(len(x), dtype=bool)
-    live = np.isfinite(r).all(axis=1)
-    slow = np.zeros(len(x), dtype=int)
-    for _ in range(prep.MAX_ITER):
-        i = live.nonzero()[0]
-        done = np.abs(r[i]).max(axis=1) < tol
-        ok[i[done]] = True
-        live[i] = ~done & (slow[i] < prep.SLOW_ITERS)
-        i = i[live[i]]
-        if not i.size:
-            break
-        step, solved = prep._newton_steps(fun.jacobian(x[i]), r[i])
-        live[i[~solved]] = False
-        i, step = i[solved], step[solved]
-        norm = np.sqrt(np.square(r[i]).sum(axis=1))
-        tried = 0
-        while i.size and tried < len(prep._STEP_SCALES):
-            lams = prep._STEP_SCALES[tried : tried + max(1, len(x) // i.size)]
-            tried += len(lams)
-            trial = x[i, None] + lams[:, None] * step[:, None]
-            r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
-            finite = np.isfinite(r_trial).all(axis=2)
-            trial_norm = np.sqrt(np.square(r_trial).sum(axis=2))
-            better = finite & (trial_norm < norm[:, None])
-            stop = better | ~finite
-            hit = stop.any(axis=1)
-            rows = hit.nonzero()[0]
-            first = np.argmax(stop[rows], axis=1)
-            take = better[rows, first]
-            moved, best = i[rows[take]], (rows[take], first[take])
-            x[moved], r[moved] = trial[best], r_trial[best]
-            cut = 1 - (trial_norm[best] / norm[rows[take]]) ** 2
-            slow[moved] = np.where(cut < prep.SLOW_CUT, slow[moved] + 1, 0)
-            live[i[rows[~take]]] = False
-            i, step, norm = i[~hit], step[~hit], norm[~hit]
-        live[i] = False
-    ok |= live & (np.abs(r).max(axis=1) < tol)
-    return x, r, ok
+    spec = prep.default_cascade(2, target)
+    d = np.real(np.diagonal(core.thermal_deviation(system)))
+    parity = lambda lev: (lev - 1).bit_count() % 2
+    b1, b2 = (s.m if parity(s.m) != parity(target) else s.k for s in spec.steps)
+    (a,) = {lev for s in spec.steps for lev in (s.m, s.k)} - {b1, b2}
+    d_a, d_1, d_2 = d[a - 1], d[b1 - 1], d[b2 - 1]
+    third = (d_a + d_1 + d_2) / 3
+
+    def x_of(s):
+        return (third - np.cos(s) ** 2 * d_a - np.sin(s) ** 2 * d_2) / (np.sin(s) ** 2 * (d_1 - d_2))
+
+    def f(s):
+        x, c = x_of(s), 1 - np.cos(s)
+        return np.sin(s) ** 2 * x * d_a + (1 - c * x) ** 2 * d_1 + c**2 * x * (1 - x) * d_2 - third
+
+    s = np.linspace(0, np.pi * np.sqrt(2), 400_001)[1:]
+    sign = np.sign(f(s))
+    i = np.flatnonzero(sign[:-1] != sign[1:])
+    lo, hi, sign_lo = s[i], s[i + 1], sign[i]
+    # 60 halvings take a bracket of width pi sqrt 2 / 4e5 below one ulp
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(f(mid)) == sign_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    # a bracket around a pole of x, where sin s = 0, ends with x far outside [0, 1]
+    s = 0.5 * (lo + hi)
+    x = x_of(s)
+    s, x = s[(x >= 0) & (x <= 1)], x[(x >= 0) & (x <= 1)]
+    theta = np.degrees(2 * s[:, None] * np.sqrt(np.stack([x, 1 - x], axis=1)))
+    return theta[theta.max(axis=1) < 360]

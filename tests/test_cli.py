@@ -177,6 +177,19 @@ def test_tomo_reports_error_and_seed(capsys, chloroform_state):
     assert data["settings_used"] == 9
 
 
+@pytest.mark.parametrize("noise", [[], ["--noise", "0.01", "--seed", "5"]])
+def test_tomo_of_the_maximally_mixed_state_reports_no_relative_error(capsys, tmp_path, noise):
+    # an all-zero deviation is valid input; a relative error to it is undefined
+    state = write_state(tmp_path, np.zeros((4, 4)))
+    code, out, err = run_cli(capsys, "tomo", "--system", "chloroform", "--state", state, *noise)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["max_rel_error"] is None
+    assert data["settings_used"] == 9
+    if not noise:
+        assert data["matrix"] == matrix_to_json(np.zeros((4, 4)))
+
+
 def test_repeated_runs_are_byte_identical(capsys, chloroform_state):
     argv = (
         "tomo", "--system", "chloroform", "--state", chloroform_state,

@@ -9,7 +9,7 @@ from ppsim import core, prep, presets
 from ppsim.errors import InputError, NoSolutionError, NotPseudoPureError
 from ppsim.prep import CascadeSpec, CascadeStep
 
-from helpers import dense_residual, mask_newton_block
+from helpers import dense_residual, two_spin_roots
 
 HOMO2_ROOT = float(np.degrees(np.sqrt(2) * np.arccos(1 / np.sqrt(3))))
 
@@ -727,6 +727,21 @@ def test_any_gamma_scale_keeps_the_roots_in_the_box(case, log_c):
     np.testing.assert_allclose(boxed, in_box(want.roots), rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("target", range(1, 5))
+def test_chloroform_roots_in_the_box_are_the_closed_form_roots(target):
+    # a check that does not come from the solver: every oracle root is found,
+    # and every root found inside [0, 360) is an oracle root
+    system = presets.get_preset("chloroform")
+    spec = prep.default_cascade(2, target)
+    want = two_spin_roots(system, target)
+    assert len(want) == 2
+    assert np.abs(prep.residual(want, system, spec)).max() < 1e-12
+    got = in_box(default_solve("chloroform", target)[0].roots)
+    gap = np.abs(got[:, None] - want[None]).max(axis=2)
+    assert (gap.min(axis=0) < 1e-6).all()
+    assert (gap.min(axis=1) < 1e-6).all()
+
+
 @pytest.mark.parametrize("name", ["chloroform", "hetero-3"])
 def test_residual_of_a_stack_is_each_single_call_bit_for_bit(name):
     # solve_angles re-checks every root in one stack; each row must be what
@@ -744,49 +759,6 @@ def test_residual_of_a_stack_is_each_single_call_bit_for_bit(name):
             prep.residual(bad, system, spec)
     with pytest.raises(InputError):
         prep.residual(np.vstack([roots[:1], [np.nan] * roots.shape[1]]), system, spec)
-
-
-class Counted:
-    """A kernel that records the size of every evaluate and jacobian call."""
-
-    def __init__(self, fun):
-        self.fun, self.calls = fun, []
-
-    def evaluate(self, theta):
-        self.calls.append(("evaluate", len(theta)))
-        return self.fun.evaluate(theta)
-
-    def jacobian(self, theta):
-        self.calls.append(("jacobian", len(theta)))
-        return self.fun.jacobian(theta)
-
-
-NEWTON_CASES = [*TWO_SPIN_CASES, ("hetero-3", 1), ("hetero-3", 8), "failures"]
-
-
-@pytest.mark.parametrize("case", NEWTON_CASES)
-def test_newton_block_matches_the_mask_reference(case):
-    # the live set is an index array; the reference rescans a mask, and the
-    # two must make the same kernel calls and return the same bits
-    if case == "failures":
-        # a zero Jacobian at theta = 0 and an infinite start beside two good ones
-        system, spec = presets.get_preset("chloroform"), prep.default_cascade(2, 1)
-        x0 = np.array([[2.0, 3.0], [0.0, 0.0], [1.0, 4.0], [np.inf, 0.0]])
-    else:
-        system = presets.get_preset(case[0])
-        spec = prep.default_cascade(system.n_spins, case[1])
-        per_dim = 5 if len(spec.steps) <= 2 else 3
-        x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
-    d = np.real(np.diagonal(core.thermal_deviation(system)))
-    d = np.ldexp(d, -prep._thermal_exponent(d))
-    runs = []
-    for block in (prep._newton_block, mask_newton_block):
-        fun = Counted(prep._BatchedResidual(spec, d))
-        runs.append((block(fun, x0, 1e-11 * np.max(np.abs(d))), fun.calls))
-    (got, got_calls), (want, want_calls) = runs
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
-    assert got_calls == want_calls
 
 
 def test_pure_part_at_scale_has_the_bits_of_pure_part():
