@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", _cmd_solve, "find pulse angles equalizing non-target populations")
     p.add_argument("--target", required=True, help="target basis state, e.g. 00")
     p.add_argument("--grid", type=int, default=None, help="grid starts per dimension")
-    p.add_argument("--tol", type=float, default=1e-11,
+    p.add_argument("--tol", type=float, default=prep.NEWTON_TOL,
                    help="bound on a root's |population differences|, relative to the largest thermal population")
 
     p = add("prepare", _cmd_prepare, "prepare a pseudo-pure deviation matrix")

@@ -52,6 +52,9 @@ SLOW_ITERS = 5
 _STEP_SCALES = 0.5 ** np.arange(8)
 #: Largest number of grid starts solve_angles will build.
 MAX_GRID_STARTS = 10**5
+#: solve_angles' default bound on a root's |population differences|, relative
+#: to the largest thermal population.
+NEWTON_TOL = 1e-11
 
 
 class CascadeStep(NamedTuple):
@@ -194,13 +197,13 @@ class _BatchedResidual:
     spins.  With W = u^T B the propagator is [[C1, -i S], [-i S^T, C2]] with
     C1 = u cos(s) u^T, S = u (sin(s)/s) W and C2 = I - W^T ((1 - cos s)/s**2) W,
     all real, so the populations are sums of their squares.  Both kernels
-    hold populations in side order, side a's levels then side b's, and map
-    them to the residual's index-order p_l - p_l0 with one matrix, ``diff``.
-    Jacobians take one full SVD B = u diag(s) v^T, 3 x 4 at 3 spins.  In
-    side order H has the eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2)
-    and (0, (0, v_0)), with v_0 the last column of v: side b has one level
-    more than side a, so B always has that null vector (Golub & Van Loan,
-    Matrix Computations, 8.6).  From that eigenbasis H = V diag(w) V^T comes
+    keep one side order, side a's levels then side b's, each in index order,
+    and ``diff`` maps populations in it to the residual's p_l - p_l0.
+    Jacobians take one full SVD B = u diag(s) v^T, 3 x 4 at 3 spins, and
+    write from its factors H's eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2) and
+    (0, (0, v_0)), v_0 the last column of v: side b has one level more than
+    side a, so B always has that null vector (Golub & Van Loan, Matrix
+    Computations, 8.6).  From that eigenbasis H = V diag(w) V^T comes
     the exact derivative dU/dtheta_j = V (G o V^T E_j V) V^T, with E_j the
     sigma_x/2 block of step j and G the divided differences of exp(-i w)
     (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321),
@@ -217,31 +220,22 @@ class _BatchedResidual:
     def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
         # non-target levels in index order, so the residual's reference is the first
         others = [lev for lev in range(1, len(d_eq) + 1) if lev != spec.target]
-        row = {lev: i for i, lev in enumerate(others)}
-        m = np.array([row[s.m] for s in spec.steps])
-        k = np.array([row[s.k] for s in spec.steps])
-        parity = lambda lev: (lev - 1).bit_count() % 2
-        on_b = np.array([parity(lev) != parity(spec.target) for lev in others])
-        na = np.count_nonzero(~on_b)
-        # each level's position within its own side
-        pos = np.empty(len(others), dtype=int)
-        pos[~on_b], pos[on_b] = np.arange(na), np.arange(len(others) - na)
-        self.a = pos[np.where(on_b[m], k, m)]
-        self.b = pos[np.where(on_b[m], m, k)]
-        d = d_eq[np.array(others) - 1]
-        self.d_a, self.d_b = d[~on_b], d[on_b]
-        # both kernels work in side order, side a's levels first; in the
-        # Jacobian V = diag(u, v) @ basis and w = s @ spectrum give H's eigenpairs from
-        # B = u diag(s) v^T, columns (u_i, v_i)/sqrt 2, (u_i, -v_i)/sqrt 2, (0, v_0)
-        e, o = np.sqrt(0.5) * np.eye(na), np.zeros((na, 1))
-        self.basis = np.block([[e, e, o], [e, -e, o], [o.T, o.T, np.ones((1, 1))]])
-        self.spectrum = np.hstack([np.eye(na), -np.eye(na), o])
-        self.d_side = np.concatenate([self.d_a, self.d_b])
+        # the one side order of both kernels, from a stable sort: side a's
+        # levels, then side b's, which differ from the target in an odd
+        # number of bits; side a has 2**(n-1) - 1 of the 2**n - 1 levels
+        order = np.array(sorted(others, key=lambda lev: ((lev - 1) ^ (spec.target - 1)).bit_count() % 2))
+        na = len(order) // 2
+        at = np.empty(len(d_eq) + 1, dtype=int)
+        at[order] = np.arange(len(order))
+        # every step joins one level of each side, and side a comes first
+        ends = at[np.array(spec.steps)]
+        self.a, self.b = ends.min(axis=1), ends.max(axis=1) - na
+        self.d_side = d_eq[order - 1]
+        self.d_a, self.d_b = self.d_side[:na], self.d_side[na:]
         # side-ordered populations to the residual's p_l - p_l0
-        side = pos + na * on_b
-        self.diff = np.zeros((len(others), len(others) - 1))
-        self.diff[side[1:], np.arange(len(others) - 1)] = 1.0
-        self.diff[side[0]] = -1.0
+        self.diff = np.zeros((len(order), len(order) - 1))
+        self.diff[at[others[1:]], np.arange(len(order) - 1)] = 1.0
+        self.diff[at[others[0]]] = -1.0
         # per-call constants of evaluate
         self.eye_b = np.eye(len(self.d_b))
         self.half_turns = np.array([np.pi, 2 * np.pi])
@@ -279,20 +273,23 @@ class _BatchedResidual:
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         """(N, k, k) exact Jacobians at (N, k) finite angles in radians."""
         na, n = len(self.d_a), len(self.d_side)
-        # P = diag(u, v) in side order, with B in its upper right block until
-        # the SVD has read it
-        P = np.zeros((len(theta), n, n))
-        B = P[:, :na, na:]
+        B = np.zeros((len(theta), na, n - na))
         B[:, self.a, self.b] = 0.5 * theta
         u, s, vt = np.linalg.svd(B)
-        P[:, :na, :na], B[...], P[:, na:, na:] = u, 0.0, vt.transpose(0, 2, 1)
-        # H = [[0, B], [B^T, 0]] has eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2) and
-        # (0, (0, v_0)) for B's null vector v_0, v's last column; the products
-        # only copy, scale and negate entries, so they add no round-off
-        V, w = P @ self.basis, s @ self.spectrum
         # the first Jacobian over every start is a solve's memory peak, so
-        # dead dim x dim temporaries are freed as soon as they are used
-        del P, B, u, vt
+        # dead temporaries are freed as soon as they are used
+        del B
+        # H = [[0, B], [B^T, 0]] has eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2) and
+        # (0, (0, v_0)) for B's null vector v_0, v's last column; V's columns
+        # in that order only scale and negate entries of u and v, so they add
+        # no round-off
+        h, v = np.sqrt(0.5), vt.transpose(0, 2, 1)
+        V = np.zeros((len(theta), n, n))
+        V[:, :na, :na] = V[:, :na, na:-1] = h * u
+        V[:, na:, :na] = h * v[..., :na]
+        V[:, na:, na:-1], V[:, na:, -1] = -V[:, na:, :na], v[..., -1]
+        w = np.concatenate([s, -s, np.zeros((len(s), 1))], axis=1)
+        del u, vt, v
         Vt = V.transpose(0, 2, 1)
         # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa
         #   = sum_pqs V_ap K_pq Q_qs V_as sinc_pq sin(w_s - (w_p + w_q)/2)
@@ -428,7 +425,7 @@ def solve_angles(
     system: SpinSystem,
     spec: CascadeSpec,
     grid_per_dim: int | None = None,
-    newton_tol: float = 1e-11,
+    newton_tol: float = NEWTON_TOL,
 ) -> SolverResult:
     """Find pulse-angle vectors equalizing the non-target populations.
 

@@ -279,17 +279,20 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
 
     The protocol's design is factored on its first reconstruction and kept.
     Its rank is checked, so an incomplete protocol fails loudly instead of
-    silently projecting.  Records of another spin count, and amplitudes that
-    are not finite or whose sum of squares overflows, raise InputError.
+    silently projecting.  Records of another spin count, and amplitudes not
+    one per record, not finite or whose sum of squares overflows, raise InputError.
     """
     protocol = measurements.protocol
     if protocol.n_spins != system.n_spins:
         raise InputError(f"records are of {protocol.n_spins} spins, the system has {system.n_spins}")
+    amps = np.asarray(measurements.amplitudes, dtype=complex)
+    n_records = len(protocol.settings) * len(protocol.transitions)
+    if amps.shape != (n_records,):
+        raise InputError(f"expected {n_records} amplitudes, one per record, got {amps.size} in shape {amps.shape}")
     basis = _basis(system.n_spins)
     u, w, rank, condition_number = protocol.factors
     if rank < len(basis):
         raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
-    amps = np.asarray(measurements.amplitudes, dtype=complex)
     y = np.concatenate((amps.real, amps.imag))
     # the misfit ||U c - y|| is at most ||y||, so a finite y.y keeps it finite
     with np.errstate(over="ignore"):

@@ -86,7 +86,11 @@ def two_spin_roots(system: core.SpinSystem, target: int) -> np.ndarray:
     root has p_a = p_b1 = D/3.  The first condition is linear in x, which
     leaves one equation in s: it is bracketed on 4e5 points of (0, pi sqrt 2]
     and each bracket bisected, keeping x in [0, 1].  The linear step needs
-    d_1 != d_2 and sin s != 0 at every root, so homonuclear-2 is out of reach.
+    d_1 != d_2 and sin s != 0 at every root.  With d_1 = d_2 = c instead, as
+    at homonuclear-2's targets 00 and 11, p_a = D/3 fixes
+    cos(s)**2 = (D/3 - c) / (d_a - c), and p_b1 = c + x sin(s)**2 (d_a - c)
+    is linear in x, so x = (D/3 - c) / (d_a - D/3) at every root.  The sin s = 0
+    branch, which homonuclear-2's targets 01 and 10 need, is not covered.
     Returns (R, 2) angles in degrees, in no particular order.
     """
     spec = prep.default_cascade(2, target)
@@ -104,18 +108,24 @@ def two_spin_roots(system: core.SpinSystem, target: int) -> np.ndarray:
         x, c = x_of(s), 1 - np.cos(s)
         return np.sin(s) ** 2 * x * d_a + (1 - c * x) ** 2 * d_1 + c**2 * x * (1 - x) * d_2 - third
 
-    s = np.linspace(0, np.pi * np.sqrt(2), 400_001)[1:]
-    sign = np.sign(f(s))
-    i = np.flatnonzero(sign[:-1] != sign[1:])
-    lo, hi, sign_lo = s[i], s[i + 1], sign[i]
-    # 60 halvings take a bracket of width pi sqrt 2 / 4e5 below one ulp
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        left = np.sign(f(mid)) == sign_lo
-        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
-    # a bracket around a pole of x, where sin s = 0, ends with x far outside [0, 1]
-    s = 0.5 * (lo + hi)
-    x = x_of(s)
+    if d_1 == d_2:
+        # every s in [0, 2 pi) with that cos(s)**2; the box below drops the angles too large
+        s0 = np.arccos(np.sqrt((third - d_1) / (d_a - d_1)))
+        s = np.array([s0, np.pi - s0, np.pi + s0, 2 * np.pi - s0])
+        x = np.full_like(s, (third - d_1) / (d_a - third))
+    else:
+        s = np.linspace(0, np.pi * np.sqrt(2), 400_001)[1:]
+        sign = np.sign(f(s))
+        i = np.flatnonzero(sign[:-1] != sign[1:])
+        lo, hi, sign_lo = s[i], s[i + 1], sign[i]
+        # 60 halvings take a bracket of width pi sqrt 2 / 4e5 below one ulp
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            left = np.sign(f(mid)) == sign_lo
+            lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+        # a bracket around a pole of x, where sin s = 0, ends with x far outside [0, 1]
+        s = 0.5 * (lo + hi)
+        x = x_of(s)
     s, x = s[(x >= 0) & (x <= 1)], x[(x >= 0) & (x <= 1)]
     theta = np.degrees(2 * s[:, None] * np.sqrt(np.stack([x, 1 - x], axis=1)))
     return theta[theta.max(axis=1) < 360]

@@ -727,16 +727,21 @@ def test_any_gamma_scale_keeps_the_roots_in_the_box(case, log_c):
     np.testing.assert_allclose(boxed, in_box(want.roots), rtol=0, atol=1e-6)
 
 
-@pytest.mark.parametrize("target", range(1, 5))
-def test_chloroform_roots_in_the_box_are_the_closed_form_roots(target):
+@pytest.mark.parametrize(
+    "name, target, count",
+    [pytest.param("chloroform", t, 2, id=str(t)) for t in range(1, 5)]
+    + [pytest.param("homonuclear-2", t, 3, id=f"homonuclear-2-{t}") for t in (1, 4)],
+)
+def test_chloroform_roots_in_the_box_are_the_closed_form_roots(name, target, count):
     # a check that does not come from the solver: every oracle root is found,
-    # and every root found inside [0, 360) is an oracle root
-    system = presets.get_preset("chloroform")
+    # and every root found inside [0, 360) is an oracle root; homonuclear-2's
+    # targets 00 and 11 take the oracle's d_1 = d_2 branch
+    system = presets.get_preset(name)
     spec = prep.default_cascade(2, target)
     want = two_spin_roots(system, target)
-    assert len(want) == 2
+    assert len(want) == count
     assert np.abs(prep.residual(want, system, spec)).max() < 1e-12
-    got = in_box(default_solve("chloroform", target)[0].roots)
+    got = in_box(default_solve(name, target)[0].roots)
     gap = np.abs(got[:, None] - want[None]).max(axis=2)
     assert (gap.min(axis=0) < 1e-6).all()
     assert (gap.min(axis=1) < 1e-6).all()

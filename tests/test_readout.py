@@ -324,6 +324,15 @@ def test_reconstruct_rejects_amplitudes_without_a_finite_norm():
     assert np.isfinite(result.residual_norm)
 
 
+def test_reconstruct_rejects_amplitudes_that_are_not_one_per_record():
+    system = presets.get_preset("chloroform")
+    full = readout.simulate_measurements(core.thermal_deviation(system), system)
+    assert len(full.amplitudes) == 36
+    for bad in (full.amplitudes[:-1], np.asarray(full.amplitudes)[:, None]):
+        with pytest.raises(InputError, match="expected 36 amplitudes"):
+            readout.reconstruct(dataclasses.replace(full, amplitudes=bad), system)
+
+
 def test_reconstruct_rejects_incomplete_protocols():
     system = presets.get_preset("chloroform")
     rho, _ = prep.prepare_pseudo_pure(system, 1)
