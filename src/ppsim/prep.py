@@ -175,9 +175,9 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     of angle vectors gives (R, 2**n - 2) residuals, each with the bits of
     its own single call.
     """
-    U = preparation_unitary(spec, angles_deg)
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
+    U = preparation_unitary(spec, angles_deg)
     d_eq = np.real(np.diagonal(thermal_deviation(system)))
     # diag(U rho U+) for diagonal rho needs only |U|^2
     p = (np.abs(U) ** 2) @ d_eq

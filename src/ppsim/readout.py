@@ -12,16 +12,16 @@ Spectra and measurements apply it to the state; tomography applies it to
 the product-operator basis and inverts the resulting real linear map by
 least squares over every per-spin combination of {none, x90, y90} pulses.
 
-A protocol reads every line of every spin under each setting of a list.
-A record is a row product, row k-1 of U times rho dotted with row m-1 of
-U*, so a protocol holds just those rows, left and right, of shape
-(settings, lines, dim).  It factors its design by SVD only when first
-reconstructed, with the basis folded in, so a reconstruction gives rho
-from two matrix-vector products.  Each register size's basis and full
-tomography protocol are built once and cached as read-only arrays; a
-spectrum builds its one-setting protocol on each call and cuts it to one
-spin's lines.  A MeasurementSet is its protocol and one amplitude per
-record, so a reconstruction looks nothing up.
+A protocol reads every line of the spins it is built for under each
+setting of a list.  A record is a row product, row k-1 of U times rho
+dotted with row m-1 of U*, so a protocol holds just those rows, left and
+right, of shape (settings, lines, dim).  It factors its design by SVD only
+when first reconstructed, with the basis folded in, so a reconstruction
+gives rho from two matrix-vector products.  Each register size's full
+tomography protocol, over every spin, is built once and cached as
+read-only arrays; a spectrum builds its one-setting protocol over its own
+spin's lines on each call.  A MeasurementSet is its protocol and one
+amplitude per record, so a reconstruction looks nothing up.
 """
 
 import functools
@@ -105,16 +105,15 @@ def setting_unitary(setting, n_spins: int) -> np.ndarray:
 
 
 class _Protocol:
-    """The state-independent part of reading every line under each setting.
+    """The state-independent part of reading the given spins' lines under each setting.
 
-    Compared by identity.  Records run over settings, then spins, then
-    transitions_of_spin order.
+    Compared by identity.  Records run over settings, then the given spins
+    in turn, then transitions_of_spin order.
     """
 
-    def __init__(self, n_spins: int, settings: tuple):
+    def __init__(self, n_spins: int, settings: tuple, spins):
         self.n_spins, self.settings = n_spins, settings
-        lines = [transitions_of_spin(spin, n_spins) for spin in range(1, n_spins + 1)]
-        self.transitions = tuple(itertools.chain(*lines))
+        self.transitions = tuple(t for spin in spins for t in transitions_of_spin(spin, n_spins))
         # a line reads (U rho U+)[k - 1, m - 1], row k - 1 of U rho dotted with row m - 1 of U*
         m, k = np.array(self.transitions).T
         propagators = np.array([setting_unitary(s, n_spins) for s in settings])
@@ -131,7 +130,7 @@ class _Protocol:
         Vt.T / s, one row per entry of a dim x dim state, so w @ (u.T @ y)
         is the least-squares state, flattened.
         """
-        basis = _basis(self.n_spins)
+        basis = np.array(basis_operators(self.n_spins))
         A = np.array([_line_amplitudes(B, self) for B in basis])
         design = np.concatenate((A.real, A.imag), axis=1).T
         u, s, vt = np.linalg.svd(design, full_matrices=False)
@@ -143,7 +142,7 @@ class _Protocol:
 @functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
 def _protocol(n_spins: int) -> _Protocol:
     """The full tomography protocol of a register size, 3**n settings."""
-    return _Protocol(n_spins, tuple(tomography_settings(n_spins)))
+    return _Protocol(n_spins, tuple(tomography_settings(n_spins)), range(1, n_spins + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,8 +165,9 @@ def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
 
     Each is 2 (left @ rho) . right, row by row.  left @ rho runs in real
     arithmetic, with rho's entries as 2x2 blocks [[re, im], [-im, re]]
-    acting on left's interleaved real view, one setting at a time, so a
-    spectrum's product has a tomography setting's shape and equal bits.
+    acting on left's interleaved real view, one setting at a time.  Each
+    row's bits depend only on that row, whatever the row count, so a
+    spectrum's lines equal the tomography records of its setting.
     """
     dim = len(rho)
     blocks = np.stack((rho, 1j * rho), axis=1).view(float).reshape(2 * dim, 2 * dim)
@@ -205,11 +205,10 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
     n = system.n_spins
     rho = _state(rho, system)
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
-    transitions = transitions_of_spin(spin, n)
-    # the protocol reads each spin's 2**(n-1) lines in turn
-    amps = _line_amplitudes(rho, _Protocol(n, (setting,))).reshape(n, -1)[spin - 1]
-    freqs = _line_freqs(system) or [None] * len(transitions)
-    lines = tuple(SpectralLine(f, complex(a), t) for t, a, f in zip(transitions, amps, freqs))
+    protocol = _Protocol(n, (setting,), (spin,))
+    amps = _line_amplitudes(rho, protocol)
+    freqs = _line_freqs(system) or [None] * len(amps)
+    lines = tuple(SpectralLine(f, complex(a), t) for t, a, f in zip(protocol.transitions, amps, freqs))
     return StickSpectrum(spin=spin, lines=lines)
 
 
@@ -259,19 +258,13 @@ def basis_operators(n_spins: int) -> list[np.ndarray]:
 
     Kronecker products of {identity, sigma_x, sigma_y, sigma_z} per spin,
     excluding the all-identity term.  Orthogonal under the trace inner
-    product with norm 2**n, so real coefficients are unique.  The matrices
-    are read-only views of one cached stack.
+    product with norm 2**n, so real coefficients are unique.  Each call
+    builds fresh, writable matrices; a protocol's design reads them once.
     """
-    return list(_basis(n_spins))
-
-
-@functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
-def _basis(n_spins: int) -> np.ndarray:
     _check_tomography_size(n_spins)
     factors = {"i": np.eye(2, dtype=complex), **PAULI}
     combos = list(itertools.product("ixyz", repeat=n_spins))[1:]  # all but the identity
-    ops = [functools.reduce(np.kron, [factors[c] for c in combo]) for combo in combos]
-    return _read_only(np.array(ops))
+    return [functools.reduce(np.kron, [factors[c] for c in combo]) for combo in combos]
 
 
 def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None) -> TomographyResult:
@@ -289,10 +282,9 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     n_records = len(protocol.settings) * len(protocol.transitions)
     if amps.shape != (n_records,):
         raise InputError(f"expected {n_records} amplitudes, one per record, got {amps.size} in shape {amps.shape}")
-    basis = _basis(system.n_spins)
     u, w, rank, condition_number = protocol.factors
-    if rank < len(basis):
-        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {len(basis)}")
+    if rank < system.dim**2 - 1:
+        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {system.dim**2 - 1}")
     y = np.concatenate((amps.real, amps.imag))
     # the misfit ||U c - y|| is at most ||y||, so a finite y.y keeps it finite
     with np.errstate(over="ignore"):

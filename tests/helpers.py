@@ -89,8 +89,11 @@ def two_spin_roots(system: core.SpinSystem, target: int) -> np.ndarray:
     d_1 != d_2 and sin s != 0 at every root.  With d_1 = d_2 = c instead, as
     at homonuclear-2's targets 00 and 11, p_a = D/3 fixes
     cos(s)**2 = (D/3 - c) / (d_a - c), and p_b1 = c + x sin(s)**2 (d_a - c)
-    is linear in x, so x = (D/3 - c) / (d_a - D/3) at every root.  The sin s = 0
-    branch, which homonuclear-2's targets 01 and 10 need, is not covered.
+    is linear in x, so x = (D/3 - c) / (d_a - D/3) at every root.  Where
+    sin s = 0, x drops out of p_a = d_a, so with d_a = D/3, as at
+    homonuclear-2's targets 01 and 10, s = pi adds the roots of the quadratic
+    p_b1 = (1 - 2x)**2 d_1 + 4x(1 - x) d_2 = D/3; larger multiples of pi
+    leave the box, and s = 0 is a root only if every population is D/3.
     Returns (R, 2) angles in degrees, in no particular order.
     """
     spec = prep.default_cascade(2, target)
@@ -126,6 +129,11 @@ def two_spin_roots(system: core.SpinSystem, target: int) -> np.ndarray:
         # a bracket around a pole of x, where sin s = 0, ends with x far outside [0, 1]
         s = 0.5 * (lo + hi)
         x = x_of(s)
+        # the quadratic is 4 (d_1 - d_2) (x**2 - x) + d_1 - D/3 = 0
+        disc = 1 - (d_1 - third) / (d_1 - d_2)
+        if d_a == third and disc >= 0:
+            s = np.append(s, [np.pi, np.pi])
+            x = np.append(x, 0.5 + np.array([0.5, -0.5]) * np.sqrt(disc))
     s, x = s[(x >= 0) & (x <= 1)], x[(x >= 0) & (x <= 1)]
     theta = np.degrees(2 * s[:, None] * np.sqrt(np.stack([x, 1 - x], axis=1)))
     return theta[theta.max(axis=1) < 360]

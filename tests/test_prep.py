@@ -132,6 +132,12 @@ def test_residual_input_checks():
         prep.solve_angles(presets.get_preset("homonuclear-3"), spec)
 
 
+def test_residual_checks_the_spin_count_before_building_a_propagator(monkeypatch):
+    monkeypatch.setattr(prep, "preparation_unitary", lambda *args: pytest.fail("propagator built"))
+    with pytest.raises(InputError, match="spin count"):
+        prep.residual((1.0, 2.0), presets.get_preset("homonuclear-3"), prep.default_cascade(2, 1))
+
+
 # ---------------------------------------------------------------------------
 # solver
 
@@ -730,21 +736,28 @@ def test_any_gamma_scale_keeps_the_roots_in_the_box(case, log_c):
 @pytest.mark.parametrize(
     "name, target, count",
     [pytest.param("chloroform", t, 2, id=str(t)) for t in range(1, 5)]
-    + [pytest.param("homonuclear-2", t, 3, id=f"homonuclear-2-{t}") for t in (1, 4)],
+    + [pytest.param("homonuclear-2", t, 3, id=f"homonuclear-2-{t}") for t in range(1, 5)],
 )
 def test_chloroform_roots_in_the_box_are_the_closed_form_roots(name, target, count):
     # a check that does not come from the solver: every oracle root is found,
     # and every root found inside [0, 360) is an oracle root; homonuclear-2's
-    # targets 00 and 11 take the oracle's d_1 = d_2 branch
+    # targets 00 and 11 take the oracle's d_1 = d_2 branch, and its targets 01
+    # and 10 the s = pi roots next to one regular one.  On s = pi, |theta| = 360
+    # degrees, p_a - D/3 = sin(s)**2 (x d_1 + (1 - x) d_2 - d_a) is quadratic in
+    # the distance and its last factor is sqrt 2 there, so a residual under
+    # newton_tol max|d| = 2e-11 leaves the solver up to 2 sqrt(2e-11 / sqrt 2)
+    # rad, about 4.3e-4 degrees, short of the root; every other root is simple
+    # and held to 1e-6 degrees
     system = presets.get_preset(name)
     spec = prep.default_cascade(2, target)
     want = two_spin_roots(system, target)
     assert len(want) == count
     assert np.abs(prep.residual(want, system, spec)).max() < 1e-12
     got = in_box(default_solve(name, target)[0].roots)
-    gap = np.abs(got[:, None] - want[None]).max(axis=2)
-    assert (gap.min(axis=0) < 1e-6).all()
-    assert (gap.min(axis=1) < 1e-6).all()
+    tol = np.where(np.isclose(np.hypot(*want.T), 360), 1e-3, 1e-6)
+    gap = np.abs(got[:, None] - want[None]).max(axis=2) / tol
+    assert (gap.min(axis=0) < 1).all()
+    assert (gap.min(axis=1) < 1).all()
 
 
 @pytest.mark.parametrize("name", ["chloroform", "hetero-3"])
