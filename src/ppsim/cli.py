@@ -5,8 +5,10 @@ found no root, 3 a contract violation (non-pseudo-pure input and friends).
 Errors are printed to stderr as single-line JSON {code, message, context}.
 
 Primary JSON output is canonical: keys sorted, floats at 10 significant
-digits, no whitespace variation, so identical inputs and seeds give byte
-identical output.  Matrices are nested arrays of [re, im] pairs.
+digits, no whitespace variation, so identical inputs, seeds and BLAS thread
+count give byte identical output.  Across thread counts the known exception
+is noiseless 4-spin tomo, whose printed round-off follows the last bits of
+its design's SVD.  Matrices are nested arrays of [re, im] pairs.
 """
 
 import argparse

@@ -292,10 +292,10 @@ def max_rel_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise InputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    scale = float(np.max(np.abs(b)))
+    scale = float(np.abs(b).max())
     if scale == 0.0:
         raise ContractError("relative error undefined: reference matrix is zero")
-    return float(np.max(np.abs(a - b))) / scale
+    return float(np.abs(a - b).max()) / scale
 
 
 def is_hermitian(A: np.ndarray, tol: float = 1e-12) -> bool:

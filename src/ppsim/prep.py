@@ -456,6 +456,7 @@ def solve_angles(
         raise InputError("system and cascade disagree on the spin count")
     if not math.isfinite(newton_tol) or newton_tol < 0:
         raise InputError(f"newton_tol must be finite and nonnegative, got {newton_tol}")
+    newton_tol = abs(newton_tol)  # -0.0 is 0, and the no-root message says so
     k = len(spec.steps)
     if grid_per_dim is None:
         grid_per_dim = 5 if k <= 2 else (3 if k <= 6 else 1)

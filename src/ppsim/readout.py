@@ -170,8 +170,11 @@ def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
     spectrum's lines equal the tomography records of its setting.
     """
     dim = len(rho)
-    blocks = np.stack((rho, 1j * rho), axis=1).view(float).reshape(2 * dim, 2 * dim)
-    rows = (protocol.left.view(float) @ blocks).view(complex)
+    # real row 2i holds row i of rho as (re, im) pairs and row 2i + 1 that of 1j rho, (-im, re)
+    blocks = np.empty((dim, 2, dim), dtype=complex)
+    blocks[:, 0] = rho
+    np.multiply(1j, rho, out=blocks[:, 1])
+    rows = (protocol.left.view(float) @ blocks.view(float).reshape(2 * dim, 2 * dim)).view(complex)
     return 2 * np.einsum("slb,slb->sl", rows, protocol.right).ravel()
 
 
@@ -247,7 +250,7 @@ def simulate_measurements(
         # one (real, imag) pair per line, drawn in record order
         z = np.random.default_rng(seed).standard_normal((len(amps), 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * (z[:, 0] + 1j * z[:, 1])
+            amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * z.view(complex)[:, 0]
         if not np.isfinite(amps).all():
             raise InputError(f"noise_sigma {noise_sigma!r} overflows the noisy amplitudes")
     return MeasurementSet(protocol, _read_only(amps), float(noise_sigma), seed)
@@ -283,16 +286,21 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     if amps.shape != (n_records,):
         raise InputError(f"expected {n_records} amplitudes, one per record, got {amps.size} in shape {amps.shape}")
     u, w, rank, condition_number = protocol.factors
-    if rank < system.dim**2 - 1:
-        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {system.dim**2 - 1}")
+    dim = system.dim
+    if rank < dim**2 - 1:
+        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {dim**2 - 1}")
     y = np.concatenate((amps.real, amps.imag))
     # the misfit ||U c - y|| is at most ||y||, so a finite y.y keeps it finite
     with np.errstate(over="ignore"):
         if not np.isfinite(y @ y):
             raise InputError("measured amplitudes must be finite with a finite sum of squares")
     c = u.T @ y
-    rho = (w @ c).reshape(system.dim, system.dim)
-    misfit = float(np.linalg.norm(u @ c - y))
+    # matmul casts a real operand of a complex product to a complex copy; doing
+    # it here skips the mixed-type dispatch and leaves the bits alone
+    rho = (w @ c.astype(complex)).reshape(dim, dim)
+    # what np.linalg.norm computes for a real vector: its dot and a correctly rounded sqrt
+    r = u @ c - y
+    misfit = math.sqrt(r @ r)
     err = None if reference is None else max_rel_error(rho, np.asarray(reference, dtype=complex))
     return TomographyResult(
         reconstructed=rho,

@@ -524,14 +524,16 @@ def test_exit_code_for_no_solution(capsys):
 
 
 def test_no_root_at_zero_tolerance_names_the_tolerance(capsys):
-    # the bound is strict, so even a residual of exactly 0 is no root at --tol 0
-    code, _, err = run_cli(
-        capsys, "solve", "--system", "homonuclear-2", "--target", "10", "--tol", "0"
-    )
-    assert code == 2
-    assert error_payload(err)["message"] == (
-        "no root found from 25 starts; best residual 0.000e+00 is not below the tolerance 0.000e+00"
-    )
+    # the bound is strict, so even a residual of exactly 0 is no root at --tol 0;
+    # -0.0 is the same tolerance and is named 0, not -0
+    for tol in ("0", "-0.0"):
+        code, _, err = run_cli(
+            capsys, "solve", "--system", "homonuclear-2", "--target", "10", "--tol", tol
+        )
+        assert code == 2
+        assert error_payload(err)["message"] == (
+            "no root found from 25 starts; best residual 0.000e+00 is not below the tolerance 0.000e+00"
+        )
 
 
 def test_no_root_after_the_recheck_says_what_it_rejected(capsys):

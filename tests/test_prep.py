@@ -760,6 +760,27 @@ def test_chloroform_roots_in_the_box_are_the_closed_form_roots(name, target, cou
     assert (gap.min(axis=1) < 1).all()
 
 
+def test_every_two_spin_root_in_the_box_is_a_closed_form_root():
+    # a sweep over seeded gamma pairs, magnitudes 10**U(-1, 1) with random
+    # signs, plus one pair where the 5 x 5 grid misses the in-box oracle root
+    # (143.50955894, 346.48599555) of target 10 (level 3) and returns the other
+    # two.  The grid need not find every root, so only the other direction is
+    # held: each in-box root the solver returns is an oracle root, to 1e-6
+    # degrees, or to 1e-3 degrees on an s = pi double root, where |theta| = 360
+    rng = np.random.default_rng(2026)
+    gammas = rng.choice([-1.0, 1.0], (30, 2)) * 10 ** rng.uniform(-1, 1, (30, 2))
+    for gamma in [*gammas.tolist(), [6.317290295800524, 6.557026247139524]]:
+        system = core.SpinSystem(gamma=tuple(gamma))
+        for target in range(1, 5):
+            spec = prep.default_cascade(2, target)
+            want = two_spin_roots(system, target)
+            assert np.abs(prep.residual(want, system, spec)).max() < 1e-12
+            got = in_box(prep.solve_angles(system, spec).roots)
+            tol = np.where(np.isclose(np.hypot(*want.T), 360), 1e-3, 1e-6)
+            gap = np.abs(got[:, None] - want[None]).max(axis=2) / tol
+            assert (gap.min(axis=1) < 1).all(), (gamma, target, got, want)
+
+
 @pytest.mark.parametrize("name", ["chloroform", "hetero-3"])
 def test_residual_of_a_stack_is_each_single_call_bit_for_bit(name):
     # solve_angles re-checks every root in one stack; each row must be what
@@ -898,10 +919,12 @@ def test_solver_orders_in_box_roots_first():
 
 
 def test_solver_reports_failure():
-    with pytest.raises(NoSolutionError):
-        prep.solve_angles(
-            presets.get_preset("homonuclear-2"), prep.default_cascade(2, 1), newton_tol=0.0
-        )
+    # -0.0 passes the nonnegativity check and is the tolerance 0, named as such
+    for tol in (0.0, -0.0):
+        with pytest.raises(NoSolutionError, match="is not below the tolerance 0.000e"):
+            prep.solve_angles(
+                presets.get_preset("homonuclear-2"), prep.default_cascade(2, 1), newton_tol=tol
+            )
 
 
 @pytest.mark.parametrize("name", ["homonuclear-3", "hetero-3"])

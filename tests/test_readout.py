@@ -264,6 +264,21 @@ def test_seeded_noise_is_pinned():
         assert records[i].amplitude == pytest.approx(amp, rel=1e-12, abs=1e-15)
 
 
+def test_noise_is_the_seeded_draw_added_to_the_clean_amplitudes():
+    # the contract behind the pinned values: one (real, imag) standard normal
+    # pair per record, in record order, scaled by noise_sigma times the largest
+    # thermal line amplitude 2 max|gamma|, bit for bit
+    for n, system in SYSTEMS_BY_SIZE.items():
+        rho = random_deviation(np.random.default_rng(200 + n), n)
+        clean = readout.simulate_measurements(rho, system).amplitudes
+        for sigma, seed in ((0.01, 0), (0.01, 31), (0.3, 2**32 + 5), (1e-9, 77)):
+            noisy = readout.simulate_measurements(rho, system, noise_sigma=sigma, seed=seed)
+            z = np.random.default_rng(seed).standard_normal((len(clean), 2))
+            scale = sigma * 2 * max(abs(g) for g in system.gamma)
+            want = clean + scale * (z[:, 0] + 1j * z[:, 1])
+            assert noisy.amplitudes.tobytes() == want.tobytes(), (n, sigma, seed)
+
+
 def test_records_match_an_independent_forward_model():
     # 2 (U rho U+)[k-1, m-1] with U built from spin operators, not the cached stack
     for n, system in SYSTEMS_BY_SIZE.items():
@@ -392,13 +407,14 @@ def test_reconstruct_matches_an_independent_lstsq():
         design = np.concatenate((A.real, A.imag))
         amps = np.array([rec.amplitude for rec in measured.records])
         y = np.concatenate((amps.real, amps.imag))
-        x, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+        x, sum_sq, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         result = readout.reconstruct(measured, system)
         assert result.rank == rank == len(basis)
         np.testing.assert_allclose(
             result.reconstructed, np.tensordot(x, np.array(basis), axes=1), rtol=0, atol=1e-12
         )
-        assert result.residual_norm == pytest.approx(np.linalg.norm(design @ x - y), abs=1e-12)
+        # the reported misfit is lstsq's, to round-off relative to its own size
+        assert result.residual_norm == pytest.approx(np.sqrt(sum_sq[0]), rel=1e-12, abs=0)
         s = np.linalg.svd(design, compute_uv=False)
         assert result.condition_number == pytest.approx(s[0] / s[-1], rel=1e-12)
 
