@@ -6,9 +6,10 @@ Errors are printed to stderr as single-line JSON {code, message, context}.
 
 Primary JSON output is canonical: keys sorted, floats at 10 significant
 digits, no whitespace variation, so identical inputs, seeds and BLAS thread
-count give byte identical output.  Across thread counts the known exception
-is noiseless 4-spin tomo, whose printed round-off follows the last bits of
-its design's SVD.  Matrices are nested arrays of [re, im] pairs.
+count give byte identical output.  Across thread counts only some outputs
+are checked; noiseless 4-spin tomo is a known exception, whose printed
+round-off follows the last bits of its design's SVD.  Matrices are nested
+arrays of [re, im] pairs.
 """
 
 import argparse

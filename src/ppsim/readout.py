@@ -295,9 +295,7 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
         if not np.isfinite(y @ y):
             raise InputError("measured amplitudes must be finite with a finite sum of squares")
     c = u.T @ y
-    # matmul casts a real operand of a complex product to a complex copy; doing
-    # it here skips the mixed-type dispatch and leaves the bits alone
-    rho = (w @ c.astype(complex)).reshape(dim, dim)
+    rho = (w @ c).reshape(dim, dim)
     # what np.linalg.norm computes for a real vector: its dot and a correctly rounded sqrt
     r = u @ c - y
     misfit = math.sqrt(r @ r)

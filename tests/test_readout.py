@@ -413,7 +413,8 @@ def test_reconstruct_matches_an_independent_lstsq():
         np.testing.assert_allclose(
             result.reconstructed, np.tensordot(x, np.array(basis), axes=1), rtol=0, atol=1e-12
         )
-        # the reported misfit is lstsq's, to round-off relative to its own size
+        assert result.residual_norm == pytest.approx(np.linalg.norm(design @ x - y), abs=1e-12)
+        # and it is lstsq's own misfit, to round-off relative to its size
         assert result.residual_norm == pytest.approx(np.sqrt(sum_sq[0]), rel=1e-12, abs=0)
         s = np.linalg.svd(design, compute_uv=False)
         assert result.condition_number == pytest.approx(s[0] / s[-1], rel=1e-12)
