@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 invalid input or parse failure, 2 the angle solver
 found no root, 3 a contract violation (non-pseudo-pure input and friends).
 Errors are printed to stderr as single-line JSON {code, message, context}.
 
-Primary JSON output is canonical: keys sorted, floats at 10 significant
+This module owns every file format: it reads system, state and program
+files, and main prints each command's payload, a dict as canonical JSON
+or text as is.  Canonical JSON has keys sorted, floats at 10 significant
 digits, no whitespace variation, so identical inputs, seeds and BLAS thread
 count give byte identical output.  Across thread counts only some outputs
 are checked; noiseless 4-spin tomo is a known exception, whose printed
@@ -23,7 +25,6 @@ import numpy as np
 from . import dsl, hogg, prep, readout
 from .core import (
     SpinSystem,
-    _json_numbers,
     bits_of,
     flipped_spin,
     level_of,
@@ -83,6 +84,20 @@ def matrix_to_json(M) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in M]
 
 
+def _json_numbers(value, ndim: int, what: str) -> np.ndarray:
+    """A float array from JSON arrays nested ndim deep whose leaves are JSON numbers.
+
+    Bools and strings are not numbers here, although float() would take them.
+    """
+    arr = np.asarray(value, dtype=object) if isinstance(value, list) else None
+    if arr is None or arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
+        raise InputError(f"malformed {what}: expected numbers in JSON arrays nested {ndim} deep")
+    try:
+        return arr.astype(float)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise InputError(f"{what} holds a number beyond the float range") from exc
+
+
 def matrix_from_json(data) -> np.ndarray:
     arr = _json_numbers(data, 3, "matrix")
     if arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
@@ -119,7 +134,13 @@ def load_system(name_or_path: str) -> SpinSystem:
             f"{name_or_path!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor a readable file"
         )
-    system = SpinSystem.from_dict(_read_json(name_or_path))
+    # a system file's object: 'gamma' and optional 'j_hz'; other keys are ignored
+    data = _read_json(name_or_path)
+    if not isinstance(data, dict) or "gamma" not in data:
+        raise InputError("spin system JSON must be an object with a 'gamma' array")
+    j_hz = data.get("j_hz")
+    system = SpinSystem(_json_numbers(data["gamma"], 1, "gamma"),
+                        None if j_hz is None else _json_numbers(j_hz, 2, "j_hz"))
     if system.n_spins > MAX_SPINS:
         raise InputError(f"system has {system.n_spins} spins, the limit is {MAX_SPINS}")
     return system
@@ -155,26 +176,27 @@ def _parse_angles(text: str) -> list[float]:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out_path is None:
-        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
-    else:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_solve(args, system: SpinSystem) -> str:
+def _cmd_solve(args, system: SpinSystem) -> dict:
     target = _target_level(args.target, system)
     spec = prep.default_cascade(system.n_spins, target)
     result = prep.solve_angles(
         system, spec, grid_per_dim=args.grid, newton_tol=args.tol
     )
-    payload = {
+    return {
         "target_level": target,
         "steps": [[s.m, s.k, flipped_spin(s.m, s.k, system.n_spins)] for s in spec.steps],
         "roots_deg": [list(r) for r in result.roots],
@@ -182,29 +204,23 @@ def _cmd_solve(args, system: SpinSystem) -> str:
         "starts_tried": result.starts_tried,
         "converged": [bool(c) for c in result.converged],
     }
-    return canonical_json(payload)
 
 
-def _cmd_prepare(args, system: SpinSystem) -> str:
+def _cmd_prepare(args, system: SpinSystem) -> dict:
     target = _target_level(args.target, system)
     angles = _parse_angles(args.angles) if args.angles is not None else None
     rho, solution = prep.prepare_pseudo_pure(system, target, angles)
-    payload = {
+    try:
+        part = prep.pure_part_at_scale(rho, system)._asdict()
+    except PpsimError:
+        part = None
+    return {
         "target_level": target,
         "target_bits": args.target,
         "angles_deg": list(solution.roots[0]) if solution else list(map(float, angles)),
         "matrix": matrix_to_json(rho),
+        "pure_part": part,
     }
-    try:
-        part = prep.pure_part_at_scale(rho, system)
-        payload["pure_part"] = {
-            "uniform_coeff": part.uniform_coeff,
-            "pure_coeff": part.pure_coeff,
-            "target": part.target,
-        }
-    except PpsimError:
-        payload["pure_part"] = None
-    return canonical_json(payload)
 
 
 def _initial_state(text: str, system: SpinSystem) -> np.ndarray:
@@ -217,16 +233,15 @@ def _initial_state(text: str, system: SpinSystem) -> np.ndarray:
     raise InputError(f"initial state must be 'thermal' or {system.n_spins} bits, got {text!r}")
 
 
-def _cmd_run(args, system: SpinSystem) -> str:
+def _cmd_run(args, system: SpinSystem) -> dict:
     program = dsl.parse(_read_text(args.program))
     seq = dsl.compile(program, system)
     rho = dsl.run(seq, _initial_state(args.initial, system))
-    payload = {
+    return {
         "initial": args.initial,
         "events": len(seq.events),
         "matrix": matrix_to_json(rho),
     }
-    return canonical_json(payload)
 
 
 def _cmd_spectrum(args, system: SpinSystem) -> str:
@@ -242,14 +257,14 @@ def _cmd_spectrum(args, system: SpinSystem) -> str:
     return "\n".join(lines)
 
 
-def _cmd_tomo(args, system: SpinSystem) -> str:
+def _cmd_tomo(args, system: SpinSystem) -> dict:
     rho = load_state(args.state, system)
     measured = readout.simulate_measurements(
         rho, system, noise_sigma=args.noise, seed=args.seed
     )
     # the maximally mixed state has no relative error; it is reported as null
     result = readout.reconstruct(measured, system, reference=rho if rho.any() else None)
-    payload = {
+    return {
         "matrix": matrix_to_json(result.reconstructed),
         "residual_norm": result.residual_norm,
         "settings_used": result.settings_used,
@@ -257,10 +272,9 @@ def _cmd_tomo(args, system: SpinSystem) -> str:
         "noise_sigma": measured.noise_sigma,
         "seed": measured.seed,
     }
-    return canonical_json(payload)
 
 
-def _cmd_hogg(args, system: SpinSystem) -> str:
+def _cmd_hogg(args, system: SpinSystem) -> dict:
     formula = hogg.parse_formula(args.formula)
     hogg.search_program(formula, system.n_spins)  # check the formula before any solve
     if args.state is not None:
@@ -269,7 +283,7 @@ def _cmd_hogg(args, system: SpinSystem) -> str:
         rho, _ = prep.prepare_pseudo_pure(system, target=1)
     rho_final, weights = hogg.hogg_run(rho, formula, system)
     n = system.n_spins
-    payload = {
+    return {
         "formula": hogg.formula_text(formula),
         "solution": hogg.satisfying_assignment(formula),
         "probabilities": {
@@ -277,7 +291,6 @@ def _cmd_hogg(args, system: SpinSystem) -> str:
         },
         "matrix": matrix_to_json(rho_final),
     }
-    return canonical_json(payload)
 
 
 def _cmd_plot(args, system: SpinSystem) -> str:
@@ -359,7 +372,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = args.command
-        _emit(args.fn(args, load_system(args.system)), args.out)
+        payload = args.fn(args, load_system(args.system))
+        _emit(payload if isinstance(payload, str) else canonical_json(payload), args.out)
         return EXIT_OK
     except NoSolutionError as exc:
         return _fail(EXIT_NO_SOLUTION, exc, command)

@@ -14,6 +14,7 @@ Conventions used throughout the package:
   is dropped everywhere.
 - Angles are radians inside the package; degrees appear only at file and
   command-line boundaries.
+- File formats, system files included, belong to :mod:`ppsim.cli`.
 """
 
 import math
@@ -80,31 +81,6 @@ class SpinSystem:
     def dim(self) -> int:
         return 2**self.n_spins
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpinSystem":
-        """A system file's object: 'gamma' and optional 'j_hz'; other keys are ignored."""
-        if not isinstance(data, dict) or "gamma" not in data:
-            raise InputError("spin system JSON must be an object with a 'gamma' array")
-        j_hz = data.get("j_hz")
-        return cls(
-            gamma=tuple(_json_numbers(data["gamma"], 1, "gamma")),
-            j_hz=None if j_hz is None else tuple(map(tuple, _json_numbers(j_hz, 2, "j_hz"))),
-        )
-
-
-def _json_numbers(value, ndim: int, what: str) -> np.ndarray:
-    """A float array from JSON arrays nested ndim deep whose leaves are JSON numbers.
-
-    Bools and strings are not numbers here, although float() would take them.
-    """
-    arr = np.asarray(value, dtype=object) if isinstance(value, list) else None
-    if arr is None or arr.ndim != ndim or not all(type(v) in (int, float) for v in arr.flat):
-        raise InputError(f"malformed {what}: expected numbers in JSON arrays nested {ndim} deep")
-    try:
-        return arr.astype(float)
-    except OverflowError as exc:  # an integer literal beyond the float range
-        raise InputError(f"{what} holds a number beyond the float range") from exc
-
 
 # ---------------------------------------------------------------------------
 # level bookkeeping
@@ -122,6 +98,8 @@ def bits_of(level: int, n_spins: int) -> str:
 
 
 def _check_level(level: int, n_spins: int) -> int:
+    if not isinstance(level, (int, np.integer)):
+        raise InputError(f"level must be an integer, got {level!r}")
     if not 1 <= level <= 2**n_spins:
         raise InputError(f"level {level} out of range 1..{2**n_spins}")
     return level
@@ -140,7 +118,7 @@ def flipped_spin(m: int, k: int, n_spins: int) -> int:
         raise InputError(
             f"transition ({m}, {k}) does not flip exactly one bit, not a resolvable line"
         )
-    return n_spins - d.bit_length() + 1
+    return n_spins - int(d).bit_length() + 1  # d may be a numpy integer
 
 
 def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
@@ -148,6 +126,8 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
 
     m runs over levels with the spin in state 0; k is the partner level.
     """
+    if not isinstance(spin, (int, np.integer)):
+        raise InputError(f"spin index must be an integer, got {spin!r}")
     if not 1 <= spin <= n_spins:
         raise InputError(f"spin index {spin} out of range 1..{n_spins}")
     stride = 2 ** (n_spins - spin)

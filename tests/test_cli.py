@@ -283,15 +283,19 @@ def test_out_file_holds_the_printed_bytes(capsys, chloroform_state, tmp_path, ar
 
 
 def test_system_loading_from_file(capsys, tmp_path):
-    # keys other than gamma and j_hz are ignored
+    # keys other than gamma and j_hz are ignored, whatever they hold
     path = tmp_path / "sys.json"
     path.write_text(json.dumps({
         "gamma": [1.4048, 5.5857], "j_hz": [[0, 214.95], [214.95, 0]],
-        "labels": ["C", "H"], "larmor_mhz": [125.77, 500.13],
+        "labels": ["C", "H"], "larmor_mhz": [125.77, float("nan")], "note": "chloroform",
     }))
+    assert cli.load_system(str(path)) == presets.get_preset("chloroform")
     code, out, _ = run_cli(capsys, "solve", "--system", str(path), "--target", "00")
     assert code == 0 and out
     assert out == run_cli(capsys, "solve", "--system", "chloroform", "--target", "00")[1]
+    path.write_text(json.dumps({"labels": ["C"]}))
+    with pytest.raises(errors.InputError, match="must be an object with a 'gamma' array"):
+        cli.load_system(str(path))
 
 
 def solve_gammas(capsys, tmp_path, gamma, *options):
@@ -560,6 +564,18 @@ def test_exit_code_for_contract_violations(capsys, tmp_path):
     assert code == 3
     payload = error_payload(err)
     assert payload["code"] == 3 and payload["context"]["command"] == "hogg"
+
+
+def test_prepare_exits_3_on_a_state_pseudo_pure_at_another_level(capsys, monkeypatch):
+    judge = prep.pure_part_at_scale
+    monkeypatch.setattr(
+        prep, "pure_part_at_scale", lambda rho, system: judge(rho, system)._replace(target=2)
+    )
+    code, out, err = run_cli(capsys, "prepare", "--system", "chloroform", "--target", "00")
+    assert code == 3 and out == ""
+    payload = error_payload(err)
+    assert payload["message"] == "prepared state is pseudo-pure at level 2, not 1"
+    assert payload["context"] == {"command": "prepare", "error": "NotPseudoPureError"}
 
 
 @pytest.mark.parametrize("error, code", [

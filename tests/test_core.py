@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim import core, presets
+from ppsim import core, presets, readout
 from ppsim.core import is_hermitian
 from ppsim.errors import ContractError, InputError, NotPseudoPureError
 
@@ -48,6 +48,23 @@ def test_flipped_spin():
             core.flipped_spin(m, k, 2)
 
 
+def test_levels_and_spins_must_be_integers():
+    # a float that compares equal to a valid index is still no level or spin;
+    # numpy integers are, and give the results Python integers give
+    system = presets.get_preset("chloroform")
+    for call in (lambda: core.flipped_spin(1.0, 2.0, 2), lambda: core.bits_of(np.float64(2), 2),
+                 lambda: core.generator([((1, 2.0), "x", 1.0)], 2)):
+        with pytest.raises(InputError, match="level must be an integer, got"):
+            call()
+    for call in (lambda: core.transitions_of_spin(1.0, 2),
+                 lambda: readout.readout_spectrum(core.thermal_deviation(system), 1.0, system)):
+        with pytest.raises(InputError, match="spin index must be an integer, got 1.0"):
+            call()
+    assert core.flipped_spin(np.int64(1), np.int32(2), 2) == core.flipped_spin(1, 2, 2) == 2
+    assert core.transitions_of_spin(np.int64(1), 2) == core.transitions_of_spin(1, 2)
+    assert core.bits_of(np.int64(2), 2) == "01"
+
+
 def test_spin_system_validation():
     with pytest.raises(InputError):
         core.SpinSystem(gamma=())
@@ -62,21 +79,13 @@ def test_spin_system_validation():
             core.SpinSystem(gamma=(1.0, 2.0), j_hz=((0.0, bad), (bad, 0.0)))
     with pytest.raises(InputError):
         core.SpinSystem(gamma=(1e308, 1e308))
-    # files must hold JSON numbers (see from_dict); Python callers pass any reals
+    # system files must hold JSON numbers (see cli.load_system); Python callers pass any reals
     assert core.SpinSystem((1, np.float32(2))).gamma == (1.0, 2.0)
 
 
 def test_get_preset_names_the_known_presets():
     with pytest.raises(InputError, match="unknown preset 'nope'; known presets: chloroform"):
         presets.get_preset("nope")
-
-
-def test_spin_system_from_dict_ignores_extra_keys():
-    data = {"gamma": [1.4048, 5.5857], "j_hz": [[0, 214.95], [214.95, 0]],
-            "labels": ["C"], "larmor_mhz": [float("nan")], "note": "chloroform"}
-    assert core.SpinSystem.from_dict(data) == presets.get_preset("chloroform")
-    with pytest.raises(InputError):
-        core.SpinSystem.from_dict({"labels": ["C"]})
 
 
 # ---------------------------------------------------------------------------
