@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim import core, presets, readout
+from ppsim import cli, core, presets, readout
 from ppsim.core import is_hermitian
 from ppsim.errors import ContractError, InputError, NotPseudoPureError
 
@@ -81,6 +83,19 @@ def test_spin_system_validation():
         core.SpinSystem(gamma=(1e308, 1e308))
     # system files must hold JSON numbers (see cli.load_system); Python callers pass any reals
     assert core.SpinSystem((1, np.float32(2))).gamma == (1.0, 2.0)
+
+
+def test_spin_system_from_dict_ignores_extra_keys(tmp_path):
+    # system files are parsed by cli.load_system; keys other than gamma and
+    # j_hz are ignored, whatever they hold, and an object without gamma is refused
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"gamma": [1.4048, 5.5857], "j_hz": [[0, 214.95], [214.95, 0]],
+                                "labels": ["C"], "larmor_mhz": [float("nan")],
+                                "note": "chloroform"}))
+    assert cli.load_system(str(path)) == presets.get_preset("chloroform")
+    path.write_text(json.dumps({"labels": ["C"]}))
+    with pytest.raises(InputError, match="must be an object with a 'gamma' array"):
+        cli.load_system(str(path))
 
 
 def test_get_preset_names_the_known_presets():
