@@ -9,9 +9,8 @@ files, and main prints each command's payload, a dict as canonical JSON
 or text as is.  Canonical JSON has keys sorted, floats at 10 significant
 digits, no whitespace variation, so identical inputs, seeds and BLAS thread
 count give byte identical output.  Across thread counts only some outputs
-are checked; noiseless 4-spin tomo is a known exception, whose printed
-round-off follows the last bits of its design's SVD.  Matrices are nested
-arrays of [re, im] pairs.
+are checked, noiseless 4-spin tomo among them; none is known to differ.
+Matrices are nested arrays of [re, im] pairs.
 """
 
 import argparse

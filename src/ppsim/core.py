@@ -98,7 +98,8 @@ def bits_of(level: int, n_spins: int) -> str:
 
 
 def _check_level(level: int, n_spins: int) -> int:
-    if not isinstance(level, (int, np.integer)):
+    # isinstance(True, int) holds, but a flag is not a level
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise InputError(f"level must be an integer, got {level!r}")
     if not 1 <= level <= 2**n_spins:
         raise InputError(f"level {level} out of range 1..{2**n_spins}")
@@ -126,7 +127,7 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
 
     m runs over levels with the spin in state 0; k is the partner level.
     """
-    if not isinstance(spin, (int, np.integer)):
+    if isinstance(spin, bool) or not isinstance(spin, (int, np.integer)):
         raise InputError(f"spin index must be an integer, got {spin!r}")
     if not 1 <= spin <= n_spins:
         raise InputError(f"spin index {spin} out of range 1..{n_spins}")

@@ -9,19 +9,20 @@ state 0 (a labeling convention, nothing downstream depends on it).
 
 Every amplitude comes from one forward model, :func:`_line_amplitudes`.
 Spectra and measurements apply it to the state; tomography applies it to
-the product-operator basis and inverts the resulting real linear map by
-least squares over every per-spin combination of {none, x90, y90} pulses.
+the product-operator basis to get a real linear map, under every per-spin
+combination of {none, x90, y90} pulses.  Those 3**n settings make the
+map's columns orthogonal, so tomography inverts it by back-projection
+(Chuang, Gershenfeld, Kubinec & Leung, Proc. R. Soc. Lond. A 454 (1998) 447).
 
 A protocol reads every line of the spins it is built for under each
 setting of a list.  A record is a row product, row k-1 of U times rho
 dotted with row m-1 of U*, so a protocol holds just those rows, left and
-right, of shape (settings, lines, dim).  It factors its design by SVD only
-when first reconstructed, with the basis folded in, so a reconstruction
-gives rho from two matrix-vector products.  Each register size's full
-tomography protocol, over every spin, is built once and cached as
-read-only arrays; a spectrum builds its one-setting protocol over its own
-spin's lines on each call.  A MeasurementSet is its protocol and one
-amplitude per record, so a reconstruction looks nothing up.
+right, of shape (settings, lines, dim).  Each register size's full
+tomography protocol, over every spin, is cached as read-only arrays with
+its design, built when first reconstructed; a spectrum builds its
+one-setting protocol over its own spin's lines on each call.  A
+MeasurementSet is its protocol and one amplitude per record, so a
+reconstruction looks nothing up.
 """
 
 import functools
@@ -121,22 +122,20 @@ class _Protocol:
         self.right = _read_only(propagators[:, m - 1].conj())
 
     @functools.cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """Thin SVD factors (u, w, rank, condition_number) of the design A.
+    def design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """The design A, its squared column norms g, the basis and A's condition number.
 
         Each record's amplitude applied to the basis gives two rows of A, its
-        real and imaginary parts.  With A = U diag(s) Vt cut to lstsq's rank,
-        u is U and lstsq(A, y) = Vt.T / s @ (u.T @ y).  w is the basis times
-        Vt.T / s, one row per entry of a dim x dim state, so w @ (u.T @ y)
-        is the least-squares state, flattened.
+        real and imaginary parts.  Only the full protocol's A is read: its
+        columns are orthogonal, so lstsq(A, y) = (A.T @ y) / g, and the basis,
+        one row per entry of a dim x dim state, turns that into the state.
         """
         basis = np.array(basis_operators(self.n_spins))
-        A = np.array([_line_amplitudes(B, self) for B in basis])
-        design = np.concatenate((A.real, A.imag), axis=1).T
-        u, s, vt = np.linalg.svd(design, full_matrices=False)
-        rank = int(np.sum(s > s[0] * max(design.shape) * np.finfo(float).eps))
-        w = basis.reshape(len(basis), -1).T @ (vt[:rank].T / s[:rank])
-        return _read_only(u[:, :rank]), _read_only(w), rank, float(s[0] / s[rank - 1])
+        amps = np.array([_line_amplitudes(B, self) for B in basis])
+        A = np.concatenate((amps.real, amps.imag), axis=1).T.copy()
+        g = np.einsum("rk,rk->k", A, A)
+        flat = basis.reshape(len(basis), -1).T.copy()
+        return _read_only(A), _read_only(g), _read_only(flat), math.sqrt(g.max() / g.min())
 
 
 @functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
@@ -180,11 +179,16 @@ def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
 
 def _state(rho, system: SpinSystem) -> np.ndarray:
     """rho as a complex array, checked against the system before it is read out."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.ascontiguousarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
-    if not np.isfinite(rho).all():
-        raise InputError("state has a non-finite entry")
+    # every partial sum of an amplitude, products of rho's real and imaginary
+    # parts with unit rows, is at most 8 dim**2 times the largest part, so
+    # under this bound none overflows; a nan part makes the max nan and fails
+    size = np.abs(rho.view(float)).max()
+    if not size <= sys.float_info.max / (8 * system.dim**2):
+        raise InputError("state has a non-finite entry" if not math.isfinite(size)
+                         else f"state has a real or imaginary part of size {size:.3e}, so its line amplitudes would overflow")
     return rho
 
 
@@ -202,8 +206,8 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
 
     pulse is one of 'none', 'x90', 'y90'.  Frequencies are offsets from the
     spin's carrier and are only filled in for two-spin systems with a
-    J coupling; otherwise they are None.  A state with a non-finite entry
-    raises InputError.
+    J coupling; otherwise they are None.  A state with a non-finite entry,
+    or one so large that an amplitude would overflow, raises InputError.
     """
     n = system.n_spins
     rho = _state(rho, system)
@@ -234,8 +238,8 @@ def simulate_measurements(
     added to the real and imaginary part of each amplitude.  The seed used
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.  A given seed must be a nonnegative integer.
-    A state with a non-finite entry, and noise that leaves any amplitude
-    non-finite, raise InputError.
+    A state with a non-finite entry or one so large that an amplitude would
+    overflow, and noise that leaves any amplitude non-finite, raise InputError.
     """
     if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
         raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
@@ -271,12 +275,12 @@ def basis_operators(n_spins: int) -> list[np.ndarray]:
 
 
 def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None) -> TomographyResult:
-    """Least-squares inversion of recorded line amplitudes.
+    """Least-squares inversion of recorded line amplitudes, by back-projection.
 
-    The protocol's design is factored on its first reconstruction and kept.
-    Its rank is checked, so an incomplete protocol fails loudly instead of
-    silently projecting.  Records of another spin count, and amplitudes not
-    one per record, not finite or whose sum of squares overflows, raise InputError.
+    Only the full protocol that simulate_measurements records is read, and
+    its design is built on first use; another protocol raises ContractError.
+    Records of another spin count, and amplitudes not one per record, not
+    finite or whose sum of squares overflows, raise InputError.
     """
     protocol = measurements.protocol
     if protocol.n_spins != system.n_spins:
@@ -285,26 +289,25 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     n_records = len(protocol.settings) * len(protocol.transitions)
     if amps.shape != (n_records,):
         raise InputError(f"expected {n_records} amplitudes, one per record, got {amps.size} in shape {amps.shape}")
-    u, w, rank, condition_number = protocol.factors
-    dim = system.dim
-    if rank < dim**2 - 1:
-        raise ContractError(f"measurement protocol incomplete: design rank {rank} < {dim**2 - 1}")
+    if protocol is not _protocol(system.n_spins):
+        raise ContractError("only the full tomography protocol, every setting read on every spin, is reconstructed")
+    A, g, basis, condition_number = protocol.design
     y = np.concatenate((amps.real, amps.imag))
-    # the misfit ||U c - y|| is at most ||y||, so a finite y.y keeps it finite
+    # A c is y's orthogonal projection, so a finite y.y keeps the misfit ||A c - y|| finite
     with np.errstate(over="ignore"):
         if not np.isfinite(y @ y):
             raise InputError("measured amplitudes must be finite with a finite sum of squares")
-    c = u.T @ y
-    rho = (w @ c).reshape(dim, dim)
+    c = (y @ A) / g
+    rho = (basis @ c).reshape(system.dim, system.dim)
     # what np.linalg.norm computes for a real vector: its dot and a correctly rounded sqrt
-    r = u @ c - y
+    r = A @ c - y
     misfit = math.sqrt(r @ r)
     err = None if reference is None else max_rel_error(rho, np.asarray(reference, dtype=complex))
     return TomographyResult(
         reconstructed=rho,
         residual_norm=misfit,
         settings_used=len(protocol.settings),
-        rank=rank,
+        rank=len(g),
         condition_number=condition_number,
         max_rel_error=err,
     )
@@ -340,7 +343,8 @@ def render_stick_svg(spectra) -> str:
                 x = pad + (width - 2 * pad) * (0.5 + line.freq_hz / span)
             else:
                 x = pad + (width - 2 * pad) * (idx + 1) / (len(sp.lines) + 1)
-            h = (panel_height - 50.0) * abs(line.amplitude) / amp_max
+            # the ratio first, so an amplitude near the float limit cannot overflow
+            h = (panel_height - 50.0) * (abs(line.amplitude) / amp_max)
             parts.append(
                 f'<line x1="{x:.2f}" y1="{base}" x2="{x:.2f}" y2="{base - h:.2f}" '
                 'stroke="steelblue" stroke-width="2"/>'

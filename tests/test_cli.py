@@ -413,6 +413,9 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         # json writes these as the bare tokens NaN and Infinity, which it also reads
         rows = [[[bad if i == j == 0 else 0.0, 0.0] for j in range(4)] for i in range(4)]
         path.write_text(json.dumps({"matrix": rows}))
+    # finite entries whose line amplitudes would overflow
+    huge_state = tmp_path / "huge_state.json"
+    huge_state.write_text(json.dumps({"matrix": [[[1e308, 1e308]] * 4] * 4}))
     cases = [
         ("run", "--system", "chloroform", "--program", str(tmp_path / "missing.pp")),
         ("solve", "--system", "chloroform", "--target", "001"),
@@ -465,6 +468,9 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         ("tomo", "--system", "chloroform", "--state", str(nan_state)),
         ("hogg", "--system", "chloroform", "--formula", "V1&V2", "--state", str(nan_state)),
         ("plot", "--system", "chloroform", "--state", str(nan_state)),
+        ("tomo", "--system", "chloroform", "--state", str(huge_state)),
+        ("spectrum", "--system", "chloroform", "--state", str(huge_state), "--spin", "1"),
+        ("plot", "--system", "chloroform", "--state", str(huge_state)),
         *(("solve", "--system", str(path), "--target", "00") for path in not_numbers),
         ("spectrum", "--system", "chloroform", "--state", str(text_state), "--spin", "1"),
         ("tomo", "--system", "chloroform", "--state", str(text_state)),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim import cli, core, presets, readout
+from ppsim import cli, core, prep, presets, readout
 from ppsim.core import is_hermitian
 from ppsim.errors import ContractError, InputError, NotPseudoPureError
 
@@ -55,13 +55,18 @@ def test_levels_and_spins_must_be_integers():
     # numpy integers are, and give the results Python integers give
     system = presets.get_preset("chloroform")
     for call in (lambda: core.flipped_spin(1.0, 2.0, 2), lambda: core.bits_of(np.float64(2), 2),
-                 lambda: core.generator([((1, 2.0), "x", 1.0)], 2)):
+                 lambda: core.generator([((1, 2.0), "x", 1.0)], 2),
+                 # True == 1, but a flag is no level either
+                 lambda: core.flipped_spin(True, 2, 2), lambda: core.bits_of(True, 2),
+                 lambda: core.generator([((True, 2), "x", 1.0)], 2)):
         with pytest.raises(InputError, match="level must be an integer, got"):
             call()
-    for call in (lambda: core.transitions_of_spin(1.0, 2),
-                 lambda: readout.readout_spectrum(core.thermal_deviation(system), 1.0, system)):
-        with pytest.raises(InputError, match="spin index must be an integer, got 1.0"):
-            call()
+    for bad in (1.0, True):
+        for call in (lambda: core.transitions_of_spin(bad, 2),
+                     lambda: readout.readout_spectrum(core.thermal_deviation(system), bad, system),
+                     lambda: prep.default_cascade(2, bad)):
+            with pytest.raises(InputError, match=f"(spin index|level) must be an integer, got {bad}"):
+                call()
     assert core.flipped_spin(np.int64(1), np.int32(2), 2) == core.flipped_spin(1, 2, 2) == 2
     assert core.transitions_of_spin(np.int64(1), 2) == core.transitions_of_spin(1, 2)
     assert core.bits_of(np.int64(2), 2) == "01"

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 
 import numpy as np
@@ -141,6 +142,28 @@ def test_non_finite_states_are_rejected_before_readout():
             readout.simulate_measurements(rho, system, noise_sigma=0.1, seed=1)
         with pytest.raises(InputError, match="state has a non-finite entry"):
             readout.readout_spectrum(rho, 1, system, "x90")
+
+
+def test_states_whose_amplitudes_would_overflow_are_rejected():
+    # finite entries can still overflow the line amplitudes; the bound on the
+    # largest real or imaginary part keeps every amplitude finite below it
+    for n, system in SYSTEMS_BY_SIZE.items():
+        limit = np.finfo(float).max / (8 * system.dim**2)
+        for scale in (limit, np.nextafter(limit, np.inf)):
+            for part in (1, 1j):
+                rho = np.full((system.dim, system.dim), scale * part)
+                if scale > limit:
+                    with pytest.raises(InputError, match="line amplitudes would overflow"):
+                        readout.readout_spectrum(rho, 1, system, "x90")
+                    with pytest.raises(InputError, match="line amplitudes would overflow"):
+                        readout.simulate_measurements(rho, system)
+                    continue
+                spectra = [readout.readout_spectrum(rho, spin, system, pulse)
+                           for spin in range(1, n + 1) for pulse in readout.READOUT_PULSES]
+                assert all(np.isfinite(line.amplitude) for sp in spectra for line in sp.lines)
+                svg = render_stick_svg(spectra)
+                assert "inf" not in svg and "nan" not in svg
+                assert np.isfinite(readout.simulate_measurements(rho, system).amplitudes).all()
 
 
 def test_tomography_settings_counts():
@@ -385,8 +408,8 @@ def test_cached_arrays_are_read_only():
     measured = readout.simulate_measurements(rho, system)
     readout.reconstruct(measured, system)
     protocol = measured.protocol
-    u, w, _, _ = protocol.factors
-    for cached in (protocol.left, protocol.right, u, w, measured.amplitudes):
+    A, g, basis, _ = protocol.design
+    for cached in (protocol.left, protocol.right, A, g, basis, measured.amplitudes):
         with pytest.raises(ValueError):
             cached[0] = 1
     assert readout.reconstruct(measured, system, reference=rho).max_rel_error < 1e-10
@@ -461,13 +484,14 @@ def test_reconstructions_are_exactly_hermitian():
             assert not np.diagonal(r).imag.any()
 
 
-def test_settings_subsets_reconstruct_at_full_rank():
-    # fewer settings than 3**n can still pin down every product operator
+def test_settings_subsets_raise_a_contract_error():
+    # back-projection inverts the full protocol only; a subset of its settings,
+    # even one that pins down every product operator, is not reconstructed
     cases = (
-        (1, (("none",), ("x90",)), 2**0.5),
-        (2, (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none")), 2.0),
+        (1, (("none",), ("x90",))),
+        (2, (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none"))),
     )
-    for n, subset, cond in cases:
+    for n, subset in cases:
         system = SYSTEMS_BY_SIZE[n]
         rho = random_deviation(np.random.default_rng(61 + n), n)
         full = readout.simulate_measurements(rho, system)
@@ -475,11 +499,32 @@ def test_settings_subsets_reconstruct_at_full_rank():
         protocol = readout._Protocol(n, subset, range(1, n + 1))
         measured = readout.MeasurementSet(protocol, amplitudes, 0.0, None)
         assert [r.setting for r in measured.records[::n * 2 ** (n - 1)]] == list(subset)
-        result = readout.reconstruct(measured, system, reference=rho)
-        assert result.max_rel_error < 1e-10
-        assert result.settings_used == len(subset)
+        with pytest.raises(ContractError, match="only the full tomography protocol"):
+            readout.reconstruct(measured, system)
+        # nor is a fresh copy of the full protocol: only the cached one is read
+        copy = readout._Protocol(n, full.protocol.settings, range(1, n + 1))
+        with pytest.raises(ContractError, match="only the full tomography protocol"):
+            readout.reconstruct(readout.MeasurementSet(copy, full.amplitudes, 0.0, None), system)
+
+
+def test_full_designs_are_orthogonal_with_closed_form_norms():
+    # under {none, x90, y90} a spin's diagonal readout has Gram diag(6, 2, 2, 2)
+    # over (I, X, Y, Z) and the read spin's coherence diag(0, 2, 2, 2), so the
+    # Pauli product P has g_P = 4 sum_{j: P_j != I} 2 prod_{i != j} (6 if P_i = I else 2)
+    for n, system in SYSTEMS_BY_SIZE.items():
+        A, g, _, _ = readout._protocol(n).design
+        gram = A.T @ A
+        off = gram - np.diag(np.diagonal(gram))
+        assert np.abs(off).max() <= 1e-14 * np.diagonal(gram).max()
+        # in basis_operators order, every Pauli product but the identity
+        want = [4 * sum(2 * math.prod(6 if p[i] == "i" else 2 for i in range(n) if i != j)
+                        for j in range(n) if p[j] != "i")
+                for p in list(itertools.product("ixyz", repeat=n))[1:]]
+        np.testing.assert_allclose(np.diagonal(gram), want, rtol=1e-13)
+        np.testing.assert_allclose(g, want, rtol=1e-13)
+        result = readout.reconstruct(readout.simulate_measurements(core.thermal_deviation(system), system), system)
         assert result.rank == 4**n - 1
-        assert result.condition_number == pytest.approx(cond, rel=1e-9)
+        assert result.condition_number == pytest.approx((3 ** (n - 1) / n) ** 0.5, rel=1e-12)
 
 
 @st.composite
