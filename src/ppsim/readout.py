@@ -1,7 +1,7 @@
 """Simulated readout: stick spectra, tomography, and noise injection.
 
-Reading pulses are ideal hard rotations, one :func:`core.generator` pulse
-on each line of the pulsed spin.  A line amplitude for the transition
+Reading pulses are ideal hard rotations, a Kronecker product of one 2x2
+rotation per spin.  A line amplitude for the transition
 (m, k) is twice the single-quantum coherence rho[k, m] after the pulse;
 for a two-spin weakly coupled system each spin shows a doublet at +-J/2
 around its carrier, with the +J/2 line belonging to the partner spin in
@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# evolve is not called here, but perfbench/tracing.py patches it by name
-from .core import PAULI, SpinSystem, evolve, expm_unitary, generator, max_rel_error, transitions_of_spin  # noqa: F401
+# evolve and expm_unitary are not called here, but perfbench/tracing.py patches them by name
+from .core import PAULI, SpinSystem, evolve, expm_unitary, max_rel_error, transitions_of_spin  # noqa: F401
 from .errors import ContractError, InputError
 
 READOUT_PULSES = ("none", "x90", "y90")
@@ -91,18 +91,18 @@ def _check_tomography_size(n_spins: int) -> None:
 
 
 def setting_unitary(setting, n_spins: int) -> np.ndarray:
-    """Propagator for simultaneous hard readout pulses, one entry per spin."""
+    """Propagator for simultaneous hard readout pulses, one entry per spin, as a fresh array."""
     setting = tuple(setting)
     if len(setting) != n_spins:
         raise InputError(f"expected {n_spins} pulse entries, got {len(setting)}")
-    pulses = []
-    for i, pulse in enumerate(setting, start=1):
+    factors = [np.ones((1, 1), dtype=complex)]
+    for pulse in setting:
         if pulse not in READOUT_PULSES:
             raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
-        if pulse != "none":
-            # "x90" and "y90" rotate about the axis their name starts with
-            pulses += [(t, pulse[0], np.pi / 2) for t in transitions_of_spin(i, n_spins)]
-    return expm_unitary(generator(pulses, n_spins))
+        # exp(-i (pi/4) sigma) = (I - i sigma) / sqrt(2) turns the spin 90 degrees about sigma's axis
+        factors.append(np.eye(2) if pulse == "none" else (np.eye(2) - 1j * PAULI[pulse[0]]) / math.sqrt(2))
+    # spin 1 is the most significant bit, so its factor is the leftmost
+    return functools.reduce(np.kron, factors)
 
 
 class _Protocol:
@@ -177,8 +177,8 @@ def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
     return 2 * np.einsum("slb,slb->sl", rows, protocol.right).ravel()
 
 
-def _state(rho, system: SpinSystem) -> np.ndarray:
-    """rho as a complex array, checked against the system before it is read out."""
+def _state(rho, system: SpinSystem) -> tuple[np.ndarray, float]:
+    """rho as a complex array, checked against the system before it is read out, and its largest part."""
     rho = np.ascontiguousarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
@@ -189,7 +189,7 @@ def _state(rho, system: SpinSystem) -> np.ndarray:
     if not size <= sys.float_info.max / (8 * system.dim**2):
         raise InputError("state has a non-finite entry" if not math.isfinite(size)
                          else f"state has a real or imaginary part of size {size:.3e}, so its line amplitudes would overflow")
-    return rho
+    return rho, size
 
 
 def _line_freqs(system: SpinSystem) -> tuple[float, float] | None:
@@ -210,7 +210,7 @@ def readout_spectrum(rho: np.ndarray, spin: int, system: SpinSystem, pulse: str 
     or one so large that an amplitude would overflow, raises InputError.
     """
     n = system.n_spins
-    rho = _state(rho, system)
+    rho, _ = _state(rho, system)
     setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
     protocol = _Protocol(n, (setting,), (spin,))
     amps = _line_amplitudes(rho, protocol)
@@ -238,15 +238,23 @@ def simulate_measurements(
     added to the real and imaginary part of each amplitude.  The seed used
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.  A given seed must be a nonnegative integer.
-    A state with a non-finite entry or one so large that an amplitude would
-    overflow, and noise that leaves any amplitude non-finite, raise InputError.
+    A state with a non-finite entry, one so large that an amplitude or the
+    records' sum of squares could overflow, and noise that leaves any
+    amplitude non-finite raise InputError.
     """
     if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
         raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
     if seed is not None and not _in_range(seed, (int, np.integer), math.inf):
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
-    rho = _state(rho, system)
+    rho, size = _state(rho, system)
     protocol = _protocol(system.n_spins)
+    # each setting's lines hold at most half of ||U rho U+||_F**2 = ||rho||_F**2, times 4, so
+    # the sum of squares that reconstruct reads is at most 2 * 3**n * ||rho||_F**2; this bound
+    # leaves it a factor 2 for round-off.  ||rho||_F <= sqrt(2) dim size, so only a state
+    # near the bound has its norm taken, scaled by size so that it cannot overflow
+    bound = math.sqrt(sys.float_info.max / (4 * 3**system.n_spins))
+    if size > bound / (math.sqrt(2) * system.dim) and not size * np.linalg.norm(rho / size) <= bound:
+        raise InputError(f"state has a Frobenius norm over {bound:.3e}, so its tomography records' sum of squares could overflow")
     amps = _line_amplitudes(rho, protocol)
     if noise_sigma > 0:
         if seed is None:

@@ -32,6 +32,14 @@ def is_unitary(U: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(U @ U.conj().T - np.eye(U.shape[0]))) <= tol)
 
 
+def reference_setting_unitary(setting, n_spins: int) -> np.ndarray:
+    """A readout setting's propagator from a dense generator: one core.generator pulse per line of each pulsed spin."""
+    pulses = [(t, pulse[0], np.pi / 2)
+              for i, pulse in enumerate(setting, start=1) if pulse != "none"
+              for t in core.transitions_of_spin(i, n_spins)]
+    return core.expm_unitary(core.generator(pulses, n_spins))
+
+
 def walsh(n_spins: int) -> np.ndarray:
     """The n-spin Walsh transform, a Kronecker power of the Hadamard matrix."""
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -490,6 +490,23 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
     code, _, _ = run_cli(capsys, "tomo", "--system", "chloroform", "--state", chloroform_state,
                          "--noise", "1e150", "--seed", "1")
     assert code == 0
+    # finite states whose tomography records' sum of squares would overflow are
+    # rejected as states; a spectrum or plot of them reads one setting and succeeds
+    diagonal = write_state(tmp_path, 1e306 * np.eye(4), "diagonal_1e306.json")
+    pairs = {}
+    for exponent in (153, 154):
+        rho = np.zeros((4, 4))
+        rho[0, 1] = rho[1, 0] = 10.0**exponent
+        pairs[exponent] = write_state(tmp_path, rho, f"pair_1e{exponent}.json")
+    for state in (diagonal, pairs[154]):
+        code, _, err = run_cli(capsys, "tomo", "--system", "chloroform", "--state", state)
+        assert code == 1
+        assert error_payload(err)["message"].startswith("state has a Frobenius norm over"), err
+    code, _, _ = run_cli(capsys, "tomo", "--system", "chloroform", "--state", pairs[153])
+    assert code == 0
+    for state in (diagonal, *pairs.values()):
+        assert run_cli(capsys, "spectrum", "--system", "chloroform", "--state", state, "--spin", "1")[0] == 0
+        assert run_cli(capsys, "plot", "--system", "chloroform", "--state", state)[0] == 0
 
 
 def test_exit_code_for_parse_errors(capsys, tmp_path):

@@ -13,7 +13,7 @@ from ppsim import core, prep, presets, readout
 from ppsim.errors import ContractError, InputError
 from ppsim.readout import basis_operators, render_stick_svg, setting_unitary
 
-from helpers import spin_op
+from helpers import reference_setting_unitary, spin_op
 
 
 def random_deviation(rng, n_spins):
@@ -48,6 +48,20 @@ def test_setting_unitary():
         setting_unitary(("x90",), 2)
     with pytest.raises(InputError):
         setting_unitary(("x45", "none"), 2)
+
+
+def test_setting_unitaries_match_the_dense_generator_reference():
+    # every setting of 1-4 spins, and a seeded sample of 5-8-spin settings
+    rng = np.random.default_rng(41)
+    cases = [(s, n) for n in range(1, 5) for s in itertools.product(readout.READOUT_PULSES, repeat=n)]
+    cases += [(tuple(rng.choice(readout.READOUT_PULSES, n)), n) for n in range(5, 9) for _ in range(4)]
+    for setting, n in cases:
+        U = setting_unitary(setting, n)
+        assert np.abs(U - reference_setting_unitary(setting, n)).max() <= 1e-14, setting
+        assert np.abs(U @ U.conj().T - np.eye(2**n)).max() <= 1e-14, setting
+        # a fresh, writable array on each call
+        U[0, 0] = 7
+        assert setting_unitary(setting, n)[0, 0] != 7
 
 
 def test_spectrum_of_prepared_state_has_one_line_per_spin():
@@ -163,7 +177,27 @@ def test_states_whose_amplitudes_would_overflow_are_rejected():
                 assert all(np.isfinite(line.amplitude) for sp in spectra for line in sp.lines)
                 svg = render_stick_svg(spectra)
                 assert "inf" not in svg and "nan" not in svg
-                assert np.isfinite(readout.simulate_measurements(rho, system).amplitudes).all()
+                # its records' sum of squares would overflow, which tomography's own bound catches
+                with pytest.raises(InputError, match="state has a Frobenius norm over"):
+                    readout.simulate_measurements(rho, system)
+
+
+def test_states_too_large_for_tomography_are_rejected():
+    # under the bound on the Frobenius norm the records' sum of squares, which
+    # reconstruct reads, stays finite; just over it the state is rejected
+    for n, system in SYSTEMS_BY_SIZE.items():
+        bound = math.sqrt(np.finfo(float).max / (4 * 3**n))
+        for seed in range(3):
+            rho = random_deviation(np.random.default_rng(120 + seed), n)
+            rho *= bound * (1 - 1e-12) / np.linalg.norm(rho)
+            measured = readout.simulate_measurements(rho, system)
+            y = measured.amplitudes.view(float)
+            assert np.isfinite(y @ y)
+            result = readout.reconstruct(measured, system)
+            assert np.isfinite(result.residual_norm)
+            assert np.abs(result.reconstructed - rho).max() <= 1e-12 * np.abs(rho).max()
+            with pytest.raises(InputError, match="state has a Frobenius norm over"):
+                readout.simulate_measurements(rho * (1 + 1e-11), system)
 
 
 def test_tomography_settings_counts():
@@ -215,14 +249,15 @@ def test_spectra_are_slices_of_the_tomography_records():
 
 def test_spectra_above_the_tomography_cap_are_conjugated_coherences():
     # no tomography records exist beyond 4 spins to compare with, so each
-    # line is held to 2 (U rho U+)[k - 1, m - 1] from a dense conjugation
-    for n in (5, 6):
+    # line is held to 2 (U rho U+)[k - 1, m - 1] from a dense conjugation,
+    # with U from a dense generator
+    for n in range(5, 9):
         system = core.SpinSystem(gamma=tuple(range(1, n + 1)))
         rho = random_deviation(np.random.default_rng(90 + n), n)
         for spin in range(1, n + 1):
             for pulse in readout.READOUT_PULSES:
                 setting = tuple(pulse if i == spin else "none" for i in range(1, n + 1))
-                want = core.evolve(rho, setting_unitary(setting, n))
+                want = core.evolve(rho, reference_setting_unitary(setting, n))
                 lines = readout.readout_spectrum(rho, spin, system, pulse).lines
                 assert [line.transition for line in lines] == core.transitions_of_spin(spin, n)
                 for line in lines:
