@@ -178,7 +178,7 @@ def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
 
 
 def _state(rho, system: SpinSystem) -> tuple[np.ndarray, float]:
-    """rho as a complex array, checked against the system before it is read out, and its largest part."""
+    """rho as a complex array, checked against the system before it is read out, and its largest real or imaginary part."""
     rho = np.ascontiguousarray(rho, dtype=complex)
     if rho.shape != (system.dim, system.dim):
         raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
@@ -238,9 +238,8 @@ def simulate_measurements(
     added to the real and imaginary part of each amplitude.  The seed used
     is recorded; when omitted, a fresh one is drawn so reruns can be
     reproduced from the result.  A given seed must be a nonnegative integer.
-    A state with a non-finite entry, one so large that an amplitude or the
-    records' sum of squares could overflow, and noise that leaves any
-    amplitude non-finite raise InputError.
+    A state with a non-finite entry or too large for its records to stay
+    finite, and noise that leaves any amplitude non-finite, raise InputError.
     """
     if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
         raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
@@ -248,9 +247,9 @@ def simulate_measurements(
         raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     rho, size = _state(rho, system)
     protocol = _protocol(system.n_spins)
-    # each setting's lines hold at most half of ||U rho U+||_F**2 = ||rho||_F**2, times 4, so
-    # the sum of squares that reconstruct reads is at most 2 * 3**n * ||rho||_F**2; this bound
-    # leaves it a factor 2 for round-off.  ||rho||_F <= sqrt(2) dim size, so only a state
+    # a setting's records are 2 (U rho U+)[k-1, m-1] over distinct level pairs, so the squares
+    # of all 3**n settings' records, which reconstruct sums, total at most 2 * 3**n * ||rho||_F**2;
+    # the bound leaves a factor 2 for round-off.  ||rho||_F <= sqrt(2) dim size, so only a state
     # near the bound has its norm taken, scaled by size so that it cannot overflow
     bound = math.sqrt(sys.float_info.max / (4 * 3**system.n_spins))
     if size > bound / (math.sqrt(2) * system.dim) and not size * np.linalg.norm(rho / size) <= bound:
