@@ -248,11 +248,11 @@ def simulate_measurements(
     rho, size = _state(rho, system)
     protocol = _protocol(system.n_spins)
     # a setting's records are 2 (U rho U+)[k-1, m-1] over distinct level pairs, so the squares
-    # of all 3**n settings' records, which reconstruct sums, total at most 2 * 3**n * ||rho||_F**2;
-    # the bound leaves a factor 2 for round-off.  ||rho||_F <= sqrt(2) dim size, so only a state
+    # of all S settings' records, which reconstruct sums, total at most 2 S ||rho||_F**2; the
+    # bound leaves a factor 2 for round-off.  ||rho||_F <= sqrt(2) dim size, so only a state
     # near the bound has its norm taken, scaled by size so that it cannot overflow
-    bound = math.sqrt(sys.float_info.max / (4 * 3**system.n_spins))
-    if size > bound / (math.sqrt(2) * system.dim) and not size * np.linalg.norm(rho / size) <= bound:
+    bound = math.sqrt(sys.float_info.max / (4 * len(protocol.settings)))
+    if size > bound / (math.sqrt(2) * len(rho)) and not size * np.linalg.norm(rho / size) <= bound:
         raise InputError(f"state has a Frobenius norm over {bound:.3e}, so its tomography records' sum of squares could overflow")
     amps = _line_amplitudes(rho, protocol)
     if noise_sigma > 0:
