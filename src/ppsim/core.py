@@ -5,9 +5,9 @@ Conventions used throughout the package:
 - Basis states are labeled by bit strings with spin 1 as the most
   significant bit.  Energy levels are numbered from 1, so for two spins
   |00> -> 1, |01> -> 2, |10> -> 3, |11> -> 4.
-- :func:`generator` builds every pulse: angle a on the line (m, k) adds
-  a * sigma_axis/2 into the 2x2 block of levels m and k, and a hard pulse
-  on a spin is that sum over every line of the spin.
+- :func:`generator` builds cascade and program pulses: angle a on the line
+  (m, k) adds a * sigma_axis/2 into the 2x2 block of levels m and k, and a
+  hard pulse on a spin is that sum over every line of the spin.
 - A deviation matrix is the traceless part of a density matrix, in the
   units where thermal equilibrium reads sum_i gamma_i * sigma_z(spin i).
   The uniform background is invisible to every readout modeled here and
