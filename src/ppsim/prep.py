@@ -50,7 +50,10 @@ SLOW_ITERS = 5
 #: homonuclear-3 and hetero-3 at target 000 (49.9k against 44.2k, and 81.8k
 #: with halving down to 1e-6).
 _STEP_SCALES = 0.5 ** np.arange(8)
-#: Largest number of grid starts solve_angles will build.
+#: Largest number of grid starts solve_angles will build.  A solve is one
+#: Newton block, so this also bounds its memory: the largest grids under it
+#: grow peak RSS by about 106 MB at 2 spins (--grid 316), 153 MB at 3
+#: (--grid 6) and 323 MB at 4 (--grid 2), the first Jacobian being the peak.
 MAX_GRID_STARTS = 10**5
 #: solve_angles' default bound on a root's |population differences|, relative
 #: to the largest thermal population.
@@ -185,6 +188,51 @@ def residual(angles_deg, system: SpinSystem, spec: CascadeSpec) -> np.ndarray:
     return p[..., others[1:]] - p[..., others[:1]]
 
 
+#: (-1)**j / (2j + 1)! and (-1)**j / (2j + 2)!, j = 1..7: the Taylor coefficients
+#: of sin(s)/s and (1 - cos s)/s**2 in lambda = s**2 past the constant; at
+#: lambda < 1/4 the first term dropped is below 2e-18
+_SERIES = np.array([[(-1) ** j / math.factorial(2 * j + m) for j in range(1, 8)] for m in (1, 2)])
+
+
+def _gram_divided_differences(s: np.ndarray, f1: np.ndarray, f2: np.ndarray):
+    """Divided differences over lambda = s**2 of cos s, f1 = sin(s)/s and f2 = (1 - cos s)/s**2.
+
+    s is (N, na), nonnegative, and f1 and f2 are (N, na, 1) values at s; each
+    result is (N, na, na), with f'(lambda_p) on the diagonal, and its
+    round-off is a few eps wherever s is.  For cos s the divided difference is
+    -sinc((s_p + s_q)/2) sinc((s_p - s_q)/2) / 2 at any pair.  The other two
+    come from it and from the divided difference of s sin s = lambda f1,
+    (cos h sinc d + sinc h cos d) / 2 with h and d the half sum and half
+    difference, through DD[lambda f] = lambda_p DD[f] + f(lambda_q) solved
+    with lambda_p the larger.  That divides by it, so pairs with both
+    lambda < 1/4 sum the Taylor series instead, whose divided differences are
+    those of the powers, DD[lambda**j] = sum_{i<j} lambda_p**i lambda_q**(j-1-i).
+    """
+    sp, sq = s[:, :, None], s[:, None, :]
+    half = 0.5 * np.stack([sp + sq, sp - sq])
+    sinc, cos = np.sinc(half / np.pi), np.cos(half)
+    F0 = -0.5 * sinc[0] * sinc[1]
+    p_hi = sp >= sq
+    hi2 = np.where(p_hi, sp * sp, sq * sq)
+    small = hi2 < 0.25
+    # small pairs are overwritten below; 1 keeps their quotient finite
+    hi2[small] = 1.0
+    F1 = (0.5 * (cos[0] * sinc[1] + sinc[0] * cos[1]) - np.where(p_hi, f1.transpose(0, 2, 1), f1)) / hi2
+    F2 = -(F0 + np.where(p_hi, f2.transpose(0, 2, 1), f2)) / hi2
+    if small.any():
+        x, y = (np.broadcast_to(v * v, small.shape)[small] for v in (sp, sq))
+        power, y_pow = np.ones_like(x), np.ones_like(x)
+        series = np.zeros((2, len(x)))
+        # elementwise, so that a pair's bits do not depend on the other pairs
+        for c in _SERIES.T:
+            # power is DD[lambda**j]; the next is x power + y**j
+            series += c[:, None] * power
+            y_pow *= y
+            power = x * power + y_pow
+        F1[small], F2[small] = series
+    return F0, F1, F2
+
+
 class _BatchedResidual:
     """Residuals of one cascade at a stack of angle vectors, with exact Jacobians.
 
@@ -193,28 +241,27 @@ class _BatchedResidual:
     parity (side a, 2**(n-1) - 1 levels) to one of the other parity (side b,
     2**(n-1) levels), and the x-pulse generator is H = [[0, B], [B^T, 0]]
     with B real, B_ab = theta_j / 2 for step j.  Residuals take one batched
-    eigh of the Gram matrix B B^T = u diag(s**2) u^T, which is 3 x 3 at 3
+    eigh of the Gram matrix M = B B^T = u diag(s**2) u^T, which is 3 x 3 at 3
     spins.  With W = u^T B the propagator is [[C1, -i S], [-i S^T, C2]] with
     C1 = u cos(s) u^T, S = u (sin(s)/s) W and C2 = I - W^T ((1 - cos s)/s**2) W,
     all real, so the populations are sums of their squares.  Both kernels
     keep one side order, side a's levels then side b's, each in index order,
     and ``diff`` maps populations in it to the residual's p_l - p_l0.
-    Jacobians take one full SVD B = u diag(s) v^T, 3 x 4 at 3 spins, and
-    write from its factors H's eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2) and
-    (0, (0, v_0)), v_0 the last column of v: side b has one level more than
-    side a, so B always has that null vector (Golub & Van Loan, Matrix
-    Computations, 8.6).  From that eigenbasis H = V diag(w) V^T comes
-    the exact derivative dU/dtheta_j = V (G o V^T E_j V) V^T, with E_j the
-    sigma_x/2 block of step j and G the divided differences of exp(-i w)
-    (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321),
-    G_pq = -i exp(-i (w_p + w_q)/2) sinc((w_p - w_q)/2), exact at degenerate
-    eigenvalues and taken in real arithmetic; any orthonormal eigenbasis
-    serves, so zero and repeated s need no care.  The Gram route squares B,
-    so its round-off grows as eps * |theta|**2, against eps * |theta| for
-    the SVD.  Residual rows whose angles are not finite come back as NaN.
-    This path is the solver's own;
-    :func:`residual` stays on ``core.generator`` and ``core.expm_unitary``
-    to check its roots.
+    ``evaluate`` hands back each row's (s**2, u), and Jacobians differentiate
+    those functions of M in that eigenbasis, with no decomposition of their
+    own: step j moves M by u X_j u^T, X_j the symmetric part of
+    outer(u[a_j], W[:, b_j]), so it moves f(M) by u (F o X_j) u^T, F the
+    divided differences of f over s**2 (Higham, Functions of Matrices, SIAM
+    2008, 3.2), which :func:`_gram_divided_differences` takes exactly at
+    repeated and zero s; B's own move enters S and C2 once more.  One
+    batched product gives every step.  The Gram route squares B, so the
+    round-off of residuals and Jacobians alike grows as eps * |theta|**2,
+    against eps * |theta| for an SVD of B.  At 2 spins side a is one level,
+    and Jacobians keep B's SVD (``_svd_jacobian``), which reads no factors,
+    is the faster there and keeps the 2-spin bits.  Rows whose angles are
+    not finite come back as NaN, factors included.  This path is the
+    solver's own; :func:`residual` stays on ``core.generator`` and
+    ``core.expm_unitary`` to check its roots.
     """
 
     def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
@@ -240,26 +287,40 @@ class _BatchedResidual:
         self.eye_b = np.eye(len(self.d_b))
         self.half_turns = np.array([np.pi, 2 * np.pi])
 
-    def evaluate(self, theta: np.ndarray) -> np.ndarray:
-        """(N, k) residuals at (N, k) angles in radians."""
-        bad = ~np.isfinite(theta).all(axis=1)
-        any_bad = bad.any()
-        if any_bad:
-            # eigh may raise LinAlgError on non-finite input, which would end
-            # the whole block: evaluate those rows at 0, then blank them
-            theta = np.where(bad[:, None], 0.0, theta)
+    def _block(self, theta: np.ndarray) -> np.ndarray:
         B = np.zeros((len(theta), len(self.d_a), len(self.d_b)))
         B[:, self.a, self.b] = 0.5 * theta
-        lam, u = np.linalg.eigh(B @ B.transpose(0, 2, 1))
+        return B
+
+    def _propagator(self, B: np.ndarray, lam: np.ndarray, u: np.ndarray):
+        """s, W, f1 = sin(s)/s, f2 = (1 - cos s)/s**2, [C1 | S] and C2 from B's Gram eigenpairs."""
         s = np.sqrt(np.maximum(lam, 0.0))[:, :, None]
         ut = u.transpose(0, 2, 1)
         W = ut @ B
         # np.sinc(x) = sin(pi x)/(pi x), so s = 0 needs no special case:
         # sin(s)/s = sinc(s/pi) and (1 - cos s)/s**2 = sinc(s/(2 pi))**2 / 2
         sinc = np.sinc(s / self.half_turns)
-        # side a's rows of |U|: [C1 | S], in one product
-        top = u @ np.concatenate([np.cos(s) * ut, sinc[:, :, :1] * W], axis=2)
-        C2 = self.eye_b - W.transpose(0, 2, 1) @ (0.5 * sinc[:, :, 1:] ** 2 * W)
+        f1, f2 = sinc[:, :, :1], 0.5 * sinc[:, :, 1:] ** 2
+        # side a's rows of U: [C1 | S], in one product
+        top = u @ np.concatenate([np.cos(s) * ut, f1 * W], axis=2)
+        C2 = self.eye_b - W.transpose(0, 2, 1) @ (f2 * W)
+        return s[:, :, 0], W, f1, f2, top, C2
+
+    def evaluate(self, theta: np.ndarray):
+        """(N, k) residuals at (N, k) angles in radians, and the factors ``jacobian`` reads there.
+
+        The factors are lam (N, na) and u (N, na, na), the eigenpairs of each
+        row's Gram matrix, or none at 2 spins, where ``jacobian`` takes B's SVD.
+        """
+        bad = ~np.isfinite(theta).all(axis=1)
+        any_bad = bad.any()
+        if any_bad:
+            # eigh may raise LinAlgError on non-finite input, which would end
+            # the whole block: evaluate those rows at 0, then blank them
+            theta = np.where(bad[:, None], 0.0, theta)
+        B = self._block(theta)
+        lam, u = np.linalg.eigh(B @ B.transpose(0, 2, 1))
+        _, _, _, _, top, C2 = self._propagator(B, lam, u)
         # diag(U D U+) for the diagonal thermal state D needs only |U|^2
         top *= top
         C1_2, S_2 = top[:, :, : len(self.d_a)], top[:, :, len(self.d_a) :]
@@ -267,22 +328,70 @@ class _BatchedResidual:
         p = np.concatenate([C1_2 @ self.d_a + S_2 @ self.d_b, self.d_a @ S_2 + (C2 * C2) @ self.d_b], axis=1)
         r = p @ self.diff
         if any_bad:
-            r[bad] = np.nan
-        return r
+            r[bad] = lam[bad] = u[bad] = np.nan
+        return r, ((lam, u) if len(self.d_a) > 1 else ())
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """(N, k, k) exact Jacobians at (N, k) finite angles in radians."""
+    def jacobian(self, theta: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+        """(N, k, k) exact Jacobians at (N, k) finite angles in radians, from ``evaluate``'s factors there."""
+        if len(self.d_a) == 1:
+            return self._svd_jacobian(theta)
+        lam, u = factors
+        B = self._block(theta)
+        s, W, f1, f2, top, C2 = self._propagator(B, lam, u)
+        # the first Jacobian over every start is a solve's memory peak, so
+        # dead temporaries are freed as soon as they are used
+        del B
+        na, a, b = len(self.d_a), self.a, self.b
+        C1, S = top[:, :, :na], top[:, :, na:]
+        F0, F1, F2 = _gram_divided_differences(s, f1, f2)
+        # dp_l = sum_pq T_lpq Y_jpq over the steps j, with Y_j = outer(u[a_j], W[:, b_j]);
+        # the Gram part of T, from dC1 = u (F0 o X) u^T, dS = u (F1 o X) W and
+        # dC2 = -W^T (F2 o X) W with X = (Y + Y^T)/2, and dp = 2 (U o dU) d
+        Wt = W.transpose(0, 2, 1)
+        G, Hs = (C1 * self.d_a) @ u, (S * self.d_b) @ Wt
+        P, R = (S.transpose(0, 2, 1) * self.d_a) @ u, (C2 * self.d_b) @ Wt
+        F0, F1, F2 = F0[:, None], F1[:, None], F2[:, None]
+        T = np.concatenate([
+            u[:, :, :, None] * (G[:, :, None] * F0 + Hs[:, :, None] * F1),
+            P[:, :, :, None] * Wt[:, :, None] * F1 - Wt[:, :, :, None] * R[:, :, None] * F2,
+        ], axis=1)
+        del F0, F1, F2, G, Hs, P, R
+        T += T.transpose(0, 1, 3, 2)
+        ua = u[:, a].transpose(0, 2, 1)
+        Y = ua[:, :, None] * W[:, None, :, b]
+        dp = T.reshape(*T.shape[:2], -1) @ Y.reshape(len(Y), -1, len(a))
+        del T, Y
+        # dB_j = E_j / 2 itself enters S = g1(M) B and C2 = I - B^T g2(M) B,
+        # g1 = sin(s)/s and g2 = (1 - cos s)/s**2, through g1(M)[:, a_j] and
+        # (g2(M) B)[a_j], which meet column b_j of S and of C2 (sign folded in)
+        g = np.concatenate([u * f1.transpose(0, 2, 1), Wt * f2.transpose(0, 2, 1)], axis=1) @ ua
+        rank1 = np.concatenate([S, -C2], axis=1)[:, :, b] * g
+        dp += rank1 * self.d_b[b]
+        # and, on level b_j itself, the other factor of (U o dU) d
+        dp[:, na + b, np.arange(len(b))] += self.d_side @ rank1
+        return self.diff.T @ dp
+
+    def _svd_jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """Jacobians from one full SVD of B, for a side a of one level (2 spins).
+
+        B's factors give H's eigenbasis H = V diag(w) V^T, and with it the exact
+        dU/dtheta_j = V (G o V^T E_j V) V^T, E_j the sigma_x/2 block of step j
+        and G the divided differences of exp(-i w) (Najfeld & Havel, Adv.
+        Appl. Math. 16 (1995) 321), G_pq = -i exp(-i (w_p + w_q)/2)
+        sinc((w_p - w_q)/2), exact at degenerate eigenvalues and taken in real
+        arithmetic; any orthonormal eigenbasis serves.
+        """
         na, n = len(self.d_a), len(self.d_side)
-        B = np.zeros((len(theta), na, n - na))
-        B[:, self.a, self.b] = 0.5 * theta
+        B = self._block(theta)
         u, s, vt = np.linalg.svd(B)
         # the first Jacobian over every start is a solve's memory peak, so
         # dead temporaries are freed as soon as they are used
         del B
         # H = [[0, B], [B^T, 0]] has eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2) and
-        # (0, (0, v_0)) for B's null vector v_0, v's last column; V's columns
-        # in that order only scale and negate entries of u and v, so they add
-        # no round-off
+        # (0, (0, v_0)) for B's null vector v_0, v's last column: side b has one
+        # level more than side a (Golub & Van Loan, Matrix Computations, 8.6).
+        # V's columns in that order only scale and negate entries of u and v,
+        # so they add no round-off
         h, v = np.sqrt(0.5), vt.transpose(0, 2, 1)
         V = np.zeros((len(theta), n, n))
         V[:, :na, :na] = V[:, :na, na:-1] = h * u
@@ -340,13 +449,14 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
     iterations.  The convergence test comes first, so a row whose slow step
     took it below tol converges, and a row still live after MAX_ITER
     iterations converges only if its last max|r| < tol.  One boolean mask
-    over all rows says which are live; x, r and the slow-step counts are
-    full-length and updated in place.  Each iteration makes one Jacobian
-    call over the live rows, so a block makes at most MAX_ITER.
+    over all rows says which are live; x, r, the factors ``evaluate`` hands
+    back beside r and the slow-step counts are full-length and updated in
+    place.  Each iteration makes one Jacobian call over the live rows, with
+    their factors, so a block makes at most MAX_ITER.
     """
     x = np.array(x0, dtype=float)
     n, k = x.shape
-    r = fun.evaluate(x)
+    r, factors = fun.evaluate(x)
     ok = np.zeros(n, dtype=bool)
     live = np.isfinite(r).all(axis=1)
     slow = np.zeros(n, dtype=int)
@@ -358,7 +468,7 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
         i = i[live[i]]
         if not i.size:
             break
-        step, solved = _newton_steps(fun.jacobian(x[i]), r[i])
+        step, solved = _newton_steps(fun.jacobian(x[i], *(f[i] for f in factors)), r[i])
         live[i[~solved]] = False
         i, step = i[solved], step[solved]
         norm = np.sqrt(np.square(r[i]).sum(axis=1))
@@ -370,7 +480,8 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             lams = _STEP_SCALES[tried : tried + max(1, n // i.size)]
             tried += len(lams)
             trial = x[i, None] + lams[:, None] * step[:, None]
-            r_trial = fun.evaluate(trial.reshape(-1, k)).reshape(trial.shape)
+            r_trial, f_trial = fun.evaluate(trial.reshape(-1, k))
+            r_trial = r_trial.reshape(trial.shape)
             trial_norm = np.sqrt(np.square(r_trial).sum(axis=2))
             # a finite norm needs a finite residual
             better = trial_norm < norm[:, None]
@@ -382,6 +493,8 @@ def _newton_block(fun: _BatchedResidual, x0: np.ndarray, tol: float):
             take = better[rows, first]
             acc, best = i[rows[take]], (rows[take], first[take])
             x[acc], r[acc] = trial[best], r_trial[best]
+            for f, f_new in zip(factors, f_trial):
+                f[acc] = f_new.reshape(trial.shape[:2] + f_new.shape[1:])[best]
             # hybrj's actual reduction 1 - (||r_new|| / ||r||)**2
             cut = 1 - (trial_norm[best] / norm[rows[take]]) ** 2
             slow[acc] = np.where(cut < SLOW_CUT, slow[acc] + 1, 0)

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -159,10 +160,10 @@ def test_batched_jacobian_matches_central_differences(gamma, target):
     rng = np.random.default_rng(len(gamma) * 10 + spec.target)
     # theta = 0 and equal angles give degenerate eigenvalues
     theta = np.vstack([np.zeros(k), np.full(k, 1.3), rng.uniform(-8.0, 8.0, (4, k))])
-    J = fun.jacobian(theta)
+    J = fun.jacobian(theta, *fun.evaluate(theta)[1])
     h = 1e-5
     central = np.stack(
-        [(fun.evaluate(theta + h * e) - fun.evaluate(theta - h * e)) / (2 * h)
+        [(fun.evaluate(theta + h * e)[0] - fun.evaluate(theta - h * e)[0]) / (2 * h)
          for e in np.eye(k)],
         axis=2,
     )
@@ -178,7 +179,7 @@ def test_batched_residual_matches_residual(name):
         fun, spec = batched_residual(system, target)
         theta = rng.uniform(-12.0, 12.0, (5, len(spec.steps)))
         want = [prep.residual(np.degrees(t), system, spec) for t in theta]
-        np.testing.assert_allclose(fun.evaluate(theta), want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fun.evaluate(theta)[0], want, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,12 +228,15 @@ def kernel_cases(draw):
     system = core.SpinSystem(gamma=tuple(s * 10.0**e for s, e in zip(signs, decades)))
     k = len(steps)
     base = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=k, max_size=k)))
-    kind = draw(st.sampled_from(["zero", "equal", "random", "some zero", "1e-9", "1e3"]))
+    kind = draw(st.sampled_from(["zero", "equal", "nearly equal", "random", "some zero", "one 1e-6",
+                                 "1e-9", "1e3"]))
     theta = {
         "zero": np.zeros(k),
         "equal": np.full(k, base[0]),
+        "nearly equal": np.full(k, base[0]) + 1e-7 * base,
         "random": base,
         "some zero": np.where(np.arange(k) % 2 == 0, 0.0, base),
+        "one 1e-6": np.where(np.arange(k) == 0, 1e-6, base),
         "1e-9": 1e-9 * base,
         "1e3": 1e3 * base,
     }[kind]
@@ -247,7 +251,7 @@ SPIDER_3_STEPS = tuple(
 
 
 def block_degeneracies(spec, theta):
-    """Which of 'rank-deficient' and 'repeated' the singular values of B show.
+    """Which of 'rank-deficient', 'repeated', 'near-zero' and 'near-repeated' B's singular values show.
 
     They are the largest 2**(n-1) - 1 eigenvalues of the x-pulse generator on
     the non-target levels, taken here through core.generator, not the kernel.
@@ -256,12 +260,17 @@ def block_degeneracies(spec, theta):
     keep = [lev for lev in range(2**spec.n_spins) if lev != spec.target - 1]
     H = core.generator(pulses, spec.n_spins)[np.ix_(keep, keep)]
     sigma = np.linalg.eigvalsh(H)[-(2 ** (spec.n_spins - 1) - 1):]
-    tol = 1e-12 * max(1.0, sigma[-1])
+    tol, near = 1e-12 * max(1.0, sigma[-1]), 1e-5 * max(1.0, sigma[-1])
     found = set()
     if sigma[0] <= tol:
         found.add("rank-deficient")
-    if np.any((np.diff(sigma) <= tol) & (sigma[1:] > tol)):
+    elif sigma[0] <= near:
+        found.add("near-zero")
+    gaps, nonzero = np.diff(sigma), sigma[1:] > tol
+    if np.any((gaps <= tol) & nonzero):
         found.add("repeated")
+    if np.any((gaps > tol) & (gaps <= near) & nonzero):
+        found.add("near-repeated")
     return found
 
 
@@ -271,21 +280,28 @@ def test_batched_kernel_matches_residual_on_any_tree():
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
-    # B = 0 is rank-deficient; equal angles on the spider repeat a singular value
+    # B = 0 is rank-deficient; equal angles on the spider repeat a singular value,
+    # and 1e-7 off them nearly repeat it; level 7 is a leaf of side a in the
+    # non-path tree, so its one step at 1e-6 leaves a singular value near 0.
+    # Divided differences of the close pair (0.65, 0.65) take the closed form,
+    # and those of the pair near 0 the Taylor series
     @example((hetero3, prep.default_cascade(3, 1), np.zeros(6)))
     @example((hetero3, CascadeSpec(1, SPIDER_3_STEPS, 3), np.full(6, 1.3)))
+    @example((hetero3, CascadeSpec(1, SPIDER_3_STEPS, 3), 1.3 + 1e-7 * np.arange(1.0, 7.0)))
+    @example((hetero3, CascadeSpec(1, TREE_3_STEPS, 3), np.where(np.arange(6) == 4, 1e-6, 1.3)))
     def check(case):
         system, spec, theta = case
         seen.update(block_degeneracies(spec, theta))
         d_eq = np.real(np.diagonal(core.thermal_deviation(system)))
         scale = np.max(np.abs(d_eq))
         fun = prep._BatchedResidual(spec, d_eq)
+        r, factors = fun.evaluate(theta[None])
         # the Gram route squares B, so its round-off grows as eps * |theta|**2
         # against eps * |theta| for residual's eigh; up to |theta| of about 17
         # radians the bound is the flat 1e-12 * max|d|
         tol = scale * max(1e-12, 16 * np.finfo(float).eps * np.max(np.abs(theta)) ** 2)
         np.testing.assert_allclose(
-            fun.evaluate(theta[None])[0], prep.residual(np.degrees(theta), system, spec),
+            r[0], prep.residual(np.degrees(theta), system, spec),
             rtol=0, atol=tol,
         )
         # central differences of the independent residual, whose round-off over h
@@ -297,24 +313,75 @@ def test_batched_kernel_matches_residual_on_any_tree():
              for e in np.eye(len(theta))],
             axis=1,
         )
-        np.testing.assert_allclose(fun.jacobian(theta[None])[0], central, rtol=0, atol=1e-7 * scale)
+        np.testing.assert_allclose(fun.jacobian(theta[None], *factors)[0], central, rtol=0, atol=1e-7 * scale)
 
     check()
-    # the Jacobian builds H's eigenbasis from an SVD of B, whose null space
-    # and repeated singular values are where a wrong basis would show
-    assert seen >= {"rank-deficient", "repeated"}
+    # the Jacobian divides differences of functions of B's squared singular
+    # values, so zero, repeated and nearly so are where a wrong branch would show
+    assert seen >= {"rank-deficient", "repeated", "near-zero", "near-repeated"}
 
 
-def test_newton_block_failures_stay_in_their_own_start():
-    fun, _ = batched_residual(presets.get_preset("chloroform"), 1)
-    good = np.radians([[120.0, 180.0], [60.0, 240.0]])
-    # the Jacobian at theta = 0 is exactly zero; an infinite start has no residual
-    x0 = np.vstack([good[0], [0.0, 0.0], good[1], [np.inf, 0.0]])
-    x, r, ok = prep._newton_block(fun, x0, 1e-10)
-    assert ok.tolist() == [True, False, True, False]
-    np.testing.assert_array_equal(x[1], [0.0, 0.0])
-    alone = np.array([prep._newton_block(fun, g[None], 1e-10)[0][0] for g in good])
-    np.testing.assert_allclose(x[[0, 2]], alone, rtol=0, atol=1e-12)
+def divided_differences_reference(s):
+    """Divided differences over lambda = s**2 of cos s, sin(s)/s and (1 - cos s)/s**2, in long double.
+
+    Up to s = 2 they are 40 terms of the Taylor series, DD[lambda**j] being
+    sum_{i<j} lambda_p**i lambda_q**(j-1-i); past that the quotients of
+    differences, off the diagonal only.
+    """
+    ls = s.astype(np.longdouble)
+    x, y = ls[:, None] ** 2, ls[None, :] ** 2
+    if ls.max() <= 2:
+        power, y_pow = np.ones_like(x * y), np.ones_like(y)
+        F = np.zeros((3,) + power.shape, dtype=np.longdouble)
+        for j in range(1, 40):
+            c = np.array([np.longdouble((-1) ** j) / math.factorial(2 * j + m) for m in range(3)])
+            F += c[:, None, None] * power
+            y_pow = y_pow * y
+            power = x * power + y_pow
+        return F
+    f = np.stack([np.cos(ls), np.sin(ls) / ls, (1 - np.cos(ls)) / ls**2])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (f[:, :, None] - f[:, None, :]) / (x - y)
+
+
+@pytest.mark.parametrize("s", [
+    # zero, tiny, tied and nearly tied values, on both sides of the series' lambda < 1/4
+    np.concatenate([[0.0, 1e-9, 1e-6, 0.3, 0.5, 0.5 + 1e-9, 0.5 + 1e-5, 1.0, 1.5, 2.0],
+                    np.random.default_rng(5).uniform(0.0, 2.0, 10)]),
+    np.array([3.0, 7.5, 12.0, 40.0, 123.4, 1e3, 1e4 + 0.1]),
+])
+def test_gram_divided_differences_are_exact_to_round_off(s):
+    f1, f2 = np.sinc(s / np.pi), 0.5 * np.sinc(s / (2 * np.pi)) ** 2
+    got = np.array(prep._gram_divided_differences(s[None], f1[None, :, None], f2[None, :, None]))[:, 0]
+    want = divided_differences_reference(s)
+    if s.max() > 2:
+        got[:, np.arange(len(s)), np.arange(len(s))] = want[:, np.arange(len(s)), np.arange(len(s))] = 0
+    np.testing.assert_allclose(got, want.astype(float), rtol=0, atol=8 * np.finfo(float).eps)
+
+
+def test_newton_block_failures_stay_in_their_own_start(monkeypatch):
+    for name, good in [
+        ("chloroform", ((120.0, 180.0), (60.0, 240.0))),
+        ("hetero-3", (REFERENCE_ANGLES_3SPIN["hetero-3"], (120.0, 120.0, 120.0, 240.0, 120.0, 120.0))),
+    ]:
+        fun, spec = batched_residual(presets.get_preset(name), 1)
+        good, zero = np.radians(good), np.zeros(len(spec.steps))
+        # the Jacobian at theta = 0 is exactly zero; an infinite start has no residual
+        x0 = np.vstack([good[0], zero, good[1], zero])
+        x0[3, 0] = np.inf
+        real_jacobian = fun.jacobian
+
+        def jacobian(t, *factors, real_jacobian=real_jacobian):
+            # a row without a finite residual never hands its factors to a Jacobian
+            assert all(np.isfinite(f).all() for f in factors)
+            return real_jacobian(t, *factors)
+
+        monkeypatch.setattr(fun, "jacobian", jacobian)
+        x, r, ok = prep._newton_block(fun, x0, 1e-10)
+        assert ok.tolist() == [True, False, True, False], name
+        np.testing.assert_array_equal(x[1], zero)
+        alone = np.array([prep._newton_block(fun, g[None], 1e-10)[0][0] for g in good])
+        np.testing.assert_allclose(x[[0, 2]], alone, rtol=0, atol=1e-12)
 
 
 @functools.cache
@@ -342,47 +409,44 @@ def test_a_start_follows_the_same_path_whichever_starts_share_its_block(name, ro
 def test_newton_block_decomposes_each_point_once(monkeypatch):
     fun, spec = batched_residual(presets.get_preset("hetero-3"), 1)
     # hetero-3 target 1 has 3 non-target levels of the target's parity and 4 of the other
-    shapes, evaluated, jacobians = {"eigh": [], "svd": []}, [], []
-    real_evaluate, real_jacobian = fun.evaluate, fun.jacobian
+    eighs, evaluated, jacobians = [], [], []
+    real_evaluate, real_jacobian, real_eigh = fun.evaluate, fun.jacobian, np.linalg.eigh
 
-    def counted(name, want):
-        real = getattr(np.linalg, name)
+    def eigh(a, *args, **kwargs):
+        assert a.shape[1:] == (3, 3), f"eigh of a {a.shape[1:]} matrix"
+        eighs.append(len(a))
+        return real_eigh(a, *args, **kwargs)
 
-        def decompose(a, *args, **kwargs):
-            assert a.shape[1:] == want, f"{name} of a {a.shape[1:]} matrix"
-            shapes[name].append(len(a))
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, decompose)
-
-    counted("eigh", (3, 3))
-    counted("svd", (3, 4))
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd called"))
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
-    monkeypatch.setattr(fun, "jacobian", lambda t: jacobians.append(len(t)) or real_jacobian(t))
+    monkeypatch.setattr(fun, "jacobian", lambda t, *f: jacobians.append(len(t)) or real_jacobian(t, *f))
     # the 2**6 and the full 3**6 default grids
     for per_dim in (2, 3):
         x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
-        for calls in (shapes["eigh"], shapes["svd"], evaluated, jacobians):
+        for calls in (eighs, evaluated, jacobians):
             calls.clear()
         prep._newton_block(fun, x0, 1e-10)
         # the first evaluation holds the starts, every later one trial points
         assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
-        # each evaluated row costs one 3x3 Gram eigh, each Jacobian row one 3x4 svd of B,
-        # and no other decomposition runs
-        assert sum(shapes["eigh"]) == sum(evaluated)
-        assert sum(shapes["svd"]) == sum(jacobians)
+        # each evaluated row costs one 3x3 Gram eigh, and nothing else is
+        # decomposed: Jacobians read evaluate's eigenpairs
+        assert sum(eighs) == sum(evaluated)
         # a line-search call holds at most as many trial points as there are starts
         assert max(evaluated[1:]) <= len(x0)
 
 
 class Linear:
-    """r(x) = x with a constant Jacobian, so a full Newton step scales r by 1 - 1/slope."""
+    """r(x) = x with a constant Jacobian, so a full Newton step scales r by 1 - 1/slope.
+
+    It hands its Jacobian no factors.
+    """
 
     def __init__(self, slope):
         self.slope, self.jacobians = slope, 0
 
     def evaluate(self, x):
-        return np.array(x, dtype=float)
+        return np.array(x, dtype=float), ()
 
     def jacobian(self, x):
         self.jacobians += 1
@@ -486,7 +550,7 @@ def default_solve(name, target):
     calls, real = [], prep._BatchedResidual.jacobian
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(prep._BatchedResidual, "jacobian",
-                      lambda fun, theta: calls.append(len(theta)) or real(fun, theta))
+                      lambda fun, theta, *f: calls.append(len(theta)) or real(fun, theta, *f))
         result = prep.solve_angles(system, prep.default_cascade(system.n_spins, target))
     return result, len(calls)
 
