@@ -52,7 +52,7 @@ SLOW_ITERS = 5
 _STEP_SCALES = 0.5 ** np.arange(8)
 #: Largest number of grid starts solve_angles will build.  A solve is one
 #: Newton block, so this also bounds its memory: the largest grids under it
-#: grow peak RSS by about 106 MB at 2 spins (--grid 316), 153 MB at 3
+#: grow peak RSS by about 58 MB at 2 spins (--grid 316), 153 MB at 3
 #: (--grid 6) and 323 MB at 4 (--grid 2), the first Jacobian being the peak.
 MAX_GRID_STARTS = 10**5
 #: solve_angles' default bound on a root's |population differences|, relative
@@ -256,12 +256,12 @@ class _BatchedResidual:
     repeated and zero s; B's own move enters S and C2 once more.  One
     batched product gives every step.  The Gram route squares B, so the
     round-off of residuals and Jacobians alike grows as eps * |theta|**2,
-    against eps * |theta| for an SVD of B.  At 2 spins side a is one level,
-    and Jacobians keep B's SVD (``_svd_jacobian``), which reads no factors,
-    is the faster there and keeps the 2-spin bits.  Rows whose angles are
-    not finite come back as NaN, factors included.  This path is the
-    solver's own; :func:`residual` stays on ``core.generator`` and
-    ``core.expm_unitary`` to check its roots.
+    against eps * |theta| for an SVD of B.  At 2 spins side a is one level
+    and M is 1 x 1: its one eigenvalue is also its largest, so round-off
+    there stays eps * |theta|.  Rows whose angles are not finite come back
+    as NaN, factors included.  This path is the solver's own;
+    :func:`residual` stays on ``core.generator`` and ``core.expm_unitary``
+    to check its roots.
     """
 
     def __init__(self, spec: CascadeSpec, d_eq: np.ndarray):
@@ -310,7 +310,7 @@ class _BatchedResidual:
         """(N, k) residuals at (N, k) angles in radians, and the factors ``jacobian`` reads there.
 
         The factors are lam (N, na) and u (N, na, na), the eigenpairs of each
-        row's Gram matrix, or none at 2 spins, where ``jacobian`` takes B's SVD.
+        row's Gram matrix.
         """
         bad = ~np.isfinite(theta).all(axis=1)
         any_bad = bad.any()
@@ -329,13 +329,10 @@ class _BatchedResidual:
         r = p @ self.diff
         if any_bad:
             r[bad] = lam[bad] = u[bad] = np.nan
-        return r, ((lam, u) if len(self.d_a) > 1 else ())
+        return r, (lam, u)
 
-    def jacobian(self, theta: np.ndarray, *factors: np.ndarray) -> np.ndarray:
+    def jacobian(self, theta: np.ndarray, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(N, k, k) exact Jacobians at (N, k) finite angles in radians, from ``evaluate``'s factors there."""
-        if len(self.d_a) == 1:
-            return self._svd_jacobian(theta)
-        lam, u = factors
         B = self._block(theta)
         s, W, f1, f2, top, C2 = self._propagator(B, lam, u)
         # the first Jacobian over every start is a solve's memory peak, so
@@ -370,58 +367,6 @@ class _BatchedResidual:
         # and, on level b_j itself, the other factor of (U o dU) d
         dp[:, na + b, np.arange(len(b))] += self.d_side @ rank1
         return self.diff.T @ dp
-
-    def _svd_jacobian(self, theta: np.ndarray) -> np.ndarray:
-        """Jacobians from one full SVD of B, for a side a of one level (2 spins).
-
-        B's factors give H's eigenbasis H = V diag(w) V^T, and with it the exact
-        dU/dtheta_j = V (G o V^T E_j V) V^T, E_j the sigma_x/2 block of step j
-        and G the divided differences of exp(-i w) (Najfeld & Havel, Adv.
-        Appl. Math. 16 (1995) 321), G_pq = -i exp(-i (w_p + w_q)/2)
-        sinc((w_p - w_q)/2), exact at degenerate eigenvalues and taken in real
-        arithmetic; any orthonormal eigenbasis serves.
-        """
-        na, n = len(self.d_a), len(self.d_side)
-        B = self._block(theta)
-        u, s, vt = np.linalg.svd(B)
-        # the first Jacobian over every start is a solve's memory peak, so
-        # dead temporaries are freed as soon as they are used
-        del B
-        # H = [[0, B], [B^T, 0]] has eigenpairs (+-s_i, (u_i, +-v_i)/sqrt 2) and
-        # (0, (0, v_0)) for B's null vector v_0, v's last column: side b has one
-        # level more than side a (Golub & Van Loan, Matrix Computations, 8.6).
-        # V's columns in that order only scale and negate entries of u and v,
-        # so they add no round-off
-        h, v = np.sqrt(0.5), vt.transpose(0, 2, 1)
-        V = np.zeros((len(theta), n, n))
-        V[:, :na, :na] = V[:, :na, na:-1] = h * u
-        V[:, na:, :na] = h * v[..., :na]
-        V[:, na:, na:-1], V[:, na:, -1] = -V[:, na:, :na], v[..., -1]
-        w = np.concatenate([s, -s, np.zeros((len(s), 1))], axis=1)
-        del u, vt, v
-        Vt = V.transpose(0, 2, 1)
-        # dp_a/dtheta_j = 2 Re (dU_j D U+)_aa
-        #   = sum_pqs V_ap K_pq Q_qs V_as sinc_pq sin(w_s - (w_p + w_q)/2)
-        # with K = 2 V^T E_j V = C + C^T for C = outer(V[m_j], V[k_j]) and
-        # Q = V^T D V; splitting the sine leaves two real products per step
-        # cos and sin of (w_p + w_q)/2, and then of w, from n exponentials
-        # rather than n**2 sines and cosines
-        z = np.exp(0.5j * w)
-        half = z[:, :, None] * z[:, None, :]
-        sinc = np.sinc((w[:, :, None] - w[:, None, :]) / (2 * np.pi))
-        Gc, Gs = sinc * half.real, sinc * half.imag
-        del half, sinc
-        Q = Vt @ (self.d_side[:, None] * V)
-        z *= z
-        Ys = Q @ (z.imag[:, :, None] * Vt)
-        Yc = Q @ (z.real[:, :, None] * Vt)
-        del Q, z
-        dp = np.empty((len(w), len(self.a), n))
-        for j, (m, k) in enumerate(zip(self.a, na + self.b)):
-            C = V[:, m, :, None] * V[:, k, None, :]
-            K = C + C.transpose(0, 2, 1)
-            dp[:, j] = np.einsum("baq,bqa->ba", V, (K * Gc) @ Ys - (K * Gs) @ Yc)
-        return (dp @ self.diff).transpose(0, 2, 1)
 
 
 def _newton_steps(J: np.ndarray, r: np.ndarray):

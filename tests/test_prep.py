@@ -406,14 +406,21 @@ def test_a_start_follows_the_same_path_whichever_starts_share_its_block(name, ro
         assert whole[rows].tobytes() == part.tobytes()
 
 
-def test_newton_block_decomposes_each_point_once(monkeypatch):
-    fun, spec = batched_residual(presets.get_preset("hetero-3"), 1)
-    # hetero-3 target 1 has 3 non-target levels of the target's parity and 4 of the other
+@pytest.mark.parametrize(
+    "name,side_a,grids",
+    # at target 1, chloroform has 1 non-target level of the target's parity
+    # and 2 of the other, hetero-3 3 and 4; each with a 2-point grid and its
+    # default grid, 5**2 and 3**6 starts
+    [("chloroform", 1, (2, 5)), ("hetero-3", 3, (2, 3))],
+    ids=["chloroform", "hetero-3"],
+)
+def test_newton_block_decomposes_each_point_once(monkeypatch, name, side_a, grids):
+    fun, spec = batched_residual(presets.get_preset(name), 1)
     eighs, evaluated, jacobians = [], [], []
     real_evaluate, real_jacobian, real_eigh = fun.evaluate, fun.jacobian, np.linalg.eigh
 
     def eigh(a, *args, **kwargs):
-        assert a.shape[1:] == (3, 3), f"eigh of a {a.shape[1:]} matrix"
+        assert a.shape[1:] == (side_a, side_a), f"eigh of a {a.shape[1:]} matrix"
         eighs.append(len(a))
         return real_eigh(a, *args, **kwargs)
 
@@ -421,16 +428,15 @@ def test_newton_block_decomposes_each_point_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd called"))
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
     monkeypatch.setattr(fun, "jacobian", lambda t, *f: jacobians.append(len(t)) or real_jacobian(t, *f))
-    # the 2**6 and the full 3**6 default grids
-    for per_dim in (2, 3):
+    for per_dim in grids:
         x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
         for calls in (eighs, evaluated, jacobians):
             calls.clear()
         prep._newton_block(fun, x0, 1e-10)
         # the first evaluation holds the starts, every later one trial points
         assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
-        # each evaluated row costs one 3x3 Gram eigh, and nothing else is
-        # decomposed: Jacobians read evaluate's eigenpairs
+        # each evaluated row costs one Gram eigh, and nothing else is
+        # decomposed at any spin count: Jacobians read evaluate's eigenpairs
         assert sum(eighs) == sum(evaluated)
         # a line-search call holds at most as many trial points as there are starts
         assert max(evaluated[1:]) <= len(x0)
