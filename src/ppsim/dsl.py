@@ -89,115 +89,91 @@ def _tokenize(text: str) -> list[_Token]:
     ]
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+# the typed token kinds, each a converter and the message for a token it
+# rejects by raising ValueError or returning None
+_LEVEL = (int, "expected a level number, got {!r}")
+_SPIN = (int, "expected a spin number or 'all', got {!r}")
+_AXIS = (lambda text: text if text in ("x", "y", "z") else None, "axis must be x, y or z, got {!r}")
+_ANGLE = (lambda text: v if np.isfinite(v := float(text)) else None, "malformed angle {!r}")
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self, expect: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"unexpected end of program, expected {expect or 'a token'}")
-        self.pos += 1
-        if expect is not None and tok.text != expect:
-            raise ParseError(f"expected {expect!r}, got {tok.text!r}", tok.line, tok.col)
-        return tok
+def _take(tokens: list[_Token], expect: str | None = None) -> _Token:
+    """Pop the next token off the stack, which must read expect if that is given."""
+    if not tokens:
+        raise ParseError(f"unexpected end of program, expected {expect or 'a token'}")
+    tok = tokens.pop()
+    if expect is not None and tok.text != expect:
+        raise ParseError(f"expected {expect!r}, got {tok.text!r}", tok.line, tok.col)
+    return tok
 
-    def int_token(self, what: str) -> int:
-        tok = self.next(None)
-        try:
-            return int(tok.text)
-        except ValueError:
-            raise ParseError(f"expected {what}, got {tok.text!r}", tok.line, tok.col) from None
 
-    def angle_token(self) -> float:
-        tok = self.next(None)
-        try:
-            value = float(tok.text)
-        except ValueError:
-            raise ParseError(f"malformed angle {tok.text!r}", tok.line, tok.col) from None
-        if not np.isfinite(value):
-            raise ParseError(f"malformed angle {tok.text!r}", tok.line, tok.col)
-        return value
+def _read(tokens: list[_Token], kind: tuple):
+    """Pop the next token and convert it as a level, spin, axis or angle."""
+    convert, message = kind
+    tok = _take(tokens)
+    try:
+        value = convert(tok.text)
+    except ValueError:
+        value = None
+    if value is None:
+        raise ParseError(message.format(tok.text), tok.line, tok.col)
+    return value
 
-    def axis_token(self) -> str:
-        tok = self.next(None)
-        if tok.text not in ("x", "y", "z"):
-            raise ParseError(f"axis must be x, y or z, got {tok.text!r}", tok.line, tok.col)
-        return tok.text
 
-    def sel(self) -> SelPulse:
-        tok = self.next("sel")
-        m = self.int_token("a level number")
-        k = self.int_token("a level number")
-        axis = self.axis_token()
-        angle = self.angle_token()
-        if m == k:
-            raise ParseError(f"degenerate transition ({m}, {k})", tok.line, tok.col)
-        return SelPulse(m, k, axis, angle)
-
-    def block(self) -> Block:
-        tok = self.next("block")
-        self.next("{")
-        pulses = [self.sel()]
-        while self.peek() is not None and self.peek().text == ";":
-            self.next(";")
-            pulses.append(self.sel())
-        self.next("}")
-        seen = set()
-        for p in pulses:
-            key = frozenset((p.m, p.k))
-            if key in seen:
-                raise ParseError(
-                    f"transition ({p.m}, {p.k}) appears twice in one block", tok.line, tok.col
-                )
-            seen.add(key)
-        return Block(tuple(pulses))
-
-    def hard(self) -> HardPulse:
-        self.next("hard")
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of program in hard pulse")
-        if tok.text == "all":
-            self.next("all")
-            spin = None
-        else:
-            spin = self.int_token("a spin number or 'all'")
-        return HardPulse(spin, self.axis_token(), self.angle_token())
-
-    def crush_stmt(self) -> Crush:
-        self.next("crush")
-        tok = self.peek()
-        if tok is not None and tok.text in CRUSH_KEYWORDS:
-            self.next(tok.text)
-            return Crush(CRUSH_KEYWORDS[tok.text])
-        return Crush()
-
-    def program(self) -> PulseProgram:
-        statements: list[Statement] = []
-        lines: list[int] = []
-        while (tok := self.peek()) is not None:
-            if tok.text == "block":
-                stmt = self.block()
-            elif tok.text == "sel":
-                stmt = Block((self.sel(),))
-            elif tok.text == "hard":
-                stmt = self.hard()
-            elif tok.text == "crush":
-                stmt = self.crush_stmt()
-            else:
-                raise ParseError(f"unknown keyword {tok.text!r}", tok.line, tok.col)
-            statements.append(stmt)
-            lines.append(tok.line)
-        return PulseProgram(tuple(statements), tuple(lines))
+def _sel(tokens: list[_Token]) -> SelPulse:
+    tok = _take(tokens, "sel")
+    m, k, axis, angle = (_read(tokens, kind) for kind in (_LEVEL, _LEVEL, _AXIS, _ANGLE))
+    if m == k:
+        raise ParseError(f"degenerate transition ({m}, {k})", tok.line, tok.col)
+    return SelPulse(m, k, axis, angle)
 
 
 def parse(text: str) -> PulseProgram:
-    return _Parser(_tokenize(text)).program()
+    tokens = _tokenize(text)[::-1]  # a stack: pop() reads the next token, [-1] peeks
+    statements: list[Statement] = []
+    lines: list[int] = []
+    while tokens:
+        tok = tokens[-1]
+        if tok.text == "block":
+            tokens.pop()
+            _take(tokens, "{")
+            pulses = [_sel(tokens)]
+            while tokens and tokens[-1].text == ";":
+                tokens.pop()
+                pulses.append(_sel(tokens))
+            _take(tokens, "}")
+            seen = set()
+            for p in pulses:
+                key = frozenset((p.m, p.k))
+                if key in seen:
+                    raise ParseError(
+                        f"transition ({p.m}, {p.k}) appears twice in one block", tok.line, tok.col
+                    )
+                seen.add(key)
+            stmt = Block(tuple(pulses))
+        elif tok.text == "sel":
+            stmt = Block((_sel(tokens),))
+        elif tok.text == "hard":
+            tokens.pop()
+            if not tokens:
+                raise ParseError("unexpected end of program in hard pulse")
+            if tokens[-1].text == "all":
+                tokens.pop()
+                spin = None
+            else:
+                spin = _read(tokens, _SPIN)
+            stmt = HardPulse(spin, _read(tokens, _AXIS), _read(tokens, _ANGLE))
+        elif tok.text == "crush":
+            tokens.pop()
+            if tokens and tokens[-1].text in CRUSH_KEYWORDS:
+                stmt = Crush(CRUSH_KEYWORDS[tokens.pop().text])
+            else:
+                stmt = Crush()
+        else:
+            raise ParseError(f"unknown keyword {tok.text!r}", tok.line, tok.col)
+        statements.append(stmt)
+        lines.append(tok.line)
+    return PulseProgram(tuple(statements), tuple(lines))
 
 
 def _fmt_angle(value: float) -> str:

@@ -62,7 +62,13 @@ def parse_formula(text: str) -> OneSatFormula:
         m = _LITERAL.match(part)
         if m is None:
             raise InputError(f"bad literal {part!r}; expected V<k> or !V<k>")
-        clauses.append((int(m.group(2)), m.group(1) == "!"))
+        try:
+            var = int(m.group(2))
+        except ValueError:  # past Python's limit on the digits of an int read from text
+            raise InputError(
+                f"variable index of {len(m.group(2))} digits in a literal is too long to read"
+            ) from None
+        clauses.append((var, m.group(1) == "!"))
     return OneSatFormula(clauses=tuple(clauses))
 
 

@@ -10,6 +10,7 @@ residual, found by a damped Newton iteration from a grid of starting points.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -516,12 +517,18 @@ def solve_angles(
     """
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
+    # isinstance(True, int) holds, but a flag is not a count or a scale
+    if isinstance(newton_tol, bool) or not isinstance(newton_tol, numbers.Real):
+        raise InputError(f"newton_tol must be a real number, got {newton_tol!r}")
     if not math.isfinite(newton_tol) or newton_tol < 0:
         raise InputError(f"newton_tol must be finite and nonnegative, got {newton_tol}")
     newton_tol = abs(newton_tol)  # -0.0 is 0, and the no-root message says so
     k = len(spec.steps)
     if grid_per_dim is None:
         grid_per_dim = 5 if k <= 2 else (3 if k <= 6 else 1)
+    if isinstance(grid_per_dim, bool) or not isinstance(grid_per_dim, (int, np.integer)):
+        raise InputError(f"grid_per_dim must be an integer, got {grid_per_dim!r}")
+    grid_per_dim = int(grid_per_dim)  # a numpy integer's power below would wrap
     if grid_per_dim < 1:
         raise InputError(f"grid_per_dim must be at least 1, got {grid_per_dim}")
     if grid_per_dim**k > MAX_GRID_STARTS:

@@ -104,6 +104,41 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        ("hard", "unexpected end of program in hard pulse", (None, None)),
+        ("hard all", "unexpected end of program, expected a token", (None, None)),
+        ("block", "unexpected end of program, expected {", (None, None)),
+        ("block sel", "line 1, col 7: expected '{', got 'sel'", (1, 7)),
+        ("block { sel 3 4 x 1 ; }", "line 1, col 23: expected 'sel', got '}'", (1, 23)),
+        ("sel 3 3 x 10", "line 1, col 1: degenerate transition (3, 3)", (1, 1)),
+        (
+            "block { sel 3 4 x 1 ; sel 4 3 y 2 }",
+            "line 1, col 1: transition (4, 3) appears twice in one block",
+            (1, 1),
+        ),
+        ("sel three 4 x 1", "line 1, col 5: expected a level number, got 'three'", (1, 5)),
+        ("hard two x 1", "line 1, col 6: expected a spin number or 'all', got 'two'", (1, 6)),
+        ("sel 3 4 q 1", "line 1, col 9: axis must be x, y or z, got 'q'", (1, 9)),
+        ("sel 3 4 x inf", "line 1, col 11: malformed angle 'inf'", (1, 11)),
+        ("crush\nfoo", "line 2, col 1: unknown keyword 'foo'", (2, 1)),
+    ],
+)
+def test_parse_error_messages_verbatim(text, message, position):
+    with pytest.raises(ParseError) as err:
+        dsl.parse(text)
+    assert str(err.value) == message
+    assert (err.value.line, err.value.col) == position
+
+
+def test_compile_error_message_verbatim():
+    program = dsl.parse("hard 3 x 90")
+    with pytest.raises(CompileError) as err:
+        dsl.compile(program, presets.get_preset("chloroform"))
+    assert str(err.value) == "statement 1 (line 1): spin index 3 out of range 1..2"
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         dsl.parse("hard all x 90\nsel 3 3 x 10\n")

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ppsim import core, dsl, hogg, prep, presets, readout
@@ -54,6 +54,19 @@ def test_parse_formula():
         hogg.parse_formula("V1&V1")
     with pytest.raises(InputError):
         hogg.OneSatFormula(clauses=((1, 0),))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.from_regex(r"!?[Vv][0-9]+(&!?[Vv][0-9]+)*", fullmatch=True))
+@example("V" + "1" * 5000)
+@example("V1&!V" + "2" * 5000)
+def test_parse_formula_reads_a_formula_or_raises_input_error(text):
+    # an index past Python's limit on int digits is an InputError, not a ValueError
+    try:
+        formula = hogg.parse_formula(text)
+    except InputError:
+        return
+    assert isinstance(formula, hogg.OneSatFormula)
 
 
 def test_conflicts():

@@ -133,6 +133,43 @@ def test_residual_input_checks():
         prep.solve_angles(presets.get_preset("homonuclear-3"), spec)
 
 
+@pytest.mark.parametrize(
+    "option,value",
+    [
+        ("grid_per_dim", True),
+        ("grid_per_dim", 2.5),
+        ("grid_per_dim", "3"),
+        ("grid_per_dim", np.float64(3.0)),
+        ("newton_tol", True),
+        ("newton_tol", "1e-3"),
+        ("newton_tol", None),
+        ("newton_tol", 1e-9 + 0j),
+    ],
+)
+def test_solver_rejects_a_flag_or_text_as_a_count_or_a_tolerance(option, value):
+    # isinstance(True, int) holds, but a flag is not a count or a scale
+    with pytest.raises(InputError, match=option):
+        prep.solve_angles(
+            presets.get_preset("chloroform"), prep.default_cascade(2, 1), **{option: value}
+        )
+
+
+def test_solver_takes_numpy_integers_and_reals():
+    system, spec = presets.get_preset("chloroform"), prep.default_cascade(2, 1)
+    want = prep.solve_angles(system, spec, grid_per_dim=3, newton_tol=1e-10)
+    got = prep.solve_angles(system, spec, grid_per_dim=np.int8(3), newton_tol=np.float64(1e-10))
+    assert got == want
+
+
+def test_solver_caps_a_numpy_grid_whose_power_would_wrap(monkeypatch):
+    # np.int16(400) ** 2 wraps to 28928, under the cap, while the grid holds 160000 starts
+    monkeypatch.setattr(prep, "_grid_starts", lambda *args: pytest.fail("starts built"))
+    with pytest.raises(InputError, match="exceeds the cap"):
+        prep.solve_angles(
+            presets.get_preset("chloroform"), prep.default_cascade(2, 1), grid_per_dim=np.int16(400)
+        )
+
+
 def test_residual_checks_the_spin_count_before_building_a_propagator(monkeypatch):
     monkeypatch.setattr(prep, "preparation_unitary", lambda *args: pytest.fail("propagator built"))
     with pytest.raises(InputError, match="spin count"):
