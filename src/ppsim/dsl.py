@@ -91,10 +91,17 @@ def _tokenize(text: str) -> list[_Token]:
 
 # the typed token kinds, each a converter and the message for a token it
 # rejects by raising ValueError or returning None
-_LEVEL = (int, "expected a level number, got {!r}")
-_SPIN = (int, "expected a spin number or 'all', got {!r}")
-_AXIS = (lambda text: text if text in ("x", "y", "z") else None, "axis must be x, y or z, got {!r}")
-_ANGLE = (lambda text: v if np.isfinite(v := float(text)) else None, "malformed angle {!r}")
+_LEVEL = (int, "expected a level number, got {}")
+_SPIN = (int, "expected a spin number or 'all', got {}")
+_AXIS = (lambda text: text if text in ("x", "y", "z") else None, "axis must be x, y or z, got {}")
+_ANGLE = (lambda text: v if np.isfinite(v := float(text)) else None, "malformed angle {}")
+
+
+def _quoted(text: str) -> str:
+    """A token as a message quotes it: its repr, cut to 32 characters plus '...' and its length."""
+    if len(text) <= 32:
+        return repr(text)
+    return f"{text[:32]!r}... ({len(text)} characters)"
 
 
 def _take(tokens: list[_Token], expect: str | None = None) -> _Token:
@@ -103,7 +110,7 @@ def _take(tokens: list[_Token], expect: str | None = None) -> _Token:
         raise ParseError(f"unexpected end of program, expected {expect or 'a token'}")
     tok = tokens.pop()
     if expect is not None and tok.text != expect:
-        raise ParseError(f"expected {expect!r}, got {tok.text!r}", tok.line, tok.col)
+        raise ParseError(f"expected {expect!r}, got {_quoted(tok.text)}", tok.line, tok.col)
     return tok
 
 
@@ -116,7 +123,7 @@ def _read(tokens: list[_Token], kind: tuple):
     except ValueError:
         value = None
     if value is None:
-        raise ParseError(message.format(tok.text), tok.line, tok.col)
+        raise ParseError(message.format(_quoted(tok.text)), tok.line, tok.col)
     return value
 
 
@@ -170,7 +177,7 @@ def parse(text: str) -> PulseProgram:
             else:
                 stmt = Crush()
         else:
-            raise ParseError(f"unknown keyword {tok.text!r}", tok.line, tok.col)
+            raise ParseError(f"unknown keyword {_quoted(tok.text)}", tok.line, tok.col)
         statements.append(stmt)
         lines.append(tok.line)
     return PulseProgram(tuple(statements), tuple(lines))

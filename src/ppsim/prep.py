@@ -53,7 +53,7 @@ SLOW_ITERS = 5
 _STEP_SCALES = 0.5 ** np.arange(8)
 #: Largest number of grid starts solve_angles will build.  A solve is one
 #: Newton block, so this also bounds its memory: the largest grids under it
-#: grow peak RSS by about 58 MB at 2 spins (--grid 316), 153 MB at 3
+#: grow peak RSS by about 58 MB at 2 spins (--grid 316), 154 MB at 3
 #: (--grid 6) and 323 MB at 4 (--grid 2), the first Jacobian being the peak.
 MAX_GRID_STARTS = 10**5
 #: solve_angles' default bound on a root's |population differences|, relative
@@ -234,6 +234,99 @@ def _gram_divided_differences(s: np.ndarray, f1: np.ndarray, f2: np.ndarray):
     return F0, F1, F2
 
 
+#: The six entries of a symmetric 3 x 3, diagonal first (00 11 22 01 02 12),
+#: as flat row-major indices; the 3 x 3 again from those six; and its
+#: adjugate's six as x[i] * x[j] - x[k] * x[l] over the columns (i, j, k, l)
+_SYM3 = np.array([0, 4, 8, 1, 2, 5])
+_SYM3_FULL = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
+_SYM3_ADJ = np.array([[1, 0, 0, 5, 3, 3], [2, 2, 1, 4, 5, 4], [5, 4, 3, 3, 1, 0], [5, 4, 3, 2, 4, 5]])
+
+
+def _gram_eigh(M: np.ndarray):
+    """Eigenpairs (lam, u) of a stack of Gram matrices, as ``np.linalg.eigh`` gives them.
+
+    A 3 x 3 M takes Eberly's robust closed form instead (D. Eberly, A Robust
+    Eigensolver for 3 x 3 Symmetric Matrices, Geometric Tools, 2014), and
+    each row's bits are its own.  M is divided by a power of two near its
+    largest entry, which is exact.  With q = tr M / 3 and p**2 =
+    |M - q I|_F**2 / 6, Cardano's trigonometric roots beta of the traceless
+    h = (M - q I) / p give the extreme eigenvalue farther from the middle
+    one, and its eigenvector is the longest row of adj(h - beta I), which
+    has rank one.  One exact Jacobi rotation of M restricted to that
+    vector's orthonormal complement (Duff et al., J. Comput. Graph. Tech. 6
+    (2017) 1) gives the other two eigenpairs, so a nearly repeated pair
+    costs no accuracy.  lam comes unsorted, the extreme eigenvalue first.
+    Rows whose p**2 falls below the normal range, M = 0 at theta = 0 for
+    one, have no such vector and go to ``np.linalg.eigh``.
+    """
+    if M.shape[1] != 3:
+        return np.linalg.eigh(M)
+    n = len(M)
+    # M is positive semidefinite, so its largest entry is on the diagonal
+    x = M.reshape(n, 9).T[_SYM3]
+    e = np.frexp(x[:3].max(axis=0))[1]
+    np.ldexp(x, -e, out=x)
+    q = (x[0] + x[1] + x[2]) / 3
+    h = x.copy()
+    h[:3] -= q
+    h2 = h * h
+    p2 = (h2[0] + h2[1] + h2[2] + 2 * (h2[3] + h2[4] + h2[5])) / 6
+    fallback = p2 < np.finfo(float).tiny
+    any_fallback = fallback.any()
+    if any_fallback:
+        p2[fallback] = 1.0
+    h /= np.sqrt(p2)
+    adj = h[_SYM3_ADJ[0]] * h[_SYM3_ADJ[1]] - h[_SYM3_ADJ[2]] * h[_SYM3_ADJ[3]]
+    half_det = np.clip(0.5 * (h[0] * adj[0] + h[3] * adj[3] + h[4] * adj[4]), -1.0, 1.0)
+    # h's eigenvalues are 2 cos(phi + 2 pi j / 3); the largest (j = 0) is the
+    # farther from the middle one when det h >= 0, the smallest (j = 1) otherwise
+    beta = 2 * np.cos(np.arccos(half_det) / 3 + np.where(half_det >= 0, 0.0, 2 * np.pi / 3))
+    # adj(h - beta I) = adj(h) + beta (h + beta I), h being traceless
+    adj += beta * h
+    adj[:3] += beta * beta
+    rows = adj[_SYM3_FULL].reshape(3, 3, n)
+    norms = rows * rows
+    norms = norms[:, 0] + norms[:, 1] + norms[:, 2]
+    v = np.where(
+        (norms[0] >= norms[1]) & (norms[0] >= norms[2]),
+        rows[0],
+        np.where(norms[1] >= norms[2], rows[1], rows[2]),
+    )
+    v /= np.sqrt(norms.max(axis=0))
+    # Q holds v and an orthonormal basis of its complement, one vector per row
+    Q = np.empty((3, 3, n))
+    Q[0] = v
+    sign = np.copysign(1.0, v[2])
+    c = -1.0 / (sign + v[2])
+    d = v[0] * v[1] * c
+    Q[1] = 1.0 + sign * v[0] * v[0] * c, sign * d, -sign * v[0]
+    Q[2] = d, sign + v[1] * v[1] * c, -v[1]
+    # sums of three products, written out so that a row's bits do not depend
+    # on how many rows share the call
+    full = x[_SYM3_FULL].reshape(3, 3, n)
+    MQ = full[:, 0] * Q[:, None, 0]
+    MQ += full[:, 1] * Q[:, None, 1]
+    MQ += full[:, 2] * Q[:, None, 2]
+    QMQ = Q * MQ
+    lam = QMQ[:, 0] + QMQ[:, 1] + QMQ[:, 2]
+    # the rotation by atan(t) that zeroes the complement's off-diagonal entry,
+    # in a form that neither overflows nor divides by zero
+    off = Q[1, 0] * MQ[2, 0] + Q[1, 1] * MQ[2, 1] + Q[1, 2] * MQ[2, 2]
+    gap = lam[2] - lam[1]
+    den = np.abs(gap) + np.hypot(gap, 2 * off)
+    t = np.divide(np.copysign(2.0, -gap) * off, den, out=np.zeros(n), where=den > 0)
+    cos = 1 / np.sqrt(1 + t * t)
+    sin = t * cos
+    lam[1] += t * off
+    lam[2] -= t * off
+    Q[1], Q[2] = cos * Q[1] + sin * Q[2], cos * Q[2] - sin * Q[1]
+    lam = np.ascontiguousarray(np.ldexp(lam, e).T)
+    u = np.ascontiguousarray(Q.transpose(2, 1, 0))
+    if any_fallback:
+        lam[fallback], u[fallback] = np.linalg.eigh(M[fallback])
+    return lam, u
+
+
 class _BatchedResidual:
     """Residuals of one cascade at a stack of angle vectors, with exact Jacobians.
 
@@ -241,13 +334,15 @@ class _BatchedResidual:
     Every step flips one spin, so it joins a level of the target's bit-count
     parity (side a, 2**(n-1) - 1 levels) to one of the other parity (side b,
     2**(n-1) levels), and the x-pulse generator is H = [[0, B], [B^T, 0]]
-    with B real, B_ab = theta_j / 2 for step j.  Residuals take one batched
-    eigh of the Gram matrix M = B B^T = u diag(s**2) u^T, which is 3 x 3 at 3
-    spins.  With W = u^T B the propagator is [[C1, -i S], [-i S^T, C2]] with
-    C1 = u cos(s) u^T, S = u (sin(s)/s) W and C2 = I - W^T ((1 - cos s)/s**2) W,
-    all real, so the populations are sums of their squares.  Both kernels
-    keep one side order, side a's levels then side b's, each in index order,
-    and ``diff`` maps populations in it to the residual's p_l - p_l0.
+    with B real, B_ab = theta_j / 2 for step j.  Residuals take the
+    eigenpairs of the Gram matrix M = B B^T = u diag(s**2) u^T from
+    :func:`_gram_eigh`: a closed form at 3 spins, where M is 3 x 3, and one
+    batched eigh at other sizes.  With W = u^T B the propagator is
+    [[C1, -i S], [-i S^T, C2]] with C1 = u cos(s) u^T, S = u (sin(s)/s) W
+    and C2 = I - W^T ((1 - cos s)/s**2) W, all real, so the populations are
+    sums of their squares.  Both kernels keep one side order, side a's
+    levels then side b's, each in index order, and ``diff`` maps populations
+    in it to the residual's p_l - p_l0.
     ``evaluate`` hands back each row's (s**2, u), and Jacobians differentiate
     those functions of M in that eigenbasis, with no decomposition of their
     own: step j moves M by u X_j u^T, X_j the symmetric part of
@@ -316,11 +411,12 @@ class _BatchedResidual:
         bad = ~np.isfinite(theta).all(axis=1)
         any_bad = bad.any()
         if any_bad:
-            # eigh may raise LinAlgError on non-finite input, which would end
-            # the whole block: evaluate those rows at 0, then blank them
+            # on non-finite input eigh may raise LinAlgError, which would end
+            # the whole block, and the closed form would warn: evaluate
+            # those rows at 0, then blank them
             theta = np.where(bad[:, None], 0.0, theta)
         B = self._block(theta)
-        lam, u = np.linalg.eigh(B @ B.transpose(0, 2, 1))
+        lam, u = _gram_eigh(B @ np.ascontiguousarray(B.transpose(0, 2, 1)))
         _, _, _, _, top, C2 = self._propagator(B, lam, u)
         # diag(U D U+) for the diagonal thermal state D needs only |U|^2
         top *= top
@@ -345,7 +441,8 @@ class _BatchedResidual:
         # dp_l = sum_pq T_lpq Y_jpq over the steps j, with Y_j = outer(u[a_j], W[:, b_j]);
         # the Gram part of T, from dC1 = u (F0 o X) u^T, dS = u (F1 o X) W and
         # dC2 = -W^T (F2 o X) W with X = (Y + Y^T)/2, and dp = 2 (U o dU) d
-        Wt = W.transpose(0, 2, 1)
+        # a contiguous W^T makes T's products faster; it is freed with them
+        Wt = np.ascontiguousarray(W.transpose(0, 2, 1))
         G, Hs = (C1 * self.d_a) @ u, (S * self.d_b) @ Wt
         P, R = (S.transpose(0, 2, 1) * self.d_a) @ u, (C2 * self.d_b) @ Wt
         F0, F1, F2 = F0[:, None], F1[:, None], F2[:, None]
@@ -353,7 +450,7 @@ class _BatchedResidual:
             u[:, :, :, None] * (G[:, :, None] * F0 + Hs[:, :, None] * F1),
             P[:, :, :, None] * Wt[:, :, None] * F1 - Wt[:, :, :, None] * R[:, :, None] * F2,
         ], axis=1)
-        del F0, F1, F2, G, Hs, P, R
+        del F0, F1, F2, G, Hs, P, R, Wt
         T += T.transpose(0, 1, 3, 2)
         ua = u[:, a].transpose(0, 2, 1)
         Y = ua[:, :, None] * W[:, None, :, b]
@@ -362,7 +459,7 @@ class _BatchedResidual:
         # dB_j = E_j / 2 itself enters S = g1(M) B and C2 = I - B^T g2(M) B,
         # g1 = sin(s)/s and g2 = (1 - cos s)/s**2, through g1(M)[:, a_j] and
         # (g2(M) B)[a_j], which meet column b_j of S and of C2 (sign folded in)
-        g = np.concatenate([u * f1.transpose(0, 2, 1), Wt * f2.transpose(0, 2, 1)], axis=1) @ ua
+        g = np.concatenate([u * f1.transpose(0, 2, 1), (W * f2).transpose(0, 2, 1)], axis=1) @ ua
         rank1 = np.concatenate([S, -C2], axis=1)[:, :, b] * g
         dp += rank1 * self.d_b[b]
         # and, on level b_j itself, the other factor of (U o dU) d
@@ -556,17 +653,17 @@ def solve_angles(
     # a diagonal +-1 similarity flips the sign of any angle of a cascade,
     # which is a tree, and leaves |U|^2 alone, so roots are folded onto |theta|
     folded, folded_norms = np.abs(np.degrees(x[ok])), worst[ok]
-    # each root is compared with the distinct ones before it, held in order
-    # at the top of distinct
+    # a root is kept unless a kept root before it lies within DEDUP_TOL_DEG;
+    # each kept root drops the later ones it covers in one pass, so rest
+    # holds the roots no kept root covers, in order
     kept: list[int] = []
-    distinct = np.empty_like(folded)
-    for i, deg in enumerate(folded):
-        if not kept or np.abs(distinct[: len(kept)] - deg).max(axis=1).min() >= DEDUP_TOL_DEG:
-            distinct[len(kept)] = deg
-            kept.append(i)
+    rest = np.arange(len(folded))
+    while rest.size:
+        kept.append(rest[0])
+        rest = rest[np.abs(folded[rest] - folded[rest[0]]).max(axis=1) >= DEDUP_TOL_DEG]
     # the batched path is the solver's own; hold each root to residual's
     # promise, all of them in one stack through the dense exponential
-    checks = np.abs(residual(distinct[: len(kept)], system, spec)).max(axis=1)
+    checks = np.abs(residual(folded[kept], system, spec)).max(axis=1)
     passed = checks < bound
     if not passed.any():
         why = (

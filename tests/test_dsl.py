@@ -123,6 +123,20 @@ def test_parse_errors(text, fragment):
         ("sel 3 4 q 1", "line 1, col 9: axis must be x, y or z, got 'q'", (1, 9)),
         ("sel 3 4 x inf", "line 1, col 11: malformed angle 'inf'", (1, 11)),
         ("crush\nfoo", "line 2, col 1: unknown keyword 'foo'", (2, 1)),
+        # a token is quoted whole up to 32 characters, and cut there past that
+        pytest.param(
+            "x" * 32, f"line 1, col 1: unknown keyword '{'x' * 32}'", (1, 1), id="32-letter keyword"
+        ),
+        pytest.param(
+            "x" * 33, f"line 1, col 1: unknown keyword '{'x' * 32}'... (33 characters)", (1, 1),
+            id="33-letter keyword",
+        ),
+        pytest.param(
+            f"sel {'9' * 5000} 2 x 1",
+            f"line 1, col 5: expected a level number, got '{'9' * 32}'... (5000 characters)",
+            (1, 5),
+            id="5000-digit level",
+        ),
     ],
 )
 def test_parse_error_messages_verbatim(text, message, position):

@@ -1,5 +1,7 @@
 import functools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -239,10 +241,8 @@ def test_residual_is_invariant_under_angle_sign_flips(case, angles, signs):
     )
 
 
-@st.composite
-def kernel_cases(draw):
-    """A random cascade tree at 2-4 spins, signed gammas over six decades, and angles."""
-    n = draw(st.integers(2, 4))
+def draw_tree(draw, n):
+    """A random cascade tree at n spins: a random target and a spanning tree of the other levels."""
     target = draw(st.sampled_from(range(1, 2**n + 1)))
     lines = [(lev, ((lev - 1) ^ (1 << b)) + 1) for lev in range(1, 2**n + 1) for b in range(n)]
     lines = [(m, k) for m, k in lines if m < k and target not in (m, k)]
@@ -259,11 +259,18 @@ def kernel_cases(draw):
         if root(m) != root(k):
             parent[root(m)] = root(k)
             steps.append(CascadeStep(*((m, k) if draw(st.booleans()) else (k, m))))
-    spec = CascadeSpec(target, tuple(steps), n)
+    return CascadeSpec(target, tuple(steps), n)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random cascade tree at 2-4 spins, signed gammas over six decades, and angles."""
+    n = draw(st.integers(2, 4))
+    spec = draw_tree(draw, n)
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
     decades = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
     system = core.SpinSystem(gamma=tuple(s * 10.0**e for s, e in zip(signs, decades)))
-    k = len(steps)
+    k = len(spec.steps)
     base = np.array(draw(st.lists(st.floats(-np.pi, np.pi), min_size=k, max_size=k)))
     kind = draw(st.sampled_from(["zero", "equal", "nearly equal", "random", "some zero", "one 1e-6",
                                  "1e-9", "1e3"]))
@@ -356,6 +363,52 @@ def test_batched_kernel_matches_residual_on_any_tree():
     # the Jacobian divides differences of functions of B's squared singular
     # values, so zero, repeated and nearly so are where a wrong branch would show
     assert seen >= {"rank-deficient", "repeated", "near-zero", "near-repeated"}
+
+
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("kind", ["random", "zero", "rank 1", "rank 2", "multiple of I", "repeated",
+                                  "nearly repeated"])
+@given(data=st.data())
+def test_gram_eigenpairs_match_lapack_on_any_tree(kind, data):
+    # 3-spin Gram matrices M = B B^T of random trees, and of the spider, whose
+    # B at equal angles theta has the singular values theta/2 * (2, 1, 1); on
+    # its three outer steps alone B B^T is (theta/2)**2 I
+    draw = data.draw
+    spider = kind in ("multiple of I", "repeated", "nearly repeated")
+    spec = CascadeSpec(1, SPIDER_3_STEPS, 3) if spider else draw_tree(draw, 3)
+    fun = prep._BatchedResidual(spec, np.zeros(8))
+    theta = np.array(draw(st.lists(st.floats(0.1, 2 * np.pi), min_size=6, max_size=6)))
+    if kind == "zero":
+        theta[:] = 0.0
+    elif kind == "rank 1":
+        theta[np.arange(6) != draw(st.integers(0, 5))] = 0.0
+    elif kind == "rank 2":
+        # no step left on one of side a's three levels leaves a zero row of B
+        theta[fun.a == draw(st.integers(0, 2))] = 0.0
+    elif spider:
+        theta[:] = theta[0]
+        if kind == "multiple of I":
+            theta[::2] = 0.0
+        elif kind == "nearly repeated":
+            theta[5] *= 1 + 10.0 ** draw(st.floats(-15.0, -4.0))
+    # entries of M scaled by 2**+-500, by 2**+-600, whose squares leave the
+    # float range, or into the subnormal range
+    theta *= 2.0 ** draw(st.sampled_from([0, 250, -250, 300, -300, -530]) | st.integers(-530, 300))
+    B = fun._block(theta[None])
+    M = (B @ B.transpose(0, 2, 1))[0]
+    lapack, real_eigh = [], np.linalg.eigh
+    counted = mock.patch.object(np.linalg, "eigh", lambda a: lapack.append(a) or real_eigh(a))
+    with warnings.catch_warnings(), counted:
+        warnings.simplefilter("error", RuntimeWarning)
+        lam, u = (f[0] for f in prep._gram_eigh(M[None]))
+    # only M = 0, and multiples of I whose trace rounds exactly, have no eigenvector to build on
+    assert not lapack or kind in ("zero", "multiple of I")
+    eps, scale = np.finfo(float).eps, np.abs(M).max()
+    # rounding to the subnormal grid adds its own floor
+    atol = 16 * (eps * scale + np.finfo(float).smallest_subnormal)
+    np.testing.assert_allclose((u * lam) @ u.T, M, rtol=0, atol=atol)
+    np.testing.assert_allclose(u.T @ u, np.eye(3), rtol=0, atol=16 * eps)
+    np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(M), rtol=0, atol=atol)
 
 
 def divided_differences_reference(s):
@@ -453,28 +506,41 @@ def test_a_start_follows_the_same_path_whichever_starts_share_its_block(name, ro
 )
 def test_newton_block_decomposes_each_point_once(monkeypatch, name, side_a, grids):
     fun, spec = batched_residual(presets.get_preset(name), 1)
-    eighs, evaluated, jacobians = [], [], []
-    real_evaluate, real_jacobian, real_eigh = fun.evaluate, fun.jacobian, np.linalg.eigh
+    grams, lapack, evaluated, jacobians = [], [], [], []
+    real_evaluate, real_jacobian = fun.evaluate, fun.jacobian
+    real_gram_eigh, real_eigh = prep._gram_eigh, np.linalg.eigh
+
+    def gram_eigh(M):
+        assert M.shape[1:] == (side_a, side_a), f"Gram eigenpairs of a {M.shape[1:]} matrix"
+        grams.append(len(M))
+        return real_gram_eigh(M)
 
     def eigh(a, *args, **kwargs):
-        assert a.shape[1:] == (side_a, side_a), f"eigh of a {a.shape[1:]} matrix"
-        eighs.append(len(a))
+        # the 3 x 3 closed form hands LAPACK only rows it has no vector for
+        if side_a == 3:
+            assert np.all(a == a[:, :1, :1] * np.eye(3)), "LAPACK got a 3 x 3 that is not a multiple of I"
+        lapack.append(len(a))
         return real_eigh(a, *args, **kwargs)
 
+    monkeypatch.setattr(prep, "_gram_eigh", gram_eigh)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("svd called"))
     monkeypatch.setattr(fun, "evaluate", lambda t: evaluated.append(len(t)) or real_evaluate(t))
     monkeypatch.setattr(fun, "jacobian", lambda t, *f: jacobians.append(len(t)) or real_jacobian(t, *f))
+    k = len(spec.steps)
     for per_dim in grids:
-        x0 = np.radians(np.array(prep._grid_starts(len(spec.steps), per_dim), dtype=float))
-        for calls in (eighs, evaluated, jacobians):
+        # theta = 0, where M = 0 and the Jacobian is singular, leads the grid starts
+        x0 = np.radians(np.array([(0.0,) * k, *prep._grid_starts(k, per_dim)], dtype=float))
+        for calls in (grams, lapack, evaluated, jacobians):
             calls.clear()
         prep._newton_block(fun, x0, 1e-10)
         # the first evaluation holds the starts, every later one trial points
         assert evaluated[0] == len(x0) and len(evaluated) > 1 and jacobians
-        # each evaluated row costs one Gram eigh, and nothing else is
+        # each evaluated row costs one Gram eigenpair row, and nothing else is
         # decomposed at any spin count: Jacobians read evaluate's eigenpairs
-        assert sum(eighs) == sum(evaluated)
+        assert sum(grams) == sum(evaluated)
+        # LAPACK takes every 1 x 1 row, and of the 3 x 3 rows only theta = 0's
+        assert sum(lapack) == (sum(grams) if side_a == 1 else 1)
         # a line-search call holds at most as many trial points as there are starts
         assert max(evaluated[1:]) <= len(x0)
 
