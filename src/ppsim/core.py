@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, InputError, NotPseudoPureError
+from .errors import ContractError, InputError, NotPseudoPureError, clipped
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -102,7 +102,7 @@ def _check_level(level: int, n_spins: int) -> int:
     if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
         raise InputError(f"level must be an integer, got {level!r}")
     if not 1 <= level <= 2**n_spins:
-        raise InputError(f"level {level} out of range 1..{2**n_spins}")
+        raise InputError(f"level {clipped(level)} out of range 1..{2**n_spins}")
     return level
 
 
@@ -130,7 +130,7 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
     if isinstance(spin, bool) or not isinstance(spin, (int, np.integer)):
         raise InputError(f"spin index must be an integer, got {spin!r}")
     if not 1 <= spin <= n_spins:
-        raise InputError(f"spin index {spin} out of range 1..{n_spins}")
+        raise InputError(f"spin index {clipped(spin)} out of range 1..{n_spins}")
     stride = 2 ** (n_spins - spin)
     return [(m0 + 1, m0 + stride + 1) for m0 in range(2**n_spins) if not m0 & stride]
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SpinSystem, crush, evolve, expm_unitary, flipped_spin, generator, transitions_of_spin
-from .errors import CompileError, InputError, ParseError
+from .errors import CompileError, InputError, ParseError, clipped
 
 CRUSH_KEYWORDS = {"ideal": "all_off_diagonal", "order": "coherence_order"}
 _CRUSH_WORDS = {v: k for k, v in CRUSH_KEYWORDS.items()}
@@ -97,20 +97,13 @@ _AXIS = (lambda text: text if text in ("x", "y", "z") else None, "axis must be x
 _ANGLE = (lambda text: v if np.isfinite(v := float(text)) else None, "malformed angle {}")
 
 
-def _quoted(text: str) -> str:
-    """A token as a message quotes it: its repr, cut to 32 characters plus '...' and its length."""
-    if len(text) <= 32:
-        return repr(text)
-    return f"{text[:32]!r}... ({len(text)} characters)"
-
-
 def _take(tokens: list[_Token], expect: str | None = None) -> _Token:
     """Pop the next token off the stack, which must read expect if that is given."""
     if not tokens:
         raise ParseError(f"unexpected end of program, expected {expect or 'a token'}")
     tok = tokens.pop()
     if expect is not None and tok.text != expect:
-        raise ParseError(f"expected {expect!r}, got {_quoted(tok.text)}", tok.line, tok.col)
+        raise ParseError(f"expected {expect!r}, got {clipped(tok.text, repr)}", tok.line, tok.col)
     return tok
 
 
@@ -123,7 +116,7 @@ def _read(tokens: list[_Token], kind: tuple):
     except ValueError:
         value = None
     if value is None:
-        raise ParseError(message.format(_quoted(tok.text)), tok.line, tok.col)
+        raise ParseError(message.format(clipped(tok.text, repr)), tok.line, tok.col)
     return value
 
 
@@ -131,7 +124,7 @@ def _sel(tokens: list[_Token]) -> SelPulse:
     tok = _take(tokens, "sel")
     m, k, axis, angle = (_read(tokens, kind) for kind in (_LEVEL, _LEVEL, _AXIS, _ANGLE))
     if m == k:
-        raise ParseError(f"degenerate transition ({m}, {k})", tok.line, tok.col)
+        raise ParseError(f"degenerate transition ({clipped(m)}, {clipped(k)})", tok.line, tok.col)
     return SelPulse(m, k, axis, angle)
 
 
@@ -154,7 +147,8 @@ def parse(text: str) -> PulseProgram:
                 key = frozenset((p.m, p.k))
                 if key in seen:
                     raise ParseError(
-                        f"transition ({p.m}, {p.k}) appears twice in one block", tok.line, tok.col
+                        f"transition ({clipped(p.m)}, {clipped(p.k)}) appears twice in one block",
+                        tok.line, tok.col,
                     )
                 seen.add(key)
             stmt = Block(tuple(pulses))
@@ -177,7 +171,7 @@ def parse(text: str) -> PulseProgram:
             else:
                 stmt = Crush()
         else:
-            raise ParseError(f"unknown keyword {_quoted(tok.text)}", tok.line, tok.col)
+            raise ParseError(f"unknown keyword {clipped(tok.text, repr)}", tok.line, tok.col)
         statements.append(stmt)
         lines.append(tok.line)
     return PulseProgram(tuple(statements), tuple(lines))

@@ -5,6 +5,12 @@ library code should be one of the classes below (or a subclass).
 """
 
 
+def clipped(value, show=str) -> str:
+    """show(str(value)) for a message, or past 32 characters show of its first 32, '...' and its length."""
+    text = str(value)
+    return show(text) if len(text) <= 32 else f"{show(text[:32])}... ({len(text)} characters)"
+
+
 class PpsimError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import dsl, prep
 # evolve and pure_part are not called here, but perfbench/tracing.py patches them by name
 from .core import SpinSystem, evolve, pure_part  # noqa: F401
-from .errors import ContractError, InputError
+from .errors import ContractError, InputError, clipped
 
 _LITERAL = re.compile(r"^(!?)[Vv](\d+)$")
 
@@ -46,7 +46,7 @@ class OneSatFormula:
             if var < 1:
                 raise InputError(f"variable V{var} out of range, variables start at V1")
             if var in seen:
-                raise InputError(f"variable V{var} appears in more than one clause")
+                raise InputError(f"variable V{clipped(var)} appears in more than one clause")
             if not isinstance(negated, bool):
                 raise InputError("negated flag must be a bool")
             seen.add(var)
@@ -61,7 +61,7 @@ def parse_formula(text: str) -> OneSatFormula:
     for part in parts:
         m = _LITERAL.match(part)
         if m is None:
-            raise InputError(f"bad literal {part!r}; expected V<k> or !V<k>")
+            raise InputError(f"bad literal {clipped(part, repr)}; expected V<k> or !V<k>")
         try:
             var = int(m.group(2))
         except ValueError:  # past Python's limit on the digits of an int read from text

@@ -256,8 +256,8 @@ def _gram_eigh(M: np.ndarray):
     vector's orthonormal complement (Duff et al., J. Comput. Graph. Tech. 6
     (2017) 1) gives the other two eigenpairs, so a nearly repeated pair
     costs no accuracy.  lam comes unsorted, the extreme eigenvalue first.
-    Rows whose p**2 falls below the normal range, M = 0 at theta = 0 for
-    one, have no such vector and go to ``np.linalg.eigh``.
+    p is clamped to the normal range, so a multiple of I (M = 0 at theta =
+    0, say) has h = 0 and takes the first unit vector and no rotation.
     """
     if M.shape[1] != 3:
         return np.linalg.eigh(M)
@@ -271,11 +271,7 @@ def _gram_eigh(M: np.ndarray):
     h[:3] -= q
     h2 = h * h
     p2 = (h2[0] + h2[1] + h2[2] + 2 * (h2[3] + h2[4] + h2[5])) / 6
-    fallback = p2 < np.finfo(float).tiny
-    any_fallback = fallback.any()
-    if any_fallback:
-        p2[fallback] = 1.0
-    h /= np.sqrt(p2)
+    h /= np.sqrt(np.maximum(p2, np.finfo(float).tiny))
     adj = h[_SYM3_ADJ[0]] * h[_SYM3_ADJ[1]] - h[_SYM3_ADJ[2]] * h[_SYM3_ADJ[3]]
     half_det = np.clip(0.5 * (h[0] * adj[0] + h[3] * adj[3] + h[4] * adj[4]), -1.0, 1.0)
     # h's eigenvalues are 2 cos(phi + 2 pi j / 3); the largest (j = 0) is the
@@ -321,10 +317,7 @@ def _gram_eigh(M: np.ndarray):
     lam[2] -= t * off
     Q[1], Q[2] = cos * Q[1] + sin * Q[2], cos * Q[2] - sin * Q[1]
     lam = np.ascontiguousarray(np.ldexp(lam, e).T)
-    u = np.ascontiguousarray(Q.transpose(2, 1, 0))
-    if any_fallback:
-        lam[fallback], u[fallback] = np.linalg.eigh(M[fallback])
-    return lam, u
+    return lam, np.ascontiguousarray(Q.transpose(2, 1, 0))
 
 
 class _BatchedResidual:
@@ -336,8 +329,8 @@ class _BatchedResidual:
     2**(n-1) levels), and the x-pulse generator is H = [[0, B], [B^T, 0]]
     with B real, B_ab = theta_j / 2 for step j.  Residuals take the
     eigenpairs of the Gram matrix M = B B^T = u diag(s**2) u^T from
-    :func:`_gram_eigh`: a closed form at 3 spins, where M is 3 x 3, and one
-    batched eigh at other sizes.  With W = u^T B the propagator is
+    :func:`_gram_eigh`: a closed form for every 3 x 3 M, at 3 spins, and
+    one batched eigh at other sizes.  With W = u^T B the propagator is
     [[C1, -i S], [-i S^T, C2]] with C1 = u cos(s) u^T, S = u (sin(s)/s) W
     and C2 = I - W^T ((1 - cos s)/s**2) W, all real, so the populations are
     sums of their squares.  Both kernels keep one side order, side a's

@@ -21,8 +21,8 @@ right, of shape (settings, lines, dim).  Each register size's full
 tomography protocol, over every spin, is cached as read-only arrays with
 its design, built when first reconstructed; a spectrum builds its
 one-setting protocol over its own spin's lines on each call.  A
-MeasurementSet is its protocol and one amplitude per record, so a
-reconstruction looks nothing up.
+MeasurementSet is a register size and one amplitude per record of that
+size's full protocol, the only one tomography records or reconstructs.
 """
 
 import functools
@@ -37,7 +37,7 @@ import numpy as np
 
 # evolve and expm_unitary are not called here, but perfbench/tracing.py patches them by name
 from .core import PAULI, SpinSystem, evolve, expm_unitary, max_rel_error, transitions_of_spin  # noqa: F401
-from .errors import ContractError, InputError
+from .errors import InputError
 
 READOUT_PULSES = ("none", "x90", "y90")
 MAX_TOMOGRAPHY_SPINS = 4
@@ -63,13 +63,9 @@ class Measurement(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class TomographyResult:
-    """A reconstruction; rank and condition_number describe the design."""
-
     reconstructed: np.ndarray
     residual_norm: float
     settings_used: int
-    rank: int
-    condition_number: float
     max_rel_error: float | None = None
 
 
@@ -108,8 +104,8 @@ def setting_unitary(setting, n_spins: int) -> np.ndarray:
 class _Protocol:
     """The state-independent part of reading the given spins' lines under each setting.
 
-    Compared by identity.  Records run over settings, then the given spins
-    in turn, then transitions_of_spin order.
+    Records run over settings, then the given spins in turn, then
+    transitions_of_spin order.
     """
 
     def __init__(self, n_spins: int, settings: tuple, spins):
@@ -122,8 +118,8 @@ class _Protocol:
         self.right = _read_only(propagators[:, m - 1].conj())
 
     @functools.cached_property
-    def design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """The design A, its squared column norms g, the basis and A's condition number.
+    def design(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The design A, its squared column norms g and the basis.
 
         Each record's amplitude applied to the basis gives two rows of A, its
         real and imaginary parts.  Only the full protocol's A is read: its
@@ -135,7 +131,7 @@ class _Protocol:
         A = np.concatenate((amps.real, amps.imag), axis=1).T.copy()
         g = np.einsum("rk,rk->k", A, A)
         flat = basis.reshape(len(basis), -1).T.copy()
-        return _read_only(A), _read_only(g), _read_only(flat), math.sqrt(g.max() / g.min())
+        return _read_only(A), _read_only(g), _read_only(flat)
 
 
 @functools.lru_cache(maxsize=MAX_TOMOGRAPHY_SPINS)
@@ -146,16 +142,26 @@ def _protocol(n_spins: int) -> _Protocol:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementSet:
-    """Line amplitudes, amplitudes[i] of the protocol's record i, as columns; compared by identity."""
+    """Line amplitudes, amplitudes[i] of record i of the full protocol of n_spins, as columns; compared by identity."""
 
-    protocol: _Protocol
+    n_spins: int
     amplitudes: np.ndarray
     noise_sigma: float
     seed: int | None
 
+    def _checked_protocol(self) -> _Protocol:
+        """The full protocol of n_spins, once the amplitudes are found to be one per record."""
+        protocol = _protocol(self.n_spins)
+        n_records = len(protocol.settings) * len(protocol.transitions)
+        if np.shape(self.amplitudes) != (n_records,):
+            raise InputError(f"expected {n_records} amplitudes, one per record, "
+                             f"got {np.size(self.amplitudes)} in shape {np.shape(self.amplitudes)}")
+        return protocol
+
     @property
     def records(self) -> tuple[Measurement, ...]:
-        keys = itertools.product(self.protocol.settings, self.protocol.transitions)
+        protocol = self._checked_protocol()
+        keys = itertools.product(protocol.settings, protocol.transitions)
         return tuple(Measurement(s, t, a) for (s, t), a in zip(keys, self.amplitudes))
 
 
@@ -264,7 +270,7 @@ def simulate_measurements(
             amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * z.view(complex)[:, 0]
         if not np.isfinite(amps).all():
             raise InputError(f"noise_sigma {noise_sigma!r} overflows the noisy amplitudes")
-    return MeasurementSet(protocol, _read_only(amps), float(noise_sigma), seed)
+    return MeasurementSet(system.n_spins, _read_only(amps), float(noise_sigma), seed)
 
 
 def basis_operators(n_spins: int) -> list[np.ndarray]:
@@ -284,21 +290,16 @@ def basis_operators(n_spins: int) -> list[np.ndarray]:
 def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None) -> TomographyResult:
     """Least-squares inversion of recorded line amplitudes, by back-projection.
 
-    Only the full protocol that simulate_measurements records is read, and
-    its design is built on first use; another protocol raises ContractError.
+    The full protocol's design is built on first use.  Its 4**n - 1
+    columns are orthogonal, with condition number sqrt(3**(n-1) / n).
     Records of another spin count, and amplitudes not one per record, not
     finite or whose sum of squares overflows, raise InputError.
     """
-    protocol = measurements.protocol
-    if protocol.n_spins != system.n_spins:
-        raise InputError(f"records are of {protocol.n_spins} spins, the system has {system.n_spins}")
+    if measurements.n_spins != system.n_spins:
+        raise InputError(f"records are of {measurements.n_spins} spins, the system has {system.n_spins}")
+    protocol = measurements._checked_protocol()
     amps = np.asarray(measurements.amplitudes, dtype=complex)
-    n_records = len(protocol.settings) * len(protocol.transitions)
-    if amps.shape != (n_records,):
-        raise InputError(f"expected {n_records} amplitudes, one per record, got {amps.size} in shape {amps.shape}")
-    if protocol is not _protocol(system.n_spins):
-        raise ContractError("only the full tomography protocol, every setting read on every spin, is reconstructed")
-    A, g, basis, condition_number = protocol.design
+    A, g, basis = protocol.design
     y = np.concatenate((amps.real, amps.imag))
     # A c is y's orthogonal projection, so a finite y.y keeps the misfit ||A c - y|| finite
     with np.errstate(over="ignore"):
@@ -314,8 +315,6 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
         reconstructed=rho,
         residual_norm=misfit,
         settings_used=len(protocol.settings),
-        rank=len(g),
-        condition_number=condition_number,
         max_rel_error=err,
     )
 

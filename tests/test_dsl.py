@@ -10,6 +10,9 @@ from ppsim import core, dsl, presets
 from ppsim.errors import CompileError, InputError, ParseError
 
 PREP_PROGRAM = "block { sel 3 4 x 127.13 ; sel 2 4 x 186.01 }\ncrush\n"
+# the longest integer Python reads from text, and how a message quotes it
+LONG = "9" * 4300
+LONG_CUT = f"{'9' * 32}... (4300 characters)"
 
 
 def random_program(rng):
@@ -137,6 +140,19 @@ def test_parse_errors(text, fragment):
             (1, 5),
             id="5000-digit level",
         ),
+        # a level that parses, at Python's 4300-digit limit, is cut the same way
+        pytest.param(
+            f"sel {LONG} {LONG} x 1",
+            f"line 1, col 1: degenerate transition ({LONG_CUT}, {LONG_CUT})",
+            (1, 1),
+            id="degenerate 4300-digit levels",
+        ),
+        pytest.param(
+            f"block {{ sel 1 {LONG} x 1 ; sel {LONG} 1 y 2 }}",
+            f"line 1, col 1: transition ({LONG_CUT}, 1) appears twice in one block",
+            (1, 1),
+            id="repeated 4300-digit transition",
+        ),
     ],
 )
 def test_parse_error_messages_verbatim(text, message, position):
@@ -147,10 +163,18 @@ def test_parse_error_messages_verbatim(text, message, position):
 
 
 def test_compile_error_message_verbatim():
-    program = dsl.parse("hard 3 x 90")
-    with pytest.raises(CompileError) as err:
-        dsl.compile(program, presets.get_preset("chloroform"))
-    assert str(err.value) == "statement 1 (line 1): spin index 3 out of range 1..2"
+    cases = (
+        ("hard 3 x 90", "statement 1 (line 1): spin index 3 out of range 1..2"),
+        ("sel 1 5 x 1", "statement 1 (line 1): level 5 out of range 1..4"),
+        # a level or spin that parses, at Python's 4300-digit limit, is cut as a token is
+        (f"sel 1 {LONG} x 1", f"statement 1 (line 1): level {LONG_CUT} out of range 1..4"),
+        (f"hard {LONG} x 90", f"statement 1 (line 1): spin index {LONG_CUT} out of range 1..2"),
+    )
+    for text, message in cases:
+        program = dsl.parse(text)
+        with pytest.raises(CompileError) as err:
+            dsl.compile(program, presets.get_preset("chloroform"))
+        assert str(err.value) == message
 
 
 def test_parse_error_carries_position():

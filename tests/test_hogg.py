@@ -56,6 +56,21 @@ def test_parse_formula():
         hogg.OneSatFormula(clauses=((1, 0),))
 
 
+def test_formula_messages_cut_long_text():
+    # an index at Python's 4300-digit limit, or a long bad literal, is quoted by its first 32 characters
+    cases = (
+        ("V1&V1", "variable V1 appears in more than one clause"),
+        (f"V{'1' * 4300}&V{'1' * 4300}",
+         f"variable V{'1' * 32}... (4300 characters) appears in more than one clause"),
+        ("V1|V2", "bad literal 'V1|V2'; expected V<k> or !V<k>"),
+        ("x" * 100, f"bad literal '{'x' * 32}'... (100 characters); expected V<k> or !V<k>"),
+    )
+    for text, message in cases:
+        with pytest.raises(InputError) as err:
+            hogg.parse_formula(text)
+        assert str(err.value) == message
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text() | st.from_regex(r"!?[Vv][0-9]+(&!?[Vv][0-9]+)*", fullmatch=True))
 @example("V" + "1" * 5000)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ppsim import core, prep, presets, readout
-from ppsim.errors import ContractError, InputError
+from ppsim.errors import InputError
 from ppsim.readout import basis_operators, render_stick_svg, setting_unitary
 
 from helpers import reference_setting_unitary, spin_op
@@ -265,21 +265,33 @@ def test_spectra_above_the_tomography_cap_are_conjugated_coherences():
                     assert abs(line.amplitude - 2 * want[k - 1, m - 1]) <= 1e-12 * np.abs(rho).max()
 
 
-def test_one_cached_protocol_per_register_size():
-    # tomography caches one full protocol per register size; a spectrum builds
-    # its own one-setting protocol and leaves the cache alone
+def test_one_cached_protocol_per_register_size(monkeypatch):
+    # tomography caches one full protocol per register size, and a measurement
+    # set's records and its reconstruction read it; a spectrum builds its own
+    # one-setting protocol and leaves the cache alone
+    cached, read = readout._protocol, []
+    monkeypatch.setattr(readout, "_protocol", lambda n: read.append(n) or cached(n))
     for n, system in SYSTEMS_BY_SIZE.items():
         measured = readout.simulate_measurements(core.thermal_deviation(system), system)
-        assert measured.protocol is readout._protocol(n)
-        assert len(measured.protocol.settings) == 3**n
-    info = readout._protocol.cache_info()
+        assert measured.n_spins == n
+        protocol = cached(n)
+        assert len(protocol.settings) == 3**n
+        read.clear()
+        keys = [(r.setting, r.transition) for r in measured.records]
+        assert read == [n]
+        assert keys == list(itertools.product(protocol.settings, protocol.transitions))
+        read.clear()
+        assert readout.reconstruct(measured, system).settings_used == 3**n
+        assert read == [n]
+    info = cached.cache_info()
     assert (info.maxsize, info.currsize) == (readout.MAX_TOMOGRAPHY_SPINS, 4)
     system = presets.get_preset("hetero-3")
     rho = core.thermal_deviation(system)
+    read.clear()
     for spin in (1, 2, 3):
         for pulse in readout.READOUT_PULSES:
             readout.readout_spectrum(rho, spin, system, pulse)
-    assert readout._protocol.cache_info() == info
+    assert cached.cache_info() == info and not read
 
 
 def test_measurement_noise_is_reproducible():
@@ -423,18 +435,31 @@ def test_reconstruct_rejects_amplitudes_that_are_not_one_per_record():
             readout.reconstruct(dataclasses.replace(full, amplitudes=bad), system)
 
 
-def test_reconstruct_rejects_incomplete_protocols():
+def test_measurement_sets_off_the_full_protocol_are_rejected():
+    # a measurement set holds one amplitude per record of its register size's
+    # full protocol, the only one reconstructed: a subset of its settings, even
+    # one that pins down every product operator, or a register past the
+    # tomography cap is rejected by records and reconstruct alike, even right
+    # after the full protocol has been reconstructed and its design cached
     system = presets.get_preset("chloroform")
-    rho, _ = prep.prepare_pseudo_pure(system, 1)
-    # populations alone cannot pin down coherences, even right after the
-    # full protocol has been reconstructed and its design cached
+    rho = random_deviation(np.random.default_rng(63), 2)
     full = readout.simulate_measurements(rho, system)
     assert readout.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
-    plain = readout._Protocol(2, (("none", "none"),), (1, 2))
-    # the ("none", "none") setting comes first, with its 4 lines
-    only_plain = readout.MeasurementSet(plain, full.amplitudes[:4], 0.0, None)
-    with pytest.raises(ContractError):
-        readout.reconstruct(only_plain, system)
+    subset = (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none"))
+    five = core.SpinSystem(gamma=(1.0,) * 5)
+    cases = (
+        # the ("none", "none") setting comes first, with its 4 lines
+        (full.amplitudes[:4], 2, system, "expected 36 amplitudes, one per record, got 4"),
+        (tuple(r.amplitude for r in full.records if r.setting in subset), 2, system,
+         "expected 36 amplitudes, one per record, got 16"),
+        (np.zeros(3**5 * 5 * 2**4, dtype=complex), 5, five, "tomography supports 1 to 4 spins, got 5"),
+    )
+    for amplitudes, n, system, message in cases:
+        measured = readout.MeasurementSet(n, amplitudes, 0.0, None)
+        with pytest.raises(InputError, match=re.escape(message)):
+            measured.records
+        with pytest.raises(InputError, match=re.escape(message)):
+            readout.reconstruct(measured, system)
 
 
 def test_cached_arrays_are_read_only():
@@ -442,8 +467,8 @@ def test_cached_arrays_are_read_only():
     rho = random_deviation(np.random.default_rng(37), 2)
     measured = readout.simulate_measurements(rho, system)
     readout.reconstruct(measured, system)
-    protocol = measured.protocol
-    A, g, basis, _ = protocol.design
+    protocol = readout._protocol(2)
+    A, g, basis = protocol.design
     for cached in (protocol.left, protocol.right, A, g, basis, measured.amplitudes):
         with pytest.raises(ValueError):
             cached[0] = 1
@@ -467,15 +492,17 @@ def test_reconstruct_matches_an_independent_lstsq():
         y = np.concatenate((amps.real, amps.imag))
         x, sum_sq, rank, _ = np.linalg.lstsq(design, y, rcond=None)
         result = readout.reconstruct(measured, system)
-        assert result.rank == rank == len(basis)
+        assert rank == len(basis)
         np.testing.assert_allclose(
             result.reconstructed, np.tensordot(x, np.array(basis), axes=1), rtol=0, atol=1e-12
         )
         assert result.residual_norm == pytest.approx(np.linalg.norm(design @ x - y), abs=1e-12)
         # and it is lstsq's own misfit, to round-off relative to its size
         assert result.residual_norm == pytest.approx(np.sqrt(sum_sq[0]), rel=1e-12, abs=0)
+        # the cached design's squared column norms give its condition number
         s = np.linalg.svd(design, compute_uv=False)
-        assert result.condition_number == pytest.approx(s[0] / s[-1], rel=1e-12)
+        _, g, _ = readout._protocol(system.n_spins).design
+        assert math.sqrt(g.max() / g.min()) == pytest.approx(s[0] / s[-1], rel=1e-12)
 
 
 def test_reconstruct_rejects_records_of_another_spin_count():
@@ -495,16 +522,13 @@ SYSTEMS_BY_SIZE = {
 
 
 def test_full_protocols_round_trip_at_full_rank():
-    # 1 to 4 spins; the condition numbers are those of the full 3**n protocols
+    # 1 to 4 spins; the designs' rank and condition number are checked on g below
     rng = np.random.default_rng(29)
-    for n, cond in ((1, 1.0), (2, 1.5**0.5), (3, 3**0.5), (4, 6.75**0.5)):
-        system = SYSTEMS_BY_SIZE[n]
+    for n, system in SYSTEMS_BY_SIZE.items():
         rho = random_deviation(rng, n)
         result = readout.reconstruct(readout.simulate_measurements(rho, system), system, reference=rho)
         assert result.max_rel_error < 1e-10
         assert result.settings_used == 3**n
-        assert result.rank == 4**n - 1
-        assert result.condition_number == pytest.approx(cond, rel=1e-9)
 
 
 def test_reconstructions_are_exactly_hermitian():
@@ -519,35 +543,12 @@ def test_reconstructions_are_exactly_hermitian():
             assert not np.diagonal(r).imag.any()
 
 
-def test_settings_subsets_raise_a_contract_error():
-    # back-projection inverts the full protocol only; a subset of its settings,
-    # even one that pins down every product operator, is not reconstructed
-    cases = (
-        (1, (("none",), ("x90",))),
-        (2, (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none"))),
-    )
-    for n, subset in cases:
-        system = SYSTEMS_BY_SIZE[n]
-        rho = random_deviation(np.random.default_rng(61 + n), n)
-        full = readout.simulate_measurements(rho, system)
-        amplitudes = tuple(r.amplitude for s in subset for r in full.records if r.setting == s)
-        protocol = readout._Protocol(n, subset, range(1, n + 1))
-        measured = readout.MeasurementSet(protocol, amplitudes, 0.0, None)
-        assert [r.setting for r in measured.records[::n * 2 ** (n - 1)]] == list(subset)
-        with pytest.raises(ContractError, match="only the full tomography protocol"):
-            readout.reconstruct(measured, system)
-        # nor is a fresh copy of the full protocol: only the cached one is read
-        copy = readout._Protocol(n, full.protocol.settings, range(1, n + 1))
-        with pytest.raises(ContractError, match="only the full tomography protocol"):
-            readout.reconstruct(readout.MeasurementSet(copy, full.amplitudes, 0.0, None), system)
-
-
 def test_full_designs_are_orthogonal_with_closed_form_norms():
     # under {none, x90, y90} a spin's diagonal readout has Gram diag(6, 2, 2, 2)
     # over (I, X, Y, Z) and the read spin's coherence diag(0, 2, 2, 2), so the
     # Pauli product P has g_P = 4 sum_{j: P_j != I} 2 prod_{i != j} (6 if P_i = I else 2)
-    for n, system in SYSTEMS_BY_SIZE.items():
-        A, g, _, _ = readout._protocol(n).design
+    for n in SYSTEMS_BY_SIZE:
+        A, g, _ = readout._protocol(n).design
         gram = A.T @ A
         off = gram - np.diag(np.diagonal(gram))
         assert np.abs(off).max() <= 1e-14 * np.diagonal(gram).max()
@@ -557,9 +558,10 @@ def test_full_designs_are_orthogonal_with_closed_form_norms():
                 for p in list(itertools.product("ixyz", repeat=n))[1:]]
         np.testing.assert_allclose(np.diagonal(gram), want, rtol=1e-13)
         np.testing.assert_allclose(g, want, rtol=1e-13)
-        result = readout.reconstruct(readout.simulate_measurements(core.thermal_deviation(system), system), system)
-        assert result.rank == 4**n - 1
-        assert result.condition_number == pytest.approx((3 ** (n - 1) / n) ** 0.5, rel=1e-12)
+        # so A has full rank 4**n - 1, its columns nonzero and orthogonal, and
+        # condition number sqrt(max g / min g) = sqrt(3**(n-1) / n)
+        assert len(g) == 4**n - 1 and g.min() > 0
+        assert math.sqrt(g.max() / g.min()) == pytest.approx((3 ** (n - 1) / n) ** 0.5, rel=1e-12)
 
 
 @st.composite
