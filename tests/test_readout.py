@@ -435,23 +435,20 @@ def test_reconstruct_rejects_amplitudes_that_are_not_one_per_record():
             readout.reconstruct(dataclasses.replace(full, amplitudes=bad), system)
 
 
-def test_measurement_sets_off_the_full_protocol_are_rejected():
+def test_reconstruct_rejects_incomplete_protocols():
     # a measurement set holds one amplitude per record of its register size's
-    # full protocol, the only one reconstructed: a subset of its settings, even
-    # one that pins down every product operator, or a register past the
-    # tomography cap is rejected by records and reconstruct alike, even right
-    # after the full protocol has been reconstructed and its design cached
+    # full protocol: populations alone cannot pin down coherences, and records
+    # and reconstruct reject them alike, even right after the full protocol has
+    # been reconstructed and its design cached; a register past the tomography
+    # cap has no full protocol at all
     system = presets.get_preset("chloroform")
-    rho = random_deviation(np.random.default_rng(63), 2)
+    rho, _ = prep.prepare_pseudo_pure(system, 1)
     full = readout.simulate_measurements(rho, system)
     assert readout.reconstruct(full, system, reference=rho).max_rel_error < 1e-10
-    subset = (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none"))
     five = core.SpinSystem(gamma=(1.0,) * 5)
     cases = (
         # the ("none", "none") setting comes first, with its 4 lines
         (full.amplitudes[:4], 2, system, "expected 36 amplitudes, one per record, got 4"),
-        (tuple(r.amplitude for r in full.records if r.setting in subset), 2, system,
-         "expected 36 amplitudes, one per record, got 16"),
         (np.zeros(3**5 * 5 * 2**4, dtype=complex), 5, five, "tomography supports 1 to 4 spins, got 5"),
     )
     for amplitudes, n, system, message in cases:
@@ -541,6 +538,31 @@ def test_reconstructions_are_exactly_hermitian():
             r = readout.reconstruct(measured, system).reconstructed
             assert np.array_equal(r, r.conj().T)
             assert not np.diagonal(r).imag.any()
+
+
+def test_settings_subsets_raise_a_contract_error():
+    # back-projection inverts the full protocol only; a subset of its settings,
+    # even one that pins down every product operator, is not reconstructed. A
+    # measurement set holds no protocol of its own, so the subset's amplitudes
+    # break the one-per-record contract and records and reconstruct reject
+    # them with InputError
+    cases = (
+        (1, (("none",), ("x90",))),
+        (2, (("none", "none"), ("x90", "x90"), ("x90", "y90"), ("y90", "none"))),
+    )
+    for n, subset in cases:
+        system = SYSTEMS_BY_SIZE[n]
+        rho = random_deviation(np.random.default_rng(61 + n), n)
+        full = readout.simulate_measurements(rho, system)
+        amplitudes = tuple(r.amplitude for s in subset for r in full.records if r.setting == s)
+        total, lines = 3**n * n * 2 ** (n - 1), len(subset) * n * 2 ** (n - 1)
+        assert len(full.amplitudes) == total and len(amplitudes) == lines
+        message = f"expected {total} amplitudes, one per record, got {lines}"
+        measured = readout.MeasurementSet(n, amplitudes, 0.0, None)
+        with pytest.raises(InputError, match=re.escape(message)):
+            measured.records
+        with pytest.raises(InputError, match=re.escape(message)):
+            readout.reconstruct(measured, system)
 
 
 def test_full_designs_are_orthogonal_with_closed_form_norms():
