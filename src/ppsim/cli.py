@@ -17,12 +17,14 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from . import dsl, hogg, prep, readout
 from .core import (
+    MAX_SPINS,
     SpinSystem,
     bits_of,
     flipped_spin,
@@ -35,6 +37,8 @@ from .errors import (
     InputError,
     NoSolutionError,
     PpsimError,
+    checked,
+    clipped,
 )
 from .presets import PRESETS, get_preset
 
@@ -42,10 +46,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NO_SOLUTION = 2
 EXIT_CONTRACT = 3
-
-#: Largest spin count a system file may request: operators are 2**n x 2**n
-#: and the solver's work grows faster still, so larger systems never finish.
-MAX_SPINS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def load_system(name_or_path: str) -> SpinSystem:
         return get_preset(name_or_path)
     if not os.path.exists(name_or_path):
         raise InputError(
-            f"{name_or_path!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
+            f"{clipped(name_or_path)} is neither a preset ({', '.join(sorted(PRESETS))}) "
             "nor a readable file"
         )
     # a system file's object: 'gamma' and optional 'j_hz'; other keys are ignored
@@ -140,8 +140,7 @@ def load_system(name_or_path: str) -> SpinSystem:
     j_hz = data.get("j_hz")
     system = SpinSystem(_json_numbers(data["gamma"], 1, "gamma"),
                         None if j_hz is None else _json_numbers(j_hz, 2, "j_hz"))
-    if system.n_spins > MAX_SPINS:
-        raise InputError(f"system has {system.n_spins} spins, the limit is {MAX_SPINS}")
+    checked(system.n_spins, "spin count", int, 1, MAX_SPINS)
     return system
 
 
@@ -162,7 +161,7 @@ def load_state(path: str, system: SpinSystem) -> np.ndarray:
 def _target_level(bits: str, system: SpinSystem) -> int:
     if len(bits) != system.n_spins:
         raise InputError(
-            f"target {bits!r} has {len(bits)} bits, system has {system.n_spins} spins"
+            f"target {clipped(bits)} has {len(bits)} bits, system has {system.n_spins} spins"
         )
     return level_of(bits)
 
@@ -170,8 +169,8 @@ def _target_level(bits: str, system: SpinSystem) -> int:
 def _parse_angles(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad angle list {text!r}: {exc}") from exc
+    except ValueError:
+        raise InputError(f"bad angle list {clipped(text)}: expected comma-separated degrees") from None
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -229,7 +228,7 @@ def _initial_state(text: str, system: SpinSystem) -> np.ndarray:
         rho = np.zeros((system.dim, system.dim), dtype=complex)
         rho[level_of(text) - 1, level_of(text) - 1] = 1.0
         return rho
-    raise InputError(f"initial state must be 'thermal' or {system.n_spins} bits, got {text!r}")
+    raise InputError(f"initial state must be 'thermal' or {system.n_spins} bits, got {clipped(text)}")
 
 
 def _cmd_run(args, system: SpinSystem) -> dict:
@@ -306,7 +305,9 @@ def _cmd_plot(args, system: SpinSystem) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for the solver
-        raise InputError(message)
+        # argparse quotes a rejected value whole and lists unknown arguments as they are;
+        # cut each long quoted value, and each long word
+        raise InputError(re.sub(r"'([^']{33,})'|([^'\s]{33,})", lambda m: clipped(m[1] or m[2]), message))
 
 
 @functools.cache

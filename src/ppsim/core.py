@@ -17,13 +17,12 @@ Conventions used throughout the package:
 - File formats, system files included, belong to :mod:`ppsim.cli`.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, InputError, NotPseudoPureError, clipped
+from .errors import ContractError, InputError, NotPseudoPureError, checked, clipped
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -31,10 +30,18 @@ PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# each pulse adds angle * sigma/2; halved once here, with the same bits
+_HALF_PAULI = {axis: sigma / 2 for axis, sigma in PAULI.items()}
+
 #: Supported crusher idealizations, see :func:`crush`.
 CRUSH_MODES = ("all_off_diagonal", "coherence_order")
 
 HERMITICITY_TOL = 1e-10
+
+#: Largest spin count a cascade or a system file may have: operators are
+#: 2**n x 2**n and the solver's work grows faster still, so larger systems
+#: never finish.
+MAX_SPINS = 8
 
 
 @dataclass(frozen=True)
@@ -49,23 +56,19 @@ class SpinSystem:
     j_hz: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        n = len(self.gamma)
-        if n < 1:
-            raise InputError("a spin system needs at least one spin")
-        if not all(np.isfinite(g) and g != 0 for g in self.gamma):
-            raise InputError(f"gamma must be finite and nonzero, got {self.gamma}")
+        object.__setattr__(self, "gamma", tuple(checked(g, "gamma", float) for g in self.gamma))
+        n = checked(len(self.gamma), "spin count", int, 1)
+        if 0 in self.gamma:
+            raise InputError(f"gamma must be nonzero, got {clipped(self.gamma)}")
         # a thermal population is a sum of +-gamma_i, so a difference of two
         # populations is bounded by 2 * sum |gamma_i|
         if not np.isfinite(2 * sum(abs(g) for g in self.gamma)):
-            raise InputError(f"gamma too large, the thermal deviation overflows: {self.gamma}")
+            raise InputError(f"gamma too large, the thermal deviation overflows: {clipped(self.gamma)}")
         if self.j_hz is not None:
-            j = tuple(tuple(float(v) for v in row) for row in self.j_hz)
+            j = tuple(tuple(checked(v, "j_hz entry", float) for v in row) for row in self.j_hz)
             object.__setattr__(self, "j_hz", j)
             if len(j) != n or any(len(row) != n for row in j):
                 raise InputError("j_hz must be an n x n matrix")
-            if not np.all(np.isfinite(j)):
-                raise InputError(f"j_hz must be finite, got {j}")
             for a in range(n):
                 if j[a][a] != 0:
                     raise InputError("j_hz diagonal must be zero")
@@ -88,7 +91,7 @@ class SpinSystem:
 def level_of(bits: str) -> int:
     """1-based energy level for a basis label, e.g. '01' -> 2."""
     if not bits or any(c not in "01" for c in bits):
-        raise InputError(f"basis label must be a nonempty bit string, got {bits!r}")
+        raise InputError(f"basis label must be a nonempty bit string, got {clipped(bits)}")
     return 1 + int(bits, 2)
 
 
@@ -98,12 +101,7 @@ def bits_of(level: int, n_spins: int) -> str:
 
 
 def _check_level(level: int, n_spins: int) -> int:
-    # isinstance(True, int) holds, but a flag is not a level
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
-        raise InputError(f"level must be an integer, got {level!r}")
-    if not 1 <= level <= 2**n_spins:
-        raise InputError(f"level {clipped(level)} out of range 1..{2**n_spins}")
-    return level
+    return checked(level, "level", int, 1, 2**n_spins)
 
 
 def flipped_spin(m: int, k: int, n_spins: int) -> int:
@@ -112,14 +110,12 @@ def flipped_spin(m: int, k: int, n_spins: int) -> int:
     Raises InputError unless both levels are in range and differ in exactly
     one bit, the condition for a resolvable line.
     """
-    _check_level(m, n_spins)
-    _check_level(k, n_spins)
-    d = (m - 1) ^ (k - 1)
+    d = (_check_level(m, n_spins) - 1) ^ (_check_level(k, n_spins) - 1)
     if d == 0 or d & (d - 1):
         raise InputError(
             f"transition ({m}, {k}) does not flip exactly one bit, not a resolvable line"
         )
-    return n_spins - int(d).bit_length() + 1  # d may be a numpy integer
+    return n_spins - d.bit_length() + 1
 
 
 def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
@@ -127,10 +123,7 @@ def transitions_of_spin(spin: int, n_spins: int) -> list[tuple[int, int]]:
 
     m runs over levels with the spin in state 0; k is the partner level.
     """
-    if isinstance(spin, bool) or not isinstance(spin, (int, np.integer)):
-        raise InputError(f"spin index must be an integer, got {spin!r}")
-    if not 1 <= spin <= n_spins:
-        raise InputError(f"spin index {clipped(spin)} out of range 1..{n_spins}")
+    spin = checked(spin, "spin index", int, 1, n_spins)
     stride = 2 ** (n_spins - spin)
     return [(m0 + 1, m0 + stride + 1) for m0 in range(2**n_spins) if not m0 & stride]
 
@@ -162,17 +155,14 @@ def generator(pulses, n_spins: int) -> np.ndarray:
         # only the sums into out can overflow: each angle is finite and halved
         with np.errstate(over="raise"):
             for (m, k), axis, angle in pulses:
-                _check_level(m, n_spins)
-                _check_level(k, n_spins)
-                if m == k:
+                a = checked(m, "level", int, 1, len(out)) - 1
+                b = checked(k, "level", int, 1, len(out)) - 1
+                if a == b:
                     raise InputError(f"transition needs two distinct levels, got ({m}, {k})")
-                if axis not in PAULI:
-                    raise InputError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-                angle = float(angle)
-                if not math.isfinite(angle):
-                    raise InputError(f"pulse angle must be finite, got {angle}")
-                a, b = m - 1, k - 1
-                h = angle * (PAULI[axis] / 2)
+                if axis not in ("x", "y", "z"):
+                    raise InputError(f"axis must be one of 'x', 'y', 'z', got {clipped(axis)}")
+                angle = checked(angle, "pulse angle", float)
+                h = angle * _HALF_PAULI[axis]
                 out[a, a] += h[0, 0]
                 out[a, b] += h[0, 1]
                 out[b, a] += h[1, 0]
@@ -219,7 +209,7 @@ def crush(rho: np.ndarray, mode: str = "all_off_diagonal") -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     if mode not in CRUSH_MODES:
-        raise InputError(f"crush mode must be one of {CRUSH_MODES}, got {mode!r}")
+        raise InputError(f"crush mode must be one of {CRUSH_MODES}, got {clipped(mode)}")
     if mode == "all_off_diagonal":
         return np.diag(np.diagonal(rho)).astype(complex)
     pc = np.array([lev.bit_count() for lev in range(rho.shape[0])])
@@ -242,6 +232,7 @@ def pure_part(rho: np.ndarray, tol: float = 1e-6) -> PurePart:
     Succeeds when all but one diagonal entry agree within tol; returns the
     repeated value, the excess at the distinct level, and that level.
     """
+    tol = checked(tol, "tol", float, 0)
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
     off = rho - np.diag(np.diagonal(rho))

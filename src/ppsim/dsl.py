@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import SpinSystem, crush, evolve, expm_unitary, flipped_spin, generator, transitions_of_spin
-from .errors import CompileError, InputError, ParseError, clipped
+from .errors import CompileError, InputError, ParseError, checked, clipped
 
 CRUSH_KEYWORDS = {"ideal": "all_off_diagonal", "order": "coherence_order"}
 _CRUSH_WORDS = {v: k for k, v in CRUSH_KEYWORDS.items()}
@@ -103,7 +103,7 @@ def _take(tokens: list[_Token], expect: str | None = None) -> _Token:
         raise ParseError(f"unexpected end of program, expected {expect or 'a token'}")
     tok = tokens.pop()
     if expect is not None and tok.text != expect:
-        raise ParseError(f"expected {expect!r}, got {clipped(tok.text, repr)}", tok.line, tok.col)
+        raise ParseError(f"expected {expect!r}, got {clipped(tok.text)}", tok.line, tok.col)
     return tok
 
 
@@ -116,7 +116,7 @@ def _read(tokens: list[_Token], kind: tuple):
     except ValueError:
         value = None
     if value is None:
-        raise ParseError(message.format(clipped(tok.text, repr)), tok.line, tok.col)
+        raise ParseError(message.format(clipped(tok.text)), tok.line, tok.col)
     return value
 
 
@@ -171,7 +171,7 @@ def parse(text: str) -> PulseProgram:
             else:
                 stmt = Crush()
         else:
-            raise ParseError(f"unknown keyword {clipped(tok.text, repr)}", tok.line, tok.col)
+            raise ParseError(f"unknown keyword {clipped(tok.text)}", tok.line, tok.col)
         statements.append(stmt)
         lines.append(tok.line)
     return PulseProgram(tuple(statements), tuple(lines))
@@ -209,11 +209,11 @@ def _pulses(stmt: Block | HardPulse, n: int) -> list:
     """The ((m, k), axis, angle_rad) pulses of a rotating statement on n spins."""
     if isinstance(stmt, HardPulse):
         spins = range(1, n + 1) if stmt.spin is None else (stmt.spin,)
-        lines = [t for i in spins for t in transitions_of_spin(i, n)]
-        return [(t, stmt.axis, np.radians(stmt.angle_deg)) for t in lines]
+        angle = np.radians(checked(stmt.angle_deg, "pulse angle", float))
+        return [(t, stmt.axis, angle) for i in spins for t in transitions_of_spin(i, n)]
     for p in stmt.pulses:
         flipped_spin(p.m, p.k, n)  # selective pulses need resolvable lines
-    return [((p.m, p.k), p.axis, np.radians(p.angle_deg)) for p in stmt.pulses]
+    return [((p.m, p.k), p.axis, np.radians(checked(p.angle_deg, "pulse angle", float))) for p in stmt.pulses]
 
 
 def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:

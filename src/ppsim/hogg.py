@@ -29,7 +29,7 @@ import numpy as np
 from . import dsl, prep
 # evolve and pure_part are not called here, but perfbench/tracing.py patches them by name
 from .core import SpinSystem, evolve, pure_part  # noqa: F401
-from .errors import ContractError, InputError, clipped
+from .errors import ContractError, InputError, checked, clipped
 
 _LITERAL = re.compile(r"^(!?)[Vv](\d+)$")
 
@@ -43,8 +43,7 @@ class OneSatFormula:
     def __post_init__(self):
         seen = set()
         for var, negated in self.clauses:
-            if var < 1:
-                raise InputError(f"variable V{var} out of range, variables start at V1")
+            checked(var, "variable index", int, 1)
             if var in seen:
                 raise InputError(f"variable V{clipped(var)} appears in more than one clause")
             if not isinstance(negated, bool):
@@ -61,7 +60,7 @@ def parse_formula(text: str) -> OneSatFormula:
     for part in parts:
         m = _LITERAL.match(part)
         if m is None:
-            raise InputError(f"bad literal {clipped(part, repr)}; expected V<k> or !V<k>")
+            raise InputError(f"bad literal {clipped(part)}; expected V<k> or !V<k>")
         try:
             var = int(m.group(2))
         except ValueError:  # past Python's limit on the digits of an int read from text

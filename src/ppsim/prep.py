@@ -10,13 +10,13 @@ residual, found by a damped Newton iteration from a grid of starting points.
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
+    MAX_SPINS,
     PurePart,
     SpinSystem,
     _check_level,
@@ -28,7 +28,7 @@ from .core import (
     pure_part,
     thermal_deviation,
 )
-from .errors import InputError, NoSolutionError, NotPseudoPureError
+from .errors import InputError, NoSolutionError, NotPseudoPureError, checked
 
 DEDUP_TOL_DEG = 0.01
 #: Newton iterations per start.  Over the 16 three-spin default solves with a
@@ -82,7 +82,8 @@ class CascadeSpec:
     n_spins: int
 
     def __post_init__(self):
-        n = self.n_spins
+        # bounded above, so that its 2**n levels can be counted
+        n = checked(self.n_spins, "spin count", int, 0, MAX_SPINS)
         if n < 2:
             raise InputError("cascades need at least two spins")
         _check_level(self.target, n)
@@ -134,6 +135,8 @@ def default_cascade(n_spins: int, target: int) -> CascadeSpec:
     the spin each step flips, then reversing the walk; this reproduces the
     usual tabulated 2-spin routes for all four targets.
     """
+    n_spins = checked(n_spins, "spin count", int, 2, MAX_SPINS)
+    target = _check_level(target, n_spins)
     path = _target1_path(n_spins)
     steps = [CascadeStep(m, k) for m, k in zip(path, path[1:])]
     if target != 1:
@@ -143,11 +146,11 @@ def default_cascade(n_spins: int, target: int) -> CascadeSpec:
 
 
 def _angles_deg(angles_deg, spec: CascadeSpec) -> np.ndarray:
-    angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
+    # angle by angle, since numpy would read a bool or text as an angle
+    raw = np.asarray(angles_deg, dtype=object)
+    angles = np.atleast_1d(np.reshape([checked(a, "angle", float) for a in raw.flat], raw.shape))
     if angles.ndim > 2 or angles.shape[-1:] != (len(spec.steps),):
         raise InputError(f"expected {len(spec.steps)} angles, got shape {angles.shape}")
-    if not np.all(np.isfinite(angles)):
-        raise InputError(f"angles must be finite, got {angles.tolist()}")
     return angles
 
 
@@ -607,20 +610,13 @@ def solve_angles(
     """
     if system.n_spins != spec.n_spins:
         raise InputError("system and cascade disagree on the spin count")
-    # isinstance(True, int) holds, but a flag is not a count or a scale
-    if isinstance(newton_tol, bool) or not isinstance(newton_tol, numbers.Real):
-        raise InputError(f"newton_tol must be a real number, got {newton_tol!r}")
-    if not math.isfinite(newton_tol) or newton_tol < 0:
-        raise InputError(f"newton_tol must be finite and nonnegative, got {newton_tol}")
-    newton_tol = abs(newton_tol)  # -0.0 is 0, and the no-root message says so
+    # -0.0 is 0, and the no-root message says so
+    newton_tol = abs(checked(newton_tol, "newton_tol", float, 0))
     k = len(spec.steps)
     if grid_per_dim is None:
         grid_per_dim = 5 if k <= 2 else (3 if k <= 6 else 1)
-    if isinstance(grid_per_dim, bool) or not isinstance(grid_per_dim, (int, np.integer)):
-        raise InputError(f"grid_per_dim must be an integer, got {grid_per_dim!r}")
-    grid_per_dim = int(grid_per_dim)  # a numpy integer's power below would wrap
-    if grid_per_dim < 1:
-        raise InputError(f"grid_per_dim must be at least 1, got {grid_per_dim}")
+    # a Python int, since a numpy integer's power below would wrap
+    grid_per_dim = checked(grid_per_dim, "grid_per_dim", int, 1, MAX_GRID_STARTS)
     if grid_per_dim**k > MAX_GRID_STARTS:
         raise InputError(
             f"grid of {grid_per_dim}**{k} starts exceeds the cap of {MAX_GRID_STARTS}"

@@ -5,7 +5,7 @@ quoted in the raw 1e7 rad/(s T) units used here; what matters downstream
 are ratios and signs).
 """
 
-from .errors import InputError
+from .errors import InputError, clipped
 from .core import SpinSystem
 
 PRESETS: dict[str, SpinSystem] = {
@@ -23,4 +23,4 @@ def get_preset(name: str) -> SpinSystem:
         return PRESETS[name]
     except KeyError:
         known = ", ".join(sorted(PRESETS))
-        raise InputError(f"unknown preset {name!r}; known presets: {known}") from None
+        raise InputError(f"unknown preset {clipped(name)}; known presets: {known}") from None

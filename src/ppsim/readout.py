@@ -28,7 +28,6 @@ size's full protocol, the only one tomography records or reconstructs.
 import functools
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,7 +36,7 @@ import numpy as np
 
 # evolve and expm_unitary are not called here, but perfbench/tracing.py patches them by name
 from .core import PAULI, SpinSystem, evolve, expm_unitary, max_rel_error, transitions_of_spin  # noqa: F401
-from .errors import InputError
+from .errors import InputError, checked, clipped
 
 READOUT_PULSES = ("none", "x90", "y90")
 MAX_TOMOGRAPHY_SPINS = 4
@@ -74,11 +73,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _in_range(value, types, hi) -> bool:
-    # isinstance(True, int) holds, but a flag is not a count or a scale
-    return isinstance(value, types) and not isinstance(value, bool) and 0 <= value <= hi
-
-
 def _check_tomography_size(n_spins: int) -> None:
     if not 1 <= n_spins <= MAX_TOMOGRAPHY_SPINS:
         raise InputError(
@@ -94,7 +88,7 @@ def setting_unitary(setting, n_spins: int) -> np.ndarray:
     factors = [np.ones((1, 1), dtype=complex)]
     for pulse in setting:
         if pulse not in READOUT_PULSES:
-            raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {pulse!r}")
+            raise InputError(f"readout pulse must be one of {READOUT_PULSES}, got {clipped(pulse)}")
         # exp(-i (pi/4) sigma) = (I - i sigma) / sqrt(2) turns the spin 90 degrees about sigma's axis
         factors.append(np.eye(2) if pulse == "none" else (np.eye(2) - 1j * PAULI[pulse[0]]) / math.sqrt(2))
     # spin 1 is the most significant bit, so its factor is the leftmost
@@ -247,10 +241,8 @@ def simulate_measurements(
     A state with a non-finite entry or too large for its records to stay
     finite, and noise that leaves any amplitude non-finite, raise InputError.
     """
-    if not _in_range(noise_sigma, numbers.Real, sys.float_info.max):
-        raise InputError(f"noise_sigma must be a finite nonnegative number, got {noise_sigma!r}")
-    if seed is not None and not _in_range(seed, (int, np.integer), math.inf):
-        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
+    noise_sigma = checked(noise_sigma, "noise_sigma", float, 0)
+    seed = None if seed is None else checked(seed, "seed", int, 0)
     rho, size = _state(rho, system)
     protocol = _protocol(system.n_spins)
     # a setting's records are 2 (U rho U+)[k-1, m-1] over distinct level pairs, so the squares
@@ -270,7 +262,7 @@ def simulate_measurements(
             amps += noise_sigma * 2 * max(abs(g) for g in system.gamma) * z.view(complex)[:, 0]
         if not np.isfinite(amps).all():
             raise InputError(f"noise_sigma {noise_sigma!r} overflows the noisy amplitudes")
-    return MeasurementSet(system.n_spins, _read_only(amps), float(noise_sigma), seed)
+    return MeasurementSet(system.n_spins, _read_only(amps), noise_sigma, seed)
 
 
 def basis_operators(n_spins: int) -> list[np.ndarray]:

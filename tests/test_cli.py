@@ -509,6 +509,28 @@ def test_exit_code_for_bad_inputs(capsys, tmp_path, chloroform_state):
         assert run_cli(capsys, "plot", "--system", "chloroform", "--state", state)[0] == 0
 
 
+def test_long_option_values_are_cut_in_messages(capsys, tmp_path, chloroform_state):
+    # each value is quoted by its first 32 characters, in one short JSON line
+    program = tmp_path / "p.pp"
+    program.write_text("hard all y 90\n")
+    letters = "a" * 5000
+    cases = [
+        ("solve", "--system", "chloroform", "--target", "0" * 5000),
+        ("solve", "--system", "x" * 5000, "--target", "00"),
+        ("solve", "--system", "chloroform", "--target", "00", "--grid", "9" * 5000),
+        ("solve", "--system", "chloroform", "--target", "00", letters),
+        ("spectrum", "--system", "chloroform", "--state", chloroform_state, "--spin", "9" * 5000),
+        ("spectrum", "--system", "chloroform", "--state", chloroform_state, "--spin", "1",
+         "--pulse", letters),
+        ("prepare", "--system", "chloroform", "--target", "00", "--angles", letters),
+        ("run", "--system", "chloroform", "--program", str(program), "--initial", letters),
+    ]
+    for argv in cases:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1, argv[:4]
+        message = error_payload(err)["message"]
+        assert len(message) < 200 and "... (5000 characters)" in message, message[:100]
+
 def test_exit_code_for_parse_errors(capsys, tmp_path):
     bad = tmp_path / "bad.pp"
     bad.write_text("sel 3 3 x 10\n")

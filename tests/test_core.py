@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppsim import cli, core, prep, presets, readout
+from ppsim import cli, core, dsl, hogg, prep, presets, readout
 from ppsim.core import is_hermitian
 from ppsim.errors import ContractError, InputError, NotPseudoPureError
 
@@ -70,6 +70,51 @@ def test_levels_and_spins_must_be_integers():
     assert core.flipped_spin(np.int64(1), np.int32(2), 2) == core.flipped_spin(1, 2, 2) == 2
     assert core.transitions_of_spin(np.int64(1), 2) == core.transitions_of_spin(1, 2)
     assert core.bits_of(np.int64(2), 2) == "01"
+
+
+def test_every_number_a_caller_passes_is_read_as_one():
+    # a flag, text, non-finite floats, or an int past the float range or the digits
+    # Python writes out: an InputError with a short message at each entry point, never
+    # a bare ValueError, OverflowError or TypeError, nor a message quoting the whole value
+    system = presets.get_preset("chloroform")
+    spec = prep.default_cascade(2, 1)
+    rho = core.thermal_deviation(system)
+    ints = (True, "x" * 5000, 10**5000, -10**5000)
+    reals = (*ints, np.nan, np.inf, -np.inf)
+    unbounded = (True, "x" * 5000, -10**5000)  # 10**5000 is a valid variable index or seed
+    cases = {
+        "transitions_of_spin": (ints, lambda v: core.transitions_of_spin(v, 2)),
+        "bits_of": (ints, lambda v: core.bits_of(v, 2)),
+        "flipped_spin": (ints, lambda v: core.flipped_spin(1, v, 2)),
+        "readout_spectrum spin": (ints, lambda v: readout.readout_spectrum(rho, v, system)),
+        "grid_per_dim": (ints, lambda v: prep.solve_angles(system, spec, grid_per_dim=v)),
+        "default_cascade target": (ints, lambda v: prep.default_cascade(2, v)),
+        # the stock path of 2**n levels was built before the spin count was read
+        "default_cascade spin count": (ints, lambda v: prep.default_cascade(v, 1)),
+        "cascade spin count": (ints, lambda v: prep.CascadeSpec(1, spec.steps, v)),
+        "variable index": (unbounded, lambda v: hogg.OneSatFormula(((v, False),))),
+        "seed": (unbounded, lambda v: readout.simulate_measurements(rho, system, seed=v)),
+        "newton_tol": (reals, lambda v: prep.solve_angles(system, spec, newton_tol=v)),
+        "noise_sigma": (reals, lambda v: readout.simulate_measurements(rho, system, noise_sigma=v)),
+        "gamma": (reals, lambda v: core.SpinSystem((v, 1.0))),
+        "j_hz": (reals, lambda v: core.SpinSystem((1.0, 1.0), ((0.0, v), (v, 0.0)))),
+        "preparation_unitary": (reals, lambda v: prep.preparation_unitary(spec, [v, 1.0])),
+        "residual": (reals, lambda v: prep.residual([v, 1.0], system, spec)),
+        "prepare_pseudo_pure": (reals, lambda v: prep.prepare_pseudo_pure(system, 1, [v, 1.0])),
+        "pure_part tol": (reals, lambda v: core.pure_part(rho, tol=v)),
+        "generator angle": (reals, lambda v: core.generator([((1, 2), "x", v)], 1)),
+        "hard pulse angle": (reals, lambda v: dsl.compile(dsl.PulseProgram((dsl.HardPulse(1, "x", v),)), system)),
+        "sel pulse angle": (reals, lambda v: dsl.compile(dsl.PulseProgram((dsl.Block((dsl.SelPulse(1, 2, "x", v),)),)), system)),
+        "crush mode": (ints, lambda v: core.crush(rho, v)),
+        "generator axis": (ints, lambda v: core.generator([((1, 2), v, 1.0)], 1)),
+        "setting_unitary pulse": (ints, lambda v: readout.setting_unitary((v, "none"), 2)),
+        "readout_spectrum pulse": (ints, lambda v: readout.readout_spectrum(rho, 1, system, v)),
+    }
+    for name, (values, call) in cases.items():
+        for value in values:
+            with pytest.raises(InputError) as err:
+                call(value)
+            assert len(str(err.value)) < 200, (name, str(err.value)[:100], len(str(err.value)))
 
 
 def test_spin_system_validation():
