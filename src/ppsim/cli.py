@@ -112,9 +112,9 @@ def _read_text(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot read {clipped(path)}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+        raise InputError(f"{clipped(path)} is not UTF-8 text: {exc}") from exc
 
 
 def _read_json(path: str):
@@ -122,7 +122,7 @@ def _read_json(path: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{clipped(path)} is not valid JSON: {exc}") from exc
 
 
 def load_system(name_or_path: str) -> SpinSystem:
@@ -146,16 +146,8 @@ def load_system(name_or_path: str) -> SpinSystem:
 
 def load_state(path: str, system: SpinSystem) -> np.ndarray:
     data = _read_json(path)
-    if isinstance(data, dict) and "matrix" in data:
-        data = data["matrix"]
-    rho = matrix_from_json(data)
-    if not np.all(np.isfinite(rho)):
-        raise InputError(f"state in {path} has non-finite entries")
-    if rho.shape != (system.dim, system.dim):
-        raise InputError(
-            f"state dimension {rho.shape[0]} does not match the {system.n_spins}-spin system"
-        )
-    return rho
+    # the library reads the state against the system where it is used, through core.checked_state
+    return matrix_from_json(data["matrix"] if isinstance(data, dict) and "matrix" in data else data)
 
 
 def _target_level(bits: str, system: SpinSystem) -> int:
@@ -182,7 +174,7 @@ def _emit(text: str, out_path: str | None) -> None:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot write {clipped(out_path)}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +267,7 @@ def _cmd_tomo(args, system: SpinSystem) -> dict:
 def _cmd_hogg(args, system: SpinSystem) -> dict:
     formula = hogg.parse_formula(args.formula)
     hogg.search_program(formula, system.n_spins)  # check the formula before any solve
-    if args.state is not None:
-        rho = load_state(args.state, system)
-    else:
-        rho, _ = prep.prepare_pseudo_pure(system, target=1)
+    rho = prep.prepare_pseudo_pure(system, target=1)[0] if args.state is None else load_state(args.state, system)
     rho_final, weights = hogg.hogg_run(rho, formula, system)
     n = system.n_spins
     return {
@@ -306,8 +295,9 @@ def _cmd_plot(args, system: SpinSystem) -> str:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for the solver
         # argparse quotes a rejected value whole and lists unknown arguments as they are;
-        # cut each long quoted value, and each long word
-        raise InputError(re.sub(r"'([^']{33,})'|([^'\s]{33,})", lambda m: clipped(m[1] or m[2]), message))
+        # cut that list as one value, each long quoted value, and each long word
+        raise InputError(re.sub(r"(?s)(?<=^unrecognized arguments: ).{33,}|'([^']{33,})'|[^'\s]{33,}",
+                                lambda m: clipped(m[1] or m[0]), message))
 
 
 @functools.cache

@@ -142,6 +142,22 @@ def thermal_deviation(system: SpinSystem) -> np.ndarray:
     return np.diag(d).astype(complex)
 
 
+def checked_state(rho, dim: int | None = None) -> np.ndarray:
+    """rho as a C-contiguous complex array if it is a square matrix of finite ints, floats or complex numbers, dim x dim if dim is given; else InputError."""
+    # a bool, text or object array is no state, and ragged nesting comes back as objects
+    try:
+        a = np.asarray(rho)
+    except ValueError:
+        a = np.asarray(rho, dtype=object)
+    square = a.dtype.kind in "iufc" and a.ndim == 2 and 0 < len(a) == a.shape[1] == (dim or len(a))
+    state = np.ascontiguousarray(a if square else 0, dtype=complex)  # 0 stands in for a refused array
+    if not (square and np.isfinite(state).all()):
+        raise InputError("state has a non-finite entry" if square else
+                         f"state must be a {f'{dim} x {dim}' if dim else 'nonempty square'} matrix of finite numbers, "
+                         f"got {a.dtype} of shape {clipped(a.shape)}")
+    return state
+
+
 def generator(pulses, n_spins: int) -> np.ndarray:
     """Hermitian generator of simultaneous single-transition pulses, for :func:`expm_unitary`.
 
@@ -207,11 +223,11 @@ def crush(rho: np.ndarray, mode: str = "all_off_diagonal") -> np.ndarray:
     every element whose coherence order is zero, which also preserves
     zero-quantum terms; gradients cannot dephase those.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = checked_state(rho)
     if mode not in CRUSH_MODES:
         raise InputError(f"crush mode must be one of {CRUSH_MODES}, got {clipped(mode)}")
     if mode == "all_off_diagonal":
-        return np.diag(np.diagonal(rho)).astype(complex)
+        return np.diag(np.diagonal(rho))
     pc = np.array([lev.bit_count() for lev in range(rho.shape[0])])
     keep = pc[:, None] == pc[None, :]
     return np.where(keep, rho, 0.0)
@@ -233,10 +249,9 @@ def pure_part(rho: np.ndarray, tol: float = 1e-6) -> PurePart:
     repeated value, the excess at the distinct level, and that level.
     """
     tol = checked(tol, "tol", float, 0)
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
+    rho = checked_state(rho)
     off = rho - np.diag(np.diagonal(rho))
-    worst_off = float(np.max(np.abs(off))) if dim > 1 else 0.0
+    worst_off = float(np.max(np.abs(off)))
     if worst_off > tol:
         raise NotPseudoPureError(
             f"state has off-diagonal content {worst_off:.3e} beyond tol {tol:.1e}"

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SpinSystem, crush, evolve, expm_unitary, flipped_spin, generator, transitions_of_spin
+from .core import SpinSystem, checked_state, crush, evolve, expm_unitary, flipped_spin, generator, transitions_of_spin
 from .errors import CompileError, InputError, ParseError, checked, clipped
 
 CRUSH_KEYWORDS = {"ideal": "all_off_diagonal", "order": "coherence_order"}
@@ -240,9 +240,7 @@ def compile(program: PulseProgram, system: SpinSystem) -> ChannelSequence:
 
 def run(seq: ChannelSequence, rho0: np.ndarray) -> np.ndarray:
     """Fold a channel sequence over an initial matrix."""
-    rho = np.asarray(rho0, dtype=complex)
-    if rho.shape != (seq.dim, seq.dim):
-        raise InputError(f"state shape {rho.shape} does not match sequence dim {seq.dim}")
+    rho = checked_state(rho0, seq.dim)
     for event in seq.events:
         rho = crush(rho, event.mode) if isinstance(event, Crush) else evolve(rho, event)
     return rho

@@ -72,7 +72,10 @@ def parse_formula(text: str) -> OneSatFormula:
 
 
 def formula_text(formula: OneSatFormula) -> str:
-    return "&".join(("!" if neg else "") + f"V{var}" for var, neg in formula.clauses)
+    try:
+        return "&".join(("!" if neg else "") + f"V{var}" for var, neg in formula.clauses)
+    except ValueError:  # an index past Python's limit on the digits of an int written as text
+        raise InputError(f"variable index {clipped(max(v for v, _ in formula.clauses))} is too long to write") from None
 
 
 def satisfying_assignment(formula: OneSatFormula) -> str:

@@ -20,6 +20,7 @@ from .core import (
     PurePart,
     SpinSystem,
     _check_level,
+    checked_state,
     crush,
     evolve,
     expm_unitary,
@@ -562,7 +563,7 @@ def pure_part_at_scale(rho: np.ndarray, system: SpinSystem) -> PurePart:
     the normal float range.
     """
     e = _thermal_exponent(np.diagonal(thermal_deviation(system)))
-    part = pure_part(np.ldexp(np.ascontiguousarray(rho, dtype=complex).view(float), -e).view(complex))
+    part = pure_part(np.ldexp(checked_state(rho, system.dim).view(float), -e).view(complex))
     return part._replace(
         uniform_coeff=math.ldexp(part.uniform_coeff, e), pure_coeff=math.ldexp(part.pure_coeff, e)
     )

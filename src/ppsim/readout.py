@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 # evolve and expm_unitary are not called here, but perfbench/tracing.py patches them by name
-from .core import PAULI, SpinSystem, evolve, expm_unitary, max_rel_error, transitions_of_spin  # noqa: F401
+from .core import PAULI, SpinSystem, checked_state, evolve, expm_unitary, max_rel_error, transitions_of_spin  # noqa: F401
 from .errors import InputError, checked, clipped
 
 READOUT_PULSES = ("none", "x90", "y90")
@@ -178,17 +178,14 @@ def _line_amplitudes(rho: np.ndarray, protocol: _Protocol) -> np.ndarray:
 
 
 def _state(rho, system: SpinSystem) -> tuple[np.ndarray, float]:
-    """rho as a complex array, checked against the system before it is read out, and its largest real or imaginary part."""
-    rho = np.ascontiguousarray(rho, dtype=complex)
-    if rho.shape != (system.dim, system.dim):
-        raise InputError(f"state shape {rho.shape} does not match system dim {system.dim}")
+    """rho read by ``core.checked_state`` for the system, once no line amplitude of it can overflow, and its largest real or imaginary part."""
+    rho = checked_state(rho, system.dim)
     # every partial sum of an amplitude, products of rho's real and imaginary
     # parts with unit rows, is at most 8 dim**2 times the largest part, so
-    # under this bound none overflows; a nan part makes the max nan and fails
+    # under this bound none overflows
     size = np.abs(rho.view(float)).max()
-    if not size <= sys.float_info.max / (8 * system.dim**2):
-        raise InputError("state has a non-finite entry" if not math.isfinite(size)
-                         else f"state has a real or imaginary part of size {size:.3e}, so its line amplitudes would overflow")
+    if size > sys.float_info.max / (8 * system.dim**2):
+        raise InputError(f"state has a real or imaginary part of size {size:.3e}, so its line amplitudes would overflow")
     return rho, size
 
 
@@ -302,7 +299,7 @@ def reconstruct(measurements: MeasurementSet, system: SpinSystem, reference=None
     # what np.linalg.norm computes for a real vector: its dot and a correctly rounded sqrt
     r = A @ c - y
     misfit = math.sqrt(r @ r)
-    err = None if reference is None else max_rel_error(rho, np.asarray(reference, dtype=complex))
+    err = None if reference is None else max_rel_error(rho, checked_state(reference, system.dim))
     return TomographyResult(
         reconstructed=rho,
         residual_norm=misfit,

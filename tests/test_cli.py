@@ -530,6 +530,22 @@ def test_long_option_values_are_cut_in_messages(capsys, tmp_path, chloroform_sta
         assert code == 1 and len(err.splitlines()) == 1, argv[:4]
         message = error_payload(err)["message"]
         assert len(message) < 200 and "... (5000 characters)" in message, message[:100]
+    # a file path and the list of unknown arguments are cut as one value each
+    words = " ".join(["a"] * 2500)
+    bad_json = tmp_path / ("s" * 200)
+    bad_json.write_text("{")
+    cut = [
+        (("solve", "--system", "chloroform", "--target", "00", words), words),
+        (("run", "--system", "chloroform", "--program", "x" * 5000), "x" * 5000),
+        (("solve", "--system", "chloroform", "--target", "00", "--out", "/nonexistent/" + "y" * 5000),
+         "/nonexistent/" + "y" * 5000),
+        (("tomo", "--system", "chloroform", "--state", str(bad_json)), str(bad_json)),
+    ]
+    for argv, value in cut:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and len(err.splitlines()) == 1, argv[:4]
+        message = error_payload(err)["message"]
+        assert len(message) < 200 and errors.clipped(value) in message, message[:100]
 
 def test_exit_code_for_parse_errors(capsys, tmp_path):
     bad = tmp_path / "bad.pp"
@@ -542,8 +558,8 @@ def test_exit_code_for_parse_errors(capsys, tmp_path):
 def test_unreadable_state_is_reported_as_a_read_failure(capsys, tmp_path):
     missing, latin1 = tmp_path / "missing.json", tmp_path / "latin1.json"
     latin1.write_bytes(b'{"matrix": "\xe9"}')
-    for path, start in ((missing, f"cannot read {missing}: "),
-                        (latin1, f"{latin1} is not UTF-8 text: ")):
+    for path, start in ((missing, f"cannot read {errors.clipped(str(missing))}: "),
+                        (latin1, f"{errors.clipped(str(latin1))} is not UTF-8 text: ")):
         code, _, err = run_cli(capsys, "hogg", "--system", "chloroform", "--formula", "V1&V2",
                                "--state", str(path))
         assert code == 1

@@ -117,6 +117,41 @@ def test_every_number_a_caller_passes_is_read_as_one():
             assert len(str(err.value)) < 200, (name, str(err.value)[:100], len(str(err.value)))
 
 
+def test_every_state_a_caller_passes_is_read_as_one():
+    # a non-finite entry, text, flags, ragged nesting or a matrix of the wrong shape:
+    # an InputError with a short message at each entry point, never a NaN result,
+    # a bare ValueError or a NotPseudoPureError
+    system = presets.get_preset("chloroform")
+    rho = core.thermal_deviation(system)
+    one_inf = rho.copy()
+    one_inf[2, 1] = np.inf
+    bad = {"all nan": np.full((4, 4), np.nan), "one inf": one_inf, "text": "abc",
+           "bools": np.eye(4, dtype=bool), "ragged": [[1.0, 2.0], [3.0]], "1-D": np.ones(4),
+           "3-D": np.ones((2, 4, 4)), "4 x 3": np.ones((4, 3)), "wrong size": np.eye(8)}
+    seq = dsl.compile(dsl.parse("hard all x 90\ncrush\n"), system)
+    measured = readout.simulate_measurements(rho, system)
+    formula = hogg.parse_formula("V1&V2")
+    calls = {
+        "crush": lambda r: core.crush(r),
+        "pure_part": lambda r: core.pure_part(r),
+        "pure_part_at_scale": lambda r: prep.pure_part_at_scale(r, system),
+        "hogg_run": lambda r: hogg.hogg_run(r, formula, system),
+        "dsl.run": lambda r: dsl.run(seq, r),
+        "readout_spectrum": lambda r: readout.readout_spectrum(r, 1, system),
+        "simulate_measurements": lambda r: readout.simulate_measurements(r, system),
+        "reconstruct reference": lambda r: readout.reconstruct(measured, system, reference=r),
+    }
+    for name, call in calls.items():
+        for kind, state in bad.items():
+            if kind == "wrong size" and name in ("crush", "pure_part"):
+                continue  # they take a square matrix of any size
+            with pytest.raises(InputError) as err:
+                call(state)
+            assert len(str(err.value)) < 200, (name, kind, str(err.value)[:100])
+    assert core.checked_state([[1, 2], [3, 4]], 2).dtype == complex
+    assert core.checked_state(np.eye(4)[:, ::-1]).flags.c_contiguous
+
+
 def test_spin_system_validation():
     with pytest.raises(InputError):
         core.SpinSystem(gamma=())

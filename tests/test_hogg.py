@@ -69,6 +69,10 @@ def test_formula_messages_cut_long_text():
         with pytest.raises(InputError) as err:
             hogg.parse_formula(text)
         assert str(err.value) == message
+    # a valid index past that limit cannot be written back as text
+    with pytest.raises(InputError) as err:
+        hogg.formula_text(hogg.OneSatFormula(((1, False), (10**5000, True))))
+    assert str(err.value) == "variable index <integer of 16610 bits> is too long to write"
 
 
 @settings(max_examples=300, deadline=None)
@@ -82,6 +86,7 @@ def test_parse_formula_reads_a_formula_or_raises_input_error(text):
     except InputError:
         return
     assert isinstance(formula, hogg.OneSatFormula)
+    assert hogg.parse_formula(hogg.formula_text(formula)) == formula
 
 
 def test_conflicts():
